@@ -53,7 +53,7 @@ from .polyring import (
     PrimeField,
     ProjPoint,
 )
-from .reporting import Check, FAIL, PASS, WARN
+from .reporting import Check, FAIL, PASS, WARN, warn
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -172,15 +172,21 @@ def _load_surface(args, ring: PolyRing) -> Poly:
     return ring.parse(text)
 
 
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"expected an integer, got {text!r}") from None
+
+
 def _parse_point(text: str, ring: PolyRing) -> ProjPoint:
-    parts = [p.strip() for p in text.split(",")]
     coords = []
-    for p in parts:
-        if "/" in p:
-            num, den = p.split("/", 1)
-            coords.append(Fraction(int(num), int(den)))
-        else:
-            coords.append(Fraction(int(p)))
+    for p in text.split(","):
+        num, slash, den = p.strip().partition("/")
+        den = _integer(den) if slash else 1
+        if not den:
+            raise UsageError(f"zero denominator in coordinate {p.strip()!r}")
+        coords.append(Fraction(_integer(num), den))
     if len(coords) != len(ring.variables):
         raise UsageError(
             f"expected {len(ring.variables)} coordinates, got {len(coords)}"
@@ -195,7 +201,7 @@ def _parse_mults(text: str) -> dict:
         if not piece:
             continue
         s, _, count = piece.partition(":")
-        out[int(s)] = int(count) if count else 1
+        out[_integer(s)] = _integer(count) if count else 1
     return out
 
 
@@ -208,7 +214,7 @@ def _parse_chars(text: str) -> dict:
         key, _, value = piece.partition("=")
         if not value:
             raise UsageError(f"expected name=value, got {piece!r}")
-        out[key.strip()] = int(value)
+        out[key.strip()] = _integer(value)
     return out
 
 
@@ -232,7 +238,7 @@ def _plane_chars_dict(chars: PlaneCurveCharacters) -> dict:
 
 
 def _developable_dict(chars) -> dict:
-    out = {
+    return {
         "order": _count_str(chars.m),
         "class": _count_str(chars.n),
         "rank": _count_str(chars.r),
@@ -242,10 +248,18 @@ def _developable_dict(chars) -> dict:
         "dual_double_curve": _count_str(chars.y),
         "apparent_nodes_dual": _count_str(chars.g),
         "apparent_nodes_edge": _count_str(chars.h),
+        "genus": _count_str(chars.genus),
     }
-    if chars.genus is not None:
-        out["genus"] = _count_str(chars.genus)
-    return out
+
+
+def _node_couple_dict(couple) -> dict:
+    return {
+        "class": _count_str(couple.class_degree),
+        "apparent_nodes": _count_str(couple.apparent_double_points),
+        "cusps": _count_str(couple.cusps),
+        "triple_points": _count_str(couple.triple_points),
+        "rank": _count_str(couple.rank),
+    }
 
 
 def cmd_invariants(args) -> CommandResult:
@@ -272,17 +286,11 @@ def cmd_invariants(args) -> CommandResult:
             "flecnodal_nodes": _count_str(table.flecnodal_nodes),
             "flecnodal_tangencies": _count_str(table.flecnodal_tangencies),
             "hessian_developable": _developable_dict(table.hessian),
-            "node_couple": {
-                "class": _count_str(table.node_couple.class_degree),
-                "apparent_nodes": _count_str(table.node_couple.apparent_double_points),
-                "cusps": _count_str(table.node_couple.cusps),
-                "triple_points": _count_str(table.node_couple.triple_points),
-                "rank": _count_str(table.node_couple.rank),
-            },
+            "node_couple": _node_couple_dict(table.node_couple),
         }
         result.add_checks(invariants.verify_dual_relations(args.degree))
         for message in table.warnings:
-            result.add_checks([Check("table warning", message, None, WARN)])
+            result.add_checks([warn("table warning", message)])
         return result
     if sub == "branch":
         result = CommandResult("invariants branch", {"degree": args.degree})
@@ -296,13 +304,7 @@ def cmd_invariants(args) -> CommandResult:
         couple = invariants.nodecouple_characters(args.degree)
         result.results = {
             "hessian_developable": _developable_dict(hess),
-            "node_couple": {
-                "class": _count_str(couple.class_degree),
-                "apparent_nodes": _count_str(couple.apparent_double_points),
-                "cusps": _count_str(couple.cusps),
-                "triple_points": _count_str(couple.triple_points),
-                "rank": _count_str(couple.rank),
-            },
+            "node_couple": _node_couple_dict(couple),
         }
         return result
     if sub == "projected":
@@ -444,7 +446,7 @@ def cmd_poly(args) -> CommandResult:
         if args.m is None or args.genus is None or args.k is None:
             raise UsageError("rank-profile needs --m, --genus, and --k")
         dim = args.dim or 3
-        ks = [int(x) for x in args.k.split(",")]
+        ks = [_integer(x) for x in args.k.split(",")]
         profile = rank_profile(dim, args.m, args.genus, ks)
         dual = profile.dual()
         result.results = {

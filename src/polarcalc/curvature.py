@@ -63,10 +63,6 @@ class FundamentalForm:
     scale: object
     tangent_basis: tuple
 
-    def determinant(self):
-        field = self.normalized.ring.field
-        return linalg.scalar_determinant(field, [list(r) for r in self.matrix])
-
 
 def _normal_form(F: Poly, p: ProjPoint):
     d = _check_surface(F)

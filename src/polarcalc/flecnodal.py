@@ -126,7 +126,6 @@ def flecnodal_covariants(F: Poly) -> CovariantPair:
 
 
 class ContactOrder(enum.Enum):
-    TWO = "2"
     THREE = "3"
     GE4 = "ge4"
     INFINITE = "infinity"

@@ -22,61 +22,55 @@ def mat_mul(field, a, b):
     ]
 
 
+def _reduce(field, m):
+    """Gaussian elimination of a copy of m to row echelon form.
+
+    Returns the rows, the pivot columns, and the product of the pivots
+    signed by the row swaps (the determinant of a square m of full rank).
+    """
+    work = [[field.coerce(x) for x in row] for row in m]
+    rows = len(work)
+    pivots, det = [], field.one
+    for col in range(len(work[0]) if work else 0):
+        rk = len(pivots)
+        if rk == rows:
+            break
+        pivot = next((r for r in range(rk, rows) if work[r][col]), None)
+        if pivot is None:
+            continue
+        if pivot != rk:
+            work[rk], work[pivot] = work[pivot], work[rk]
+            det = -det
+        det = det * work[rk][col]
+        inv = field.one / work[rk][col]
+        for r in range(rk + 1, rows):
+            if work[r][col]:
+                f = work[r][col] * inv
+                work[r] = [a - f * b for a, b in zip(work[r], work[rk])]
+        pivots.append(col)
+    return work, pivots, det
+
+
 def mat_inverse(field, m):
     n = len(m)
-    work = [[field.coerce(x) for x in row] + identity(field, n)[i] for i, row in enumerate(m)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col]), None)
-        if pivot is None:
-            raise DomainError("singular matrix")
-        work[col], work[pivot] = work[pivot], work[col]
+    augmented = [list(row) + unit for row, unit in zip(m, identity(field, n))]
+    work, pivots, _ = _reduce(field, augmented)
+    if pivots[:n] != list(range(n)):
+        raise DomainError("singular matrix")
+    for col in reversed(range(n)):
         inv = field.one / work[col][col]
         work[col] = [x * inv for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col]:
+        for r in range(col):
+            if work[r][col]:
                 f = work[r][col]
                 work[r] = [a - f * b for a, b in zip(work[r], work[col])]
     return [row[n:] for row in work]
 
 
 def rank(field, m):
-    if not m:
-        return 0
-    work = [[field.coerce(x) for x in row] for row in m]
-    rows, cols = len(work), len(work[0])
-    rk, col = 0, 0
-    while rk < rows and col < cols:
-        pivot = next((r for r in range(rk, rows) if work[r][col]), None)
-        if pivot is None:
-            col += 1
-            continue
-        work[rk], work[pivot] = work[pivot], work[rk]
-        inv = field.one / work[rk][col]
-        work[rk] = [x * inv for x in work[rk]]
-        for r in range(rows):
-            if r != rk and work[r][col]:
-                f = work[r][col]
-                work[r] = [a - f * b for a, b in zip(work[r], work[rk])]
-        rk += 1
-        col += 1
-    return rk
+    return len(_reduce(field, m)[1])
 
 
 def scalar_determinant(field, m):
-    n = len(m)
-    work = [[field.coerce(x) for x in row] for row in m]
-    det = field.one
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col]), None)
-        if pivot is None:
-            return field.zero
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            det = -det
-        det = det * work[col][col]
-        inv = field.one / work[col][col]
-        for r in range(col + 1, n):
-            if work[r][col]:
-                f = work[r][col] * inv
-                work[r] = [a - f * b for a, b in zip(work[r], work[col])]
-    return det
+    _, pivots, det = _reduce(field, m)
+    return det if len(pivots) == len(m) else field.zero

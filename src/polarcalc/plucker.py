@@ -7,8 +7,10 @@ Covers four classical calculi:
   preferred generators, and the genus relation;
 * the nine characteristic numbers of a developable system (order m,
   class n, rank r, stationary planes alpha, stationary points beta,
-  double-curve degrees x and y, apparent double points g and h), solved
-  from any determining subset by substitution in a fixed order;
+  double-curve degrees x and y, apparent double points g and h) and their
+  genus, completed from any subset the 13 relations determine: each
+  relation is written once, and whichever character it contains linearly
+  is solved for when that character is its only unknown;
 * the i-th ranks of a curve in P^N from its degree, genus, and
   hyperosculation totals k_1..k_N, together with the involution sending a
   curve to its osculating dual;
@@ -39,13 +41,9 @@ def _value(v):
     return Fraction(v)
 
 
-def _numeric(v) -> bool:
-    return isinstance(v, Fraction)
-
-
 def _require_count(name: str, v):
     """A character must be a nonnegative integer when numeric."""
-    if _numeric(v):
+    if isinstance(v, Fraction):
         if v.denominator != 1:
             raise DomainError(f"{name} = {v} is not an integer")
         if v < 0:
@@ -82,24 +80,31 @@ class PlaneCurveCharacters:
         )
 
 
+# The Pluecker pair: class and flex count of a plane curve with ordinary
+# nodes and cusps.
+def _plane_class(degree, nodes, cusps):
+    return degree * (degree - 1) - 2 * nodes - 3 * cusps
+
+
+def _plane_flexes(degree, nodes, cusps):
+    return 3 * degree * (degree - 2) - 6 * nodes - 8 * cusps
+
+
+def _counted_plane_characters(*values) -> PlaneCurveCharacters:
+    """Characters in field order, each required to be a count."""
+    names = ("degree", "class", "nodes", "cusps", "bitangents", "flexes", "genus")
+    return PlaneCurveCharacters(*map(_require_count, names, values))
+
+
 def complete_plane_characters(n, nodes, cusps) -> PlaneCurveCharacters:
     """Fill in class, flexes, and bitangents of a nodal-cuspidal curve."""
     n, d, k = _value(n), _value(nodes), _value(cusps)
-    if _numeric(n) and n < 2:
+    if isinstance(n, Fraction) and n < 2:
         raise DomainError("degree must be at least 2")
-    dual = n * (n - 1) - 2 * d - 3 * k
-    flexes = 3 * n * (n - 2) - 6 * d - 8 * k
-    bitangents = (dual * (dual - 1) - n - 3 * flexes) / 2
+    dual, flexes = _plane_class(n, d, k), _plane_flexes(n, d, k)
+    bitangents = (_plane_class(dual, 0, flexes) - n) / 2
     genus = (n - 1) * (n - 2) / 2 - d - k
-    return PlaneCurveCharacters(
-        degree=_require_count("degree", n),
-        dual_degree=_require_count("class", dual),
-        nodes=_require_count("nodes", d),
-        cusps=_require_count("cusps", k),
-        bitangents=_require_count("bitangents", bitangents),
-        flexes=_require_count("flexes", flexes),
-        genus=_require_count("genus", genus),
-    )
+    return _counted_plane_characters(n, dual, d, k, bitangents, flexes, genus)
 
 
 def solve_from_genus(degree, dual_degree, genus) -> PlaneCurveCharacters:
@@ -115,24 +120,16 @@ def solve_from_genus(degree, dual_degree, genus) -> PlaneCurveCharacters:
     bi_plus_flex = (nd - 1) * (nd - 2) / 2 - g
     flexes = nd * (nd - 1) - n - 2 * bi_plus_flex
     bitangents = bi_plus_flex - flexes
-    return PlaneCurveCharacters(
-        degree=_require_count("degree", n),
-        dual_degree=_require_count("class", nd),
-        nodes=_require_count("nodes", nodes),
-        cusps=_require_count("cusps", cusps),
-        bitangents=_require_count("bitangents", bitangents),
-        flexes=_require_count("flexes", flexes),
-        genus=_require_count("genus", g),
-    )
+    return _counted_plane_characters(n, nd, nodes, cusps, bitangents, flexes, g)
 
 
 def plucker_residuals(chars: PlaneCurveCharacters) -> Dict[str, object]:
     n, nd, d, k, b, f = (_value(v) for v in chars.as_tuple())
     return {
-        "P1": n * (n - 1) - 2 * d - 3 * k - nd,
-        "P2": 3 * n * (n - 2) - 6 * d - 8 * k - f,
-        "P1_dual": nd * (nd - 1) - 2 * b - 3 * f - n,
-        "P2_dual": 3 * nd * (nd - 2) - 6 * b - 8 * f - k,
+        "P1": _plane_class(n, d, k) - nd,
+        "P2": _plane_flexes(n, d, k) - f,
+        "P1_dual": _plane_class(nd, b, f) - n,
+        "P2_dual": _plane_flexes(nd, b, f) - k,
         "G1": (3 * n - k) - (3 * nd - f),
         "G2": n * (n - 2) + nd * (nd - 2) - (2 * d + 3 * k + 2 * b + 3 * f),
         "G3": 18 * (d - b) - (k - f) * ((k - f) + 6 * nd - 27),
@@ -141,46 +138,41 @@ def plucker_residuals(chars: PlaneCurveCharacters) -> Dict[str, object]:
     }
 
 
-def verify_plucker_relations(chars: PlaneCurveCharacters) -> list:
-    """Residuals of the four Pluecker relations, the three generators,
-    the dependence relation, and the generator-matrix reconstruction."""
-    n, nd, d, k, b, f = (_value(v) for v in chars.as_tuple())
-    r = plucker_residuals(chars)
-    checks = [residual_zero(name, value) for name, value in r.items()]
+def _generator_checks(chars: PlaneCurveCharacters, r: Dict[str, object]) -> list:
+    """The dependence relations and the generator-matrix reconstruction of
+    the residuals ``r``; they hold for arbitrary (even inconsistent)
+    characters."""
+    n, nd, _, k, _, f = (_value(v) for v in chars.as_tuple())
     r1, r2, rd1, rd2 = r["P1"], r["P2"], r["P1_dual"], r["P2_dual"]
     g1, g2, g3 = r["G1"], r["G2"], r["G3"]
     s, t = n + nd, k - f
-    checks.append(residual_zero("G1 = 3*P1 - P2", g1 - (3 * r1 - r2)))
-    checks.append(residual_zero("G1 = -3*P1_dual + P2_dual", g1 - (rd2 - 3 * rd1)))
-    checks.append(residual_zero("G2 = P1 + P1_dual", g2 - (r1 + rd1)))
-    checks.append(residual_zero("3*G2 = P2 + P2_dual", 3 * g2 - (r2 + rd2)))
-    checks.append(
-        residual_zero(
-            "G3 composition",
-            g3 - (3 * (3 * s + t - 3) * r1 - (3 * s + t) * r2 + 9 * rd1),
+    return [
+        residual_zero(name, value)
+        for name, value in (
+            ("G1 = 3*P1 - P2", g1 - (3 * r1 - r2)),
+            ("G1 = -3*P1_dual + P2_dual", g1 - (rd2 - 3 * rd1)),
+            ("G2 = P1 + P1_dual", g2 - (r1 + rd1)),
+            ("3*G2 = P2 + P2_dual", 3 * g2 - (r2 + rd2)),
+            ("G3 composition",
+             g3 - (3 * (3 * s + t - 3) * r1 - (3 * s + t) * r2 + 9 * rd1)),
+            ("reconstruct P1",
+             r1 - ((s / 6 + t / 18) * g1 + g2 / 2 - g3 / 18)),
+            ("reconstruct P2",
+             r2 - ((s / 2 + t / 6 - 1) * g1 + 3 * g2 / 2 - g3 / 6)),
+            ("reconstruct P1_dual",
+             rd1 - (-(s / 6 + t / 18) * g1 + g2 / 2 + g3 / 18)),
+            ("reconstruct P2_dual",
+             rd2 - (-(s / 2 + t / 6 - 1) * g1 + 3 * g2 / 2 + g3 / 6)),
         )
-    )
-    checks.append(
-        residual_zero("reconstruct P1", r1 - ((s / 6 + t / 18) * g1 + g2 / 2 - g3 / 18))
-    )
-    checks.append(
-        residual_zero(
-            "reconstruct P2", r2 - ((s / 2 + t / 6 - 1) * g1 + 3 * g2 / 2 - g3 / 6)
-        )
-    )
-    checks.append(
-        residual_zero(
-            "reconstruct P1_dual",
-            rd1 - (-(s / 6 + t / 18) * g1 + g2 / 2 + g3 / 18),
-        )
-    )
-    checks.append(
-        residual_zero(
-            "reconstruct P2_dual",
-            rd2 - (-(s / 2 + t / 6 - 1) * g1 + 3 * g2 / 2 + g3 / 6),
-        )
-    )
-    return checks
+    ]
+
+
+def verify_plucker_relations(chars: PlaneCurveCharacters) -> list:
+    """Residuals of the four Pluecker relations, the three generators,
+    the dependence relation, and the generator-matrix reconstruction."""
+    r = plucker_residuals(chars)
+    checks = [residual_zero(name, value) for name, value in r.items()]
+    return checks + _generator_checks(chars, r)
 
 
 def generator_identities_symbolic() -> list:
@@ -192,26 +184,11 @@ def generator_identities_symbolic() -> list:
     """
     ring = PolyRing(("n", "nd", "d", "k", "b", "f"), QQ)
     chars = PlaneCurveCharacters(*ring.gens())
-    structural_names = {
-        "G1 = 3*P1 - P2",
-        "G1 = -3*P1_dual + P2_dual",
-        "G2 = P1 + P1_dual",
-        "3*G2 = P2 + P2_dual",
-        "G3 composition",
-        "reconstruct P1",
-        "reconstruct P2",
-        "reconstruct P1_dual",
-        "reconstruct P2_dual",
-    }
-    keep = [c for c in verify_plucker_relations(chars) if c.name in structural_names]
     r = plucker_residuals(chars)
-    keep.append(
-        residual_zero(
-            "genus relation from the residuals",
-            r["genus"] - (r["P1"] + 2 * r["P1_dual"] - r["P2_dual"]) / 2,
-        )
-    )
-    return keep
+    genus = r["genus"] - (r["P1"] + 2 * r["P1_dual"] - r["P2_dual"]) / 2
+    return _generator_checks(chars, r) + [
+        residual_zero("genus relation from the residuals", genus)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +205,7 @@ class DevelopableCharacters:
     stationary planes / points; x / y: degrees of the ordinary double
     curves of the two tangential surfaces; g / h: apparent double points
     of the dual curve and of the edge curve; genus: common geometric
-    genus, when determined.
+    genus.
     """
 
     m: object
@@ -240,84 +217,73 @@ class DevelopableCharacters:
     y: object
     g: object
     h: object
-    genus: Optional[object] = None
+    genus: object
 
 
 _FIELDS = ("m", "n", "r", "alpha", "beta", "x", "y", "g", "h", "genus")
 
-# (target, dependencies, solved form); applied in order until stable.
-_RULES = (
-    ("r", ("m", "genus", "beta"), lambda v: 2 * v["m"] + 2 * v["genus"] - 2 - v["beta"]),
-    ("r", ("n", "genus", "alpha"), lambda v: 2 * v["n"] + 2 * v["genus"] - 2 - v["alpha"]),
-    ("beta", ("m", "genus", "r"), lambda v: 2 * v["m"] + 2 * v["genus"] - 2 - v["r"]),
-    ("alpha", ("n", "genus", "r"), lambda v: 2 * v["n"] + 2 * v["genus"] - 2 - v["r"]),
-    ("n", ("r", "genus", "alpha"), lambda v: (v["r"] + v["alpha"] + 2 - 2 * v["genus"]) / 2),
-    ("m", ("r", "genus", "beta"), lambda v: (v["r"] + v["beta"] + 2 - 2 * v["genus"]) / 2),
-    ("genus", ("r", "m", "beta"), lambda v: (v["r"] + v["beta"] + 2 - 2 * v["m"]) / 2),
-    ("genus", ("r", "n", "alpha"), lambda v: (v["r"] + v["alpha"] + 2 - 2 * v["n"]) / 2),
-    ("g", ("n", "r", "alpha"), lambda v: (v["n"] * (v["n"] - 1) - v["r"] - 3 * v["alpha"]) / 2),
-    ("r", ("n", "g", "alpha"), lambda v: v["n"] * (v["n"] - 1) - 2 * v["g"] - 3 * v["alpha"]),
-    ("alpha", ("n", "r", "g"), lambda v: (v["n"] * (v["n"] - 1) - v["r"] - 2 * v["g"]) / 3),
-    ("m", ("n", "g", "alpha"), lambda v: 3 * v["n"] * (v["n"] - 2) - 6 * v["g"] - 8 * v["alpha"]),
-    ("g", ("n", "m", "alpha"), lambda v: (3 * v["n"] * (v["n"] - 2) - v["m"] - 8 * v["alpha"]) / 6),
-    ("alpha", ("n", "m", "g"), lambda v: (3 * v["n"] * (v["n"] - 2) - v["m"] - 6 * v["g"]) / 8),
-    ("n", ("r", "x", "m"), lambda v: v["r"] * (v["r"] - 1) - 2 * v["x"] - 3 * v["m"]),
-    ("x", ("r", "n", "m"), lambda v: (v["r"] * (v["r"] - 1) - v["n"] - 3 * v["m"]) / 2),
-    ("m", ("r", "n", "x"), lambda v: (v["r"] * (v["r"] - 1) - v["n"] - 2 * v["x"]) / 3),
-    ("alpha", ("r", "x", "m"), lambda v: 3 * v["r"] * (v["r"] - 2) - 6 * v["x"] - 8 * v["m"]),
-    ("x", ("r", "alpha", "m"), lambda v: (3 * v["r"] * (v["r"] - 2) - v["alpha"] - 8 * v["m"]) / 6),
-    ("h", ("m", "r", "beta"), lambda v: (v["m"] * (v["m"] - 1) - v["r"] - 3 * v["beta"]) / 2),
-    ("r", ("m", "h", "beta"), lambda v: v["m"] * (v["m"] - 1) - 2 * v["h"] - 3 * v["beta"]),
-    ("beta", ("m", "r", "h"), lambda v: (v["m"] * (v["m"] - 1) - v["r"] - 2 * v["h"]) / 3),
-    ("n", ("m", "h", "beta"), lambda v: 3 * v["m"] * (v["m"] - 2) - 6 * v["h"] - 8 * v["beta"]),
-    ("h", ("m", "n", "beta"), lambda v: (3 * v["m"] * (v["m"] - 2) - v["n"] - 8 * v["beta"]) / 6),
-    ("y", ("r", "m", "n"), lambda v: (v["r"] * (v["r"] - 1) - v["m"] - 3 * v["n"]) / 2),
-    ("m", ("r", "y", "n"), lambda v: v["r"] * (v["r"] - 1) - 2 * v["y"] - 3 * v["n"]),
-    ("beta", ("r", "y", "n"), lambda v: 3 * v["r"] * (v["r"] - 2) - 6 * v["y"] - 8 * v["n"]),
-    ("y", ("r", "beta", "n"), lambda v: (3 * v["r"] * (v["r"] - 2) - v["beta"] - 8 * v["n"]) / 6),
-    ("alpha", ("beta", "n", "m"), lambda v: v["beta"] + 2 * (v["n"] - v["m"])),
-    ("beta", ("alpha", "n", "m"), lambda v: v["alpha"] - 2 * (v["n"] - v["m"])),
-    ("x", ("y", "n", "m"), lambda v: v["y"] + v["n"] - v["m"]),
-    ("y", ("x", "n", "m"), lambda v: v["x"] - v["n"] + v["m"]),
-    ("g", ("h", "n", "m"), lambda v: v["h"] + (v["n"] - v["m"]) * (v["n"] + v["m"] - 7) / 2),
-    ("h", ("g", "n", "m"), lambda v: v["g"] - (v["n"] - v["m"]) * (v["n"] + v["m"] - 7) / 2),
+# Four plane curves carry a developable's Pluecker pair, as
+# (view, (degree, nodes, cusps), (class, flexes)) in its characters.
+_PLANE_VIEWS = (
+    ("rank section", ("r", "x", "m"), ("n", "alpha")),
+    ("class projection", ("n", "g", "alpha"), ("r", "m")),
+    ("order projection", ("m", "h", "beta"), ("r", "n")),
+    ("dual rank section", ("r", "y", "n"), ("m", "beta")),
 )
+_WORDS = {
+    "m": "order",
+    "n": "class",
+    "r": "rank",
+    "alpha": "stationary planes",
+    "beta": "stationary points",
+}
 
-_EQUATIONS = (
-    ("class from rank section", ("n", "r", "x", "m"),
-     lambda v: v["r"] * (v["r"] - 1) - 2 * v["x"] - 3 * v["m"] - v["n"]),
-    ("stationary planes from rank section", ("alpha", "r", "x", "m"),
-     lambda v: 3 * v["r"] * (v["r"] - 2) - 6 * v["x"] - 8 * v["m"] - v["alpha"]),
-    ("rank from class projection", ("r", "n", "g", "alpha"),
-     lambda v: v["n"] * (v["n"] - 1) - 2 * v["g"] - 3 * v["alpha"] - v["r"]),
-    ("order from class projection", ("m", "n", "g", "alpha"),
-     lambda v: 3 * v["n"] * (v["n"] - 2) - 6 * v["g"] - 8 * v["alpha"] - v["m"]),
-    ("rank from order projection", ("r", "m", "h", "beta"),
-     lambda v: v["m"] * (v["m"] - 1) - 2 * v["h"] - 3 * v["beta"] - v["r"]),
-    ("class from order projection", ("n", "m", "h", "beta"),
-     lambda v: 3 * v["m"] * (v["m"] - 2) - 6 * v["h"] - 8 * v["beta"] - v["n"]),
-    ("order from dual rank section", ("m", "r", "y", "n"),
-     lambda v: v["r"] * (v["r"] - 1) - 2 * v["y"] - 3 * v["n"] - v["m"]),
-    ("stationary points from dual rank section", ("beta", "r", "y", "n"),
-     lambda v: 3 * v["r"] * (v["r"] - 2) - 6 * v["y"] - 8 * v["n"] - v["beta"]),
-    ("stationary difference", ("alpha", "beta", "n", "m"),
+
+def _view_relation(formula, curve, target):
+    degree, nodes, cusps = curve
+    return lambda v: formula(v[degree], v[nodes], v[cusps]) - v[target]
+
+
+# (name, residual) for the 13 relations; each residual is zero on a developable.
+_EQUATIONS = tuple(
+    (f"{_WORDS[target]} from {view}", _view_relation(formula, curve, target))
+    for view, curve, targets in _PLANE_VIEWS
+    for formula, target in zip((_plane_class, _plane_flexes), targets)
+) + (
+    ("stationary difference",
      lambda v: v["alpha"] - v["beta"] - 2 * (v["n"] - v["m"])),
-    ("double-curve difference", ("x", "y", "n", "m"),
+    ("double-curve difference",
      lambda v: v["x"] - v["y"] - (v["n"] - v["m"])),
-    ("apparent-node difference", ("g", "h", "n", "m"),
+    ("apparent-node difference",
      lambda v: 2 * (v["g"] - v["h"]) - (v["n"] - v["m"]) * (v["n"] + v["m"] - 7)),
-    ("genus count via order", ("r", "m", "genus", "beta"),
+    ("genus count via order",
      lambda v: 2 * v["m"] + 2 * v["genus"] - 2 - v["beta"] - v["r"]),
-    ("genus count via class", ("r", "n", "genus", "alpha"),
+    ("genus count via class",
      lambda v: 2 * v["n"] + 2 * v["genus"] - 2 - v["alpha"] - v["r"]),
 )
+
+
+def _linear_terms(residual):
+    """The characters in a residual, and the slope of each one it contains
+    linearly with a constant slope."""
+    ring = PolyRing(_FIELDS, QQ)
+    poly = residual(dict(zip(_FIELDS, ring.gens())))
+    used = poly.variables_used()
+    slopes = {t: poly.partial(t) for t in used if poly.degree_in(t) == 1}
+    constant = {t: s.constant_value() for t, s in slopes.items() if not s.variables_used()}
+    return used, constant
+
+
+# (name, residual, participants, {solvable character: slope}) per equation.
+_SYSTEM = tuple((name, f, *_linear_terms(f)) for name, f in _EQUATIONS)
 
 
 def complete_developable(**known) -> Tuple[DevelopableCharacters, list]:
     """Solve the developable relation system from a determining subset.
 
-    Returns the completed characters and residual checks for every
-    relation whose participants are all determined; over-determined
+    Repeatedly solves any equation with exactly one unknown character that
+    it contains linearly, until nothing changes.  Returns the completed
+    characters and the residual checks of all 13 relations; over-determined
     inputs are verified, never re-solved.
     """
     values = {}
@@ -329,25 +295,20 @@ def complete_developable(**known) -> Tuple[DevelopableCharacters, list]:
     progress = True
     while progress:
         progress = False
-        for target, deps, fn in _RULES:
-            if target in values:
-                continue
-            if all(dep in values for dep in deps):
-                values[target] = fn(values)
+        for _, residual, participants, slopes in _SYSTEM:
+            unknown = [t for t in participants if t not in values]
+            if len(unknown) == 1 and unknown[0] in slopes:
+                t = unknown[0]
+                values[t] = -residual({**values, t: 0}) / slopes[t]
                 progress = True
-    missing = [f for f in _FIELDS[:-1] if f not in values]
+    missing = [f for f in _FIELDS if f not in values]
     if missing:
         raise DomainError(f"insufficient knowns: cannot determine {missing}")
-    checks = []
-    for name, deps, fn in _EQUATIONS:
-        if all(dep in values for dep in deps):
-            checks.append(residual_zero(name, fn(values)))
+    checks = [residual_zero(name, residual(values)) for name, residual in _EQUATIONS]
     bad = [c.name for c in checks if not c.ok]
     if bad:
         raise DomainError(f"inconsistent characters: nonzero residuals in {bad}")
-    cleaned = {
-        f: _require_count(f, values[f]) if f in values else None for f in _FIELDS
-    }
+    cleaned = {f: _require_count(f, values[f]) for f in _FIELDS}
     return DevelopableCharacters(**cleaned), checks
 
 

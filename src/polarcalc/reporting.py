@@ -21,10 +21,6 @@ class Check:
         return self.status != FAIL
 
 
-def compare(name: str, lhs, rhs) -> Check:
-    return Check(name, lhs, rhs, PASS if lhs == rhs else FAIL)
-
-
 def residual_zero(name: str, value) -> Check:
     zero = not value if not hasattr(value, "is_zero") else value.is_zero
     return Check(name, value, 0, PASS if zero else FAIL)

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from polarcalc.cli import main
 from polarcalc.polyring import PolyRing
 
@@ -177,6 +179,23 @@ class TestPolyCommand:
         )
         assert code == 3
         assert "singular" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "poly polar --expr=x^3+y^3+z^3+w^3 --point=1/0,1,1,1",
+            "poly polar --expr=x^3+y^3+z^3+w^3 --point=1,a,1,1",
+            "poly dejonquieres --m=4 --genus=0 --mult=2:x",
+            "verify plucker --chars=degree=3,class=q",
+            "poly rank-profile --m=3 --genus=0 --k=0,a,1",
+            "poly developable --chars=m=4,genus=0,alpha=x",
+        ],
+    )
+    def test_malformed_number_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv.split())
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
 
     def test_non_homogeneous_is_domain_error(self, capsys):
         code, _, err = run(capsys, "poly", "hessian", "--expr", "x^2 + y")

@@ -1,0 +1,74 @@
+"""Golden ``--json`` documents: the stable CLI schema, byte for byte.
+
+Each argv below is a README command-line example (plus the four ``poly``
+operations the README does not show); its ``--json`` output must equal the
+stored document in ``tests/golden/`` exactly.  After an intended output
+change, regenerate the documents with ``python tests/test_golden.py``.
+"""
+
+import shlex
+import sys
+from pathlib import Path
+
+import pytest
+
+from polarcalc.cli import main
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+COMMANDS = [
+    "invariants surface --degree 4",
+    "invariants branch --degree 3",
+    "invariants developable --degree 4",
+    "invariants projected --n 4 --pi 0 --pa 0 --ksq 9",
+    "verify all",
+    "verify all --degree-range 3..12",
+    "verify all --modp 1048583",
+    "verify models",
+    "verify plucker --chars degree=4,class=12,nodes=0,cusps=0,bitangents=28,flexes=24",
+    'poly hessian --expr "x^3+y^3+z^3+w^3"',
+    'poly line-mult --expr "x^3+y^3+z^3+w^3" --point 1,-1,0,0 --dir 0,0,1,0',
+    'poly polar --expr "x^3+y^3+z^3+w^3" --point 1,1,1,1 --order 1',
+    'poly tangent-cone --expr "y^2*w-x^3" --point 0,0,0,1',
+    'poly classify --expr "x*w-y*z" --point 1,0,0,0',
+    'poly flecnodal --expr "x^3+y^3+z^3+w^3" --point 1,-1,1,-1',
+    'poly covariants --expr "x^3+y^3+z^3+w^3"',
+    "poly dejonquieres --m 4 --genus 0 --mult 2:1",
+    "poly rank-profile --m 3 --genus 0 --k 0,0,0",
+    "poly developable --chars m=3,genus=0,alpha=0,beta=0",
+    'poly polar-kic --expr "x^3+y^3+z^3+w^3" --point 1,1,1,1 --order 2',
+    'poly tangent-plane --expr "x^3+y^3+z^3+w^3" --point 1,-1,0,0',
+    'poly second-form --expr "x*w-y*z" --point 1,0,0,0',
+    'poly contact --expr "x*w-y*z" --point 1,0,0,0',
+]
+
+
+def golden_path(index: int, command: str) -> Path:
+    words = shlex.split(command)
+    return GOLDEN_DIR / f"{index:02d}_{words[0]}_{words[1]}.json"
+
+
+def json_output(capsys, command: str) -> str:
+    code = main(shlex.split(command) + ["--json"])
+    assert code == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("index, command", list(enumerate(COMMANDS)), ids=COMMANDS)
+def test_json_document_is_unchanged(capsys, index, command):
+    assert json_output(capsys, command) == golden_path(index, command).read_text(
+        encoding="utf-8"
+    )
+
+
+if __name__ == "__main__":
+    import contextlib
+    import io
+
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for index, command in enumerate(COMMANDS):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            if main(shlex.split(command) + ["--json"]) != 0:
+                sys.exit(f"nonzero exit: {command}")
+        golden_path(index, command).write_text(out.getvalue(), encoding="utf-8")

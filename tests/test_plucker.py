@@ -1,10 +1,15 @@
 """Plane-curve, developable, rank, and de Jonquieres systems."""
 
+import itertools
 import random
 
 import pytest
 
+from polarcalc.invariants import hessian_developable_characters
 from polarcalc.plucker import (
+    _FIELDS,
+    _SYSTEM,
+    DevelopableCharacters,
     PlaneCurveCharacters,
     complete_developable,
     complete_plane_characters,
@@ -19,6 +24,26 @@ from polarcalc.polyring import QQ, DomainError, PolyRing
 from polarcalc.reporting import all_ok
 
 N6 = PolyRing(("n", "nd", "d", "k", "b", "f"), QQ)
+
+
+def _space_curve_system(m, genus):
+    """Developable of a degree-m, genus-g space curve with no stationary
+    points (beta = 0) and its 4(m + 3g - 3) stationary planes."""
+    chars, checks = complete_developable(
+        m=m, genus=genus, alpha=4 * (m + 3 * genus - 3), beta=0
+    )
+    assert all_ok(checks)
+    return chars
+
+
+# Consistent systems whose subsets of 2..5 characters make the solver grid.
+# A cubic of genus 2 or 3 would have h = (m^2 - 3m + 2 - 2g)/2 < 0.
+GRID_SYSTEMS = [hessian_developable_characters(d) for d in range(3, 9)] + [
+    _space_curve_system(m, genus)
+    for m in range(3, 16)
+    for genus in range(4)
+    if m > 3 or genus < 2
+]
 
 
 class TestPlaneCharacters:
@@ -134,6 +159,36 @@ class TestDevelopables:
     def test_overdetermined_consistent(self):
         chars, _ = complete_developable(m=3, genus=0, alpha=0, beta=0, r=4, n=3)
         assert chars.h == 1
+
+    def test_rank_and_two_zeros_give_the_twisted_cubic(self):
+        chars, checks = complete_developable(r=4, alpha=0, x=0)
+        assert chars == DevelopableCharacters(
+            m=3, n=3, r=4, alpha=0, beta=0, x=0, y=0, g=1, h=1, genus=0
+        )
+        assert all_ok(checks)
+
+    def test_solvable_characters_are_derived_from_the_relations(self):
+        solvable = {name: set(slopes) for name, _, _, slopes in _SYSTEM}
+        assert len(solvable) == 13
+        assert solvable["apparent-node difference"] == {"g", "h"}
+        assert solvable["class from rank section"] == {"m", "n", "x"}
+
+    @pytest.mark.parametrize(
+        "system", GRID_SYSTEMS, ids=lambda s: f"m={s.m},r={s.r},genus={s.genus}"
+    )
+    def test_every_small_subset_completes_exactly_or_is_refused(self, system):
+        full = {f: getattr(system, f) for f in _FIELDS}
+        completed = 0
+        for size in range(2, 6):
+            for subset in itertools.combinations(_FIELDS, size):
+                try:
+                    chars, checks = complete_developable(**{f: full[f] for f in subset})
+                except DomainError:
+                    continue
+                assert chars == system, subset
+                assert len(checks) == 13 and all_ok(checks)
+                completed += 1
+        assert completed > 0
 
     def test_symbolic_solution(self):
         ring = PolyRing(("n",), QQ)
