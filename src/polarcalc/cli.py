@@ -28,12 +28,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from fractions import Fraction
 
 from . import invariants, localmodels, randomchecks
 from .curvature import classify_surface_point, hessian_determinant, second_fundamental_form
 from .flecnodal import flecnodal_covariants, flecnodal_member, max_contact_order
 from .plucker import (
+    DevelopableCharacters,
     PlaneCurveCharacters,
     complete_developable,
     dejonquieres_count,
@@ -205,7 +207,7 @@ def _parse_mults(text: str) -> dict:
     return out
 
 
-def _parse_chars(text: str) -> dict:
+def _parse_chars(text: str, names) -> dict:
     out = {}
     for piece in text.split(","):
         piece = piece.strip()
@@ -214,7 +216,12 @@ def _parse_chars(text: str) -> dict:
         key, _, value = piece.partition("=")
         if not value:
             raise UsageError(f"expected name=value, got {piece!r}")
-        out[key.strip()] = _integer(value)
+        key = key.strip()
+        if key not in names:
+            raise UsageError(f"unknown character {key!r} (expected one of {', '.join(names)})")
+        if key in out:
+            raise UsageError(f"character {key!r} is given twice")
+        out[key] = _integer(value)
     return out
 
 
@@ -367,8 +374,8 @@ def cmd_verify(args) -> CommandResult:
         result.add_checks(_models_checks())
         return result
     if sub == "plucker":
-        chars_map = _parse_chars(args.chars)
         wanted = ("degree", "class", "nodes", "cusps", "bitangents", "flexes")
+        chars_map = _parse_chars(args.chars, wanted)
         missing = [k for k in wanted if k not in chars_map]
         if missing:
             raise UsageError(f"--chars must set {', '.join(wanted)} (missing {missing})")
@@ -458,7 +465,8 @@ def cmd_poly(args) -> CommandResult:
     if sub == "developable":
         if not args.chars:
             raise UsageError("developable needs --chars name=value,...")
-        chars, checks = complete_developable(**_parse_chars(args.chars))
+        names = [f.name for f in fields(DevelopableCharacters)]
+        chars, checks = complete_developable(**_parse_chars(args.chars, names))
         result.results = _developable_dict(chars)
         result.add_checks(checks)
         return result

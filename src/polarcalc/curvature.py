@@ -3,9 +3,9 @@
 The Hessian determinant of a degree-n form in N+1 variables has degree
 (N+1)(n-2); its zero locus meets the surface along the parabolic curve.
 The second fundamental form at a smooth point is extracted from a
-deterministic normal form: the point is moved to (1 : 0 : ... : 0), the
-tangent hyperplane to the last coordinate hyperplane, and the equation is
-rescaled so the chart reads
+deterministic normal form: the point is moved to (1 : 0 : ... : 0) and
+the linear form of the tangent hyperplane becomes the last coordinate
+itself, so the chart reads
 
     v0^(d-1) vN  +  v0^(d-2) (sum a_ij vi vj)  +  (cubic and higher),
 
@@ -22,7 +22,8 @@ from typing import Tuple
 
 from . import linalg
 from .polyring import INFINITY, DomainError, Poly, PolyRing, ProjPoint
-from .polarity import chart_at_point, line_multiplicity, _check_surface
+from .polyring import coefficients_in, determinant
+from .polarity import chart_at_point, line_multiplicity, linear_change, _check_surface
 
 
 def hessian_matrix(F: Poly):
@@ -33,8 +34,6 @@ def hessian_matrix(F: Poly):
 
 def hessian_determinant(F: Poly) -> Poly:
     """det of the matrix of second partials; degree (N+1)(n-2) or zero."""
-    from .polyring import determinant
-
     d = _check_surface(F)
     if d < 2:
         raise DomainError("Hessian needs degree at least 2")
@@ -47,7 +46,7 @@ class FundamentalForm:
 
     ``matrix`` is the (N-1) x (N-1) block acting on tangent directions, in
     the recorded frame; ``quadratic`` is the full N x N symmetric matrix
-    (a_ij) of the normal form, ``normalized`` the rescaled chart equation,
+    (a_ij) of the normal form, ``normalized`` the normal-form chart equation,
     and ``frame`` the column matrix expressing chart coordinates in the
     original ones.  ``tangent_basis`` spans the tangent plane together
     with the point itself.
@@ -60,7 +59,6 @@ class FundamentalForm:
     frame: tuple
     chart: PolyRing
     normalized: Poly
-    scale: object
     tangent_basis: tuple
 
 
@@ -74,61 +72,37 @@ def _normal_form(F: Poly, p: ProjPoint):
     field = chart.field
     n = len(chart.variables) - 1
 
-    # Linear stratum of the chart expansion: coefficient of v0^(d-1) vi.
-    linear = [field.zero] * (n + 1)
-    for e, c in transformed.terms.items():
-        if e[0] == d - 1:
-            i = next(j for j in range(1, n + 1) if e[j])
-            linear[i] = c
-    if not any(linear[1:]):
+    # Linear stratum of the chart expansion: the coefficient of v0^(d-1),
+    # whose partial in vi is the coefficient of v0^(d-1) vi (zero for v0).
+    strata = coefficients_in(transformed, chart.variables[0])
+    stratum = strata[d - 1] if len(strata) >= d else chart.zero()
+    linear = [stratum.partial(v).constant_value() for v in chart.variables]
+    if not any(linear):
         raise DomainError("singular point: no tangent hyperplane")
 
     # Second change: send the tangent hyperplane to {vN = 0}, pivoting on
     # the first chart coordinate with a nonzero linear coefficient.
-    j = next(i for i in range(1, n + 1) if linear[i])
+    j = next(i for i, c in enumerate(linear) if c)
     fwd = linalg.identity(field, n + 1)
-    fwd[n] = [field.zero] + [linear[i] for i in range(1, n + 1)]
+    fwd[n] = linear
     if j != n:
         fwd[j] = [field.one if k == n else field.zero for k in range(n + 1)]
     back = linalg.mat_inverse(field, fwd)
-    gens = chart.gens()
-    assignment = {}
-    for i, name in enumerate(chart.variables):
-        expr = chart.zero()
-        for k in range(n + 1):
-            if back[i][k]:
-                expr = expr + gens[k] * back[i][k]
-        assignment[name] = expr
-    normalized = transformed.substitute(assignment, into=chart)
-
-    # Rescale so the coefficient of v0^(d-1) vN is exactly one.
-    lead_exp = tuple(
-        (d - 1 if i == 0 else (1 if i == n else 0)) for i in range(n + 1)
-    )
-    scale = normalized.coefficient(lead_exp)
-    normalized = normalized / scale
-
+    # The linear stratum becomes vN itself, so v0^(d-1) vN has coefficient one.
+    normalized = linear_change(transformed, back, chart)
     total = tuple(tuple(row) for row in linalg.mat_mul(field, [list(r) for r in matrix], back))
-    return normalized, chart, total, scale
+    return normalized, chart, total
 
 
 def second_fundamental_form(F: Poly, p: ProjPoint) -> FundamentalForm:
     """Second fundamental form at a smooth point p of V(F)."""
-    normalized, chart, frame, scale = _normal_form(F, p)
+    normalized, chart, frame = _normal_form(F, p)
     field = chart.field
     d = F.total_degree()
     n = len(chart.variables) - 1
-    quad = [[field.zero] * n for _ in range(n)]
-    for e, c in normalized.terms.items():
-        if e[0] != d - 2:
-            continue
-        support = [i for i in range(1, n + 1) if e[i]]
-        if len(support) == 1 and e[support[0]] == 2:
-            quad[support[0] - 1][support[0] - 1] = c
-        elif len(support) == 2:
-            half = c / 2
-            quad[support[0] - 1][support[1] - 1] = half
-            quad[support[1] - 1][support[0] - 1] = half
+    # a_ij is half the second partial of the coefficient of v0^(d-2).
+    small = coefficients_in(normalized, chart.variables[0])[d - 2]
+    quad = [[h.constant_value() / 2 for h in row[1:]] for row in hessian_matrix(small)[1:]]
     block = [row[: n - 1] for row in quad[: n - 1]]
     basis = tuple(
         ProjPoint([frame[i][k] for i in range(n + 1)], field) for k in range(1, n)
@@ -141,7 +115,6 @@ def second_fundamental_form(F: Poly, p: ProjPoint) -> FundamentalForm:
         frame=frame,
         chart=chart,
         normalized=normalized,
-        scale=scale,
         tangent_basis=basis,
     )
 

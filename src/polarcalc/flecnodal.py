@@ -25,7 +25,7 @@ from typing import Optional, Tuple
 
 from . import linalg
 from .curvature import hessian_determinant, hessian_matrix
-from .polarity import _check_point, _check_surface, is_smooth_point, line_multiplicity
+from .polarity import _check_point, _check_surface, gradient_at, line_multiplicity
 from .polyring import (
     INFINITY,
     DomainError,
@@ -33,7 +33,8 @@ from .polyring import (
     PolyRing,
     ProjPoint,
     Rationals,
-    _det_cofactor,
+    determinant,
+    sylvester_rows,
 )
 
 
@@ -55,24 +56,12 @@ class CovariantPair:
     degrees: dict
 
 
-def _signed_cofactor(matrix, i, j):
-    minor = [
-        [matrix[r][c] for c in range(len(matrix)) if c != j]
-        for r in range(len(matrix))
-        if r != i
-    ]
-    det = _det_cofactor(minor)
-    return det if (i + j) % 2 == 0 else -det
-
-
-def _signed_cofactor2(matrix, i1, i2, j1, j2):
-    rows = [r for r in range(len(matrix)) if r not in (i1, i2)]
-    cols = [c for c in range(len(matrix)) if c not in (j1, j2)]
-    det = (
-        matrix[rows[0]][cols[0]] * matrix[rows[1]][cols[1]]
-        - matrix[rows[0]][cols[1]] * matrix[rows[1]][cols[0]]
-    )
-    return det if (i1 + i2 + j1 + j2) % 2 == 0 else -det
+def _signed_minor(matrix, rows, cols):
+    """Complementary minor of matrix without the given rows and columns, signed."""
+    keep_rows = [r for r in range(len(matrix)) if r not in rows]
+    keep_cols = [c for c in range(len(matrix)) if c not in cols]
+    det = determinant([[matrix[r][c] for c in keep_cols] for r in keep_rows])
+    return det if (sum(rows) + sum(cols)) % 2 == 0 else -det
 
 
 def flecnodal_covariants(F: Poly) -> CovariantPair:
@@ -90,26 +79,19 @@ def flecnodal_covariants(F: Poly) -> CovariantPair:
     cof_sum = ring.zero()
     for i in range(4):
         for j in range(4):
-            cof = _signed_cofactor(H, i, j)
+            cof = _signed_minor(H, (i,), (j,))
             if cof.is_zero:
                 continue
             cof_sum = cof_sum + cof
             theta = theta + cof * partials[i] * partials[j]
+    # Mixed second partials d_i1 d_i2 F over pairs i1 < i2, read from H.
+    mixed = [(i, j) for i in range(4) for j in range(i + 1, 4) if not H[i][j].is_zero]
     pair_sum = ring.zero()
-    for i1 in range(4):
-        for i2 in range(i1 + 1, 4):
-            dif = partials[i1].partial(names[i2])
-            if dif.is_zero:
-                continue
-            for j1 in range(4):
-                for j2 in range(j1 + 1, 4):
-                    djf = partials[j1].partial(names[j2])
-                    if djf.is_zero:
-                        continue
-                    cof2 = _signed_cofactor2(H, i1, i2, j1, j2)
-                    if cof2.is_zero:
-                        continue
-                    pair_sum = pair_sum + cof2 * dif * djf
+    for i1, i2 in mixed:
+        for j1, j2 in mixed:
+            cof2 = _signed_minor(H, (i1, i2), (j1, j2))
+            if not cof2.is_zero:
+                pair_sum = pair_sum + cof2 * H[i1][i2] * H[j1][j2]
     phi = -(cof_sum * pair_sum)
     combination = theta - 4 * phi * hessian_determinant(F)
     degrees = {
@@ -150,10 +132,9 @@ class ContactReport:
     tangent_basis: Tuple[ProjPoint, ProjPoint]
 
 
-def _tangent_frame(F: Poly, q: ProjPoint):
-    """Two deterministic directions spanning the tangent plane with q."""
-    field = F.ring.field
-    grads = [F.partial(v).evaluate(list(q.coords)) for v in F.ring.variables]
+def _tangent_frame(grads, q: ProjPoint):
+    """Two deterministic directions spanning, with q, the plane grads . x = 0."""
+    field = q.field
     pivot = next(i for i, g in enumerate(grads) if g)
     n = len(grads)
     kernel = {}
@@ -171,28 +152,20 @@ def _tangent_frame(F: Poly, q: ProjPoint):
 
 def _restriction_strata(F: Poly, q: ProjPoint, t1: ProjPoint, t2: ProjPoint):
     """Binary forms c_k(u, v) with F(q + T(u t1 + v t2)) = sum c_k T^k."""
-    field = F.ring.field
-    aux = PolyRing(("T", "u", "v"), field)
-    T, u, v = aux.gens()
+    # Setting T = 1 leaves c_k as the degree-k part of F(q + u t1 + v t2).
+    duo = PolyRing(("u", "v"), F.ring.field)
+    u, v = duo.gens()
     assignment = {}
     for name, qi, a1, a2 in zip(F.ring.variables, q.coords, t1.coords, t2.coords):
-        assignment[name] = aux.const(qi) + T * (u * a1 + v * a2)
-    G = F.substitute(assignment, into=aux)
-    duo = PolyRing(("u", "v"), field)
-    strata = [duo.zero() for _ in range(F.total_degree() + 1)]
-    for e, c in G.terms.items():
-        k = e[0]
-        strata[k] = strata[k] + duo.monomial((e[1], e[2]), c)
+        assignment[name] = duo.const(qi) + u * a1 + v * a2
+    strata = F.substitute(assignment, into=duo).homogeneous_components()
+    strata += [duo.zero()] * (F.total_degree() + 1 - len(strata))
     return strata, duo
 
 
 def _binary_coeff_list(form: Poly, degree: int):
     """Coefficients [u^degree, ..., v^degree] of a binary form of that degree."""
-    ring = form.ring
-    out = [ring.field.zero] * (degree + 1)
-    for e, c in form.terms.items():
-        out[degree - e[0]] = c
-    return out
+    return [form.coefficient((degree - i, i)) for i in range(degree + 1)]
 
 
 def binary_form_resultant(f: Poly, g: Poly, deg_f: int, deg_g: int):
@@ -201,16 +174,9 @@ def binary_form_resultant(f: Poly, g: Poly, deg_f: int, deg_g: int):
     Using declared degrees keeps the root at (1 : 0) visible; the zero
     form yields a zero resultant.
     """
-    field = f.ring.field
     fc = _binary_coeff_list(f, deg_f)
     gc = _binary_coeff_list(g, deg_g)
-    size = deg_f + deg_g
-    rows = []
-    for i in range(deg_g):
-        rows.append([field.zero] * i + fc + [field.zero] * (size - deg_f - 1 - i))
-    for i in range(deg_f):
-        rows.append([field.zero] * i + gc + [field.zero] * (size - deg_g - 1 - i))
-    return linalg.scalar_determinant(field, rows)
+    return linalg.scalar_determinant(f.ring.field, sylvester_rows(fc, gc, f.ring.field.zero))
 
 
 def _univariate_field_roots(coeffs, field):
@@ -282,11 +248,11 @@ def _common_projective_roots(forms, duo: PolyRing):
         return None  # every direction works
     candidates = []
     seen = []
-    base = nonzero[0]
-    # (1 : 0) is a root exactly when the pure u-power coefficient vanishes.
-    if base.degree_in("u") < base.total_degree():
+    # Coefficients of u^k v^(deg-k) for k = 0 .. deg; (1 : 0) is a root
+    # exactly when the pure u-power coefficient vanishes.
+    univ = _binary_coeff_list(nonzero[0], nonzero[0].total_degree())[::-1]
+    if not univ[-1]:
         candidates.append((field.one, field.zero))
-    univ = [base.coefficient((i, base.total_degree() - i)) for i in range(base.total_degree() + 1)]
     for root in _univariate_field_roots(univ, field):
         candidates.append((root, field.one))
     for cand in candidates:
@@ -304,9 +270,10 @@ def max_contact_order(F: Poly, q: ProjPoint) -> ContactReport:
     _check_point(F, q)
     if len(F.ring.variables) != 4:
         raise DomainError("contact-order analysis needs a surface in P^3")
-    if not is_smooth_point(F, q):
+    grads = gradient_at(F, q)
+    if not any(grads):
         raise DomainError("singular point")
-    t1, t2 = _tangent_frame(F, q)
+    t1, t2 = _tangent_frame(grads, q)
     strata, duo = _restriction_strata(F, q, t1, t2)
     ii = strata[2] if d >= 2 else duo.zero()
     iii = strata[3] if d >= 3 else duo.zero()

@@ -34,7 +34,7 @@ from .plucker import (
     _value,
 )
 from .polyring import QQ, DomainError, Poly, PolyRing
-from .reporting import Check, residual_zero
+from .reporting import Check, is_zero, residual_zero
 
 DEGREE_RING = PolyRing(("n",), QQ)
 PROJECTED_RING = PolyRing(("n", "pi", "pa", "ksq"), QQ)
@@ -43,10 +43,6 @@ PROJECTED_RING = PolyRing(("n", "pi", "pa", "ksq"), QQ)
 def symbolic_degree() -> Poly:
     """The indeterminate surface degree, for polynomial-identity checks."""
     return DEGREE_RING.var("n")
-
-
-def _is_zero(v) -> bool:
-    return v.is_zero if isinstance(v, Poly) else not v
 
 
 def _as_count(v):
@@ -91,7 +87,7 @@ def branch_curve_characters(n) -> PlaneCurveCharacters:
         ("bitangents", bitangents, solved.bitangents),
         ("flexes", flexes, solved.flexes),
     ):
-        if not _is_zero(closed - derived):
+        if not is_zero(closed - derived):
             raise RuntimeError(f"branch-curve routes disagree on {name}")
     return PlaneCurveCharacters(
         degree=_as_count(degree),
@@ -185,7 +181,7 @@ def hessian_developable_characters(n) -> DevelopableCharacters:
         * (196 * v ** 4 - 1232 * v ** 3 + 2580 * v ** 2 - 1861 * v + 137),
     }
     for name, expected in closed.items():
-        if not _is_zero(getattr(chars, name) - expected):
+        if not is_zero(getattr(chars, name) - expected):
             raise RuntimeError(f"developable closure disagrees on {name}")
     return chars
 
@@ -250,7 +246,7 @@ def dual_surface_table(n) -> DualSurfaceTable:
         - 6 * tritangents
         - 3 * gammas
     )
-    if not _is_zero(rank_closed - rank_adapted):
+    if not is_zero(rank_closed - rank_adapted):
         raise RuntimeError("node-couple rank routes disagree")
     node_couple = NodeCoupleCharacters(
         class_degree=_as_count(node_curve),

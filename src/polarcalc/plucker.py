@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .polyring import QQ, DomainError, Poly, PolyRing
-from .reporting import residual_zero
+from .reporting import is_zero, residual_zero
 
 
 def _value(v):
@@ -354,7 +354,7 @@ def rank_profile(dim: int, degree, genus, k: Sequence) -> RankProfile:
         ((dim - j + 1) * k[j - 1] for j in range(2, dim + 1)),
         dim * k[0],
     ) - (dim + 1) * (m + dim * (g - 1))
-    if not (closing.is_zero if isinstance(closing, Poly) else not closing):
+    if not is_zero(closing):
         raise DomainError(f"hyperosculation totals violate the closing relation: {closing}")
     ranks = []
     for i in range(dim):
@@ -368,8 +368,7 @@ def rank_profile(dim: int, degree, genus, k: Sequence) -> RankProfile:
         residual = (
             padded[i] - 2 * padded[i + 1] + padded[i + 2] - (2 * g - 2 - k[i])
         )
-        ok = residual.is_zero if isinstance(residual, Poly) else not residual
-        if not ok:
+        if not is_zero(residual):
             raise RuntimeError(f"telescoping relation failed at i={i}")
     return RankProfile(dim, _require_count("degree", m), g, k, tuple(ranks))
 

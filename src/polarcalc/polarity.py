@@ -26,6 +26,7 @@ from .polyring import (
     Poly,
     PolyRing,
     ProjPoint,
+    coefficients_in,
     factorial_scalar,
     valuation,
 )
@@ -103,17 +104,21 @@ def polar_kic(F: Poly, a: ProjPoint, k: int) -> Poly:
     return out
 
 
-def tangent_hyperplane(F: Poly, q: ProjPoint, require_smooth: bool = True) -> Poly:
-    """Equation of the tangent hyperplane at a point q of V(F)."""
-    _check_surface(F)
+def gradient_at(F: Poly, q: ProjPoint) -> list:
+    """The partial derivatives of F at a point q of V(F)."""
     _check_point(F, q)
     coords = list(q.coords)
     if F.evaluate(coords):
         raise DomainError("point does not lie on the hypersurface")
+    return [F.partial(name).evaluate(coords) for name in F.ring.variables]
+
+
+def tangent_hyperplane(F: Poly, q: ProjPoint, require_smooth: bool = True) -> Poly:
+    """Equation of the tangent hyperplane at a point q of V(F)."""
+    _check_surface(F)
     ring = F.ring
     out = ring.zero()
-    for name in ring.variables:
-        g = F.partial(name).evaluate(coords)
+    for name, g in zip(ring.variables, gradient_at(F, q)):
         if g:
             out = out + ring.var(name) * g
     if out.is_zero and require_smooth:
@@ -122,11 +127,7 @@ def tangent_hyperplane(F: Poly, q: ProjPoint, require_smooth: bool = True) -> Po
 
 
 def is_smooth_point(F: Poly, q: ProjPoint) -> bool:
-    _check_point(F, q)
-    coords = list(q.coords)
-    if F.evaluate(coords):
-        raise DomainError("point does not lie on the hypersurface")
-    return any(F.partial(name).evaluate(coords) for name in F.ring.variables)
+    return any(gradient_at(F, q))
 
 
 @dataclass(frozen=True)
@@ -215,21 +216,26 @@ def chart_at_point(F: Poly, a: ProjPoint):
     others = [i for i in range(n) if i != pivot]
     names = (ring.variables[pivot],) + tuple(ring.variables[i] for i in others)
     chart = PolyRing(names, field)
-    gens = chart.gens()
     # original coordinate i = a_i * v0 + (v_{j+1} if i is the j-th non-pivot)
     matrix = [[field.zero] * n for _ in range(n)]
     for i in range(n):
         matrix[i][0] = a.coords[i]
     for j, i in enumerate(others):
         matrix[i][j + 1] = field.one
+    return linear_change(F, matrix, chart), chart, tuple(tuple(row) for row in matrix)
+
+
+def linear_change(F: Poly, matrix, chart: PolyRing) -> Poly:
+    """F with its i-th variable replaced by sum_k matrix[i][k] * (k-th chart variable)."""
+    gens = chart.gens()
     assignment = {}
-    for i, name in enumerate(ring.variables):
-        expr = gens[0] * a.coords[i]
-        if i != pivot:
-            expr = expr + gens[others.index(i) + 1]
+    for name, row in zip(F.ring.variables, matrix):
+        expr = chart.zero()
+        for g, c in zip(gens, row):
+            if c:
+                expr = expr + g * c
         assignment[name] = expr
-    transformed = F.substitute(assignment, into=chart)
-    return transformed, chart, tuple(tuple(row) for row in matrix)
+    return F.substitute(assignment, into=chart)
 
 
 def tangent_cone(F: Poly, a: ProjPoint) -> TangentConeReport:
@@ -238,11 +244,7 @@ def tangent_cone(F: Poly, a: ProjPoint) -> TangentConeReport:
     if F.evaluate(list(a.coords)):
         raise DomainError("point does not lie on the hypersurface")
     transformed, chart, matrix = chart_at_point(F, a)
-    # stratify by total degree in the non-base chart variables
-    strata: dict = {}
-    for e, c in transformed.terms.items():
-        k = sum(e) - e[0]
-        strata.setdefault(k, {})[(0,) + e[1:]] = c
-    m = min(k for k in strata if k > 0)
-    cone = Poly(chart, strata[m])
-    return TangentConeReport(m, cone, chart, matrix)
+    # F(a) = 0 removes the v0^d term, so the top coefficient in v0 is the
+    # lowest nonzero stratum in the other chart variables.
+    strata = coefficients_in(transformed, chart.variables[0])
+    return TangentConeReport(d - (len(strata) - 1), strata[-1], chart, matrix)

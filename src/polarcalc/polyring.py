@@ -3,7 +3,10 @@
 A polynomial is a dict mapping exponent tuples to nonzero coefficients.
 Coefficients are ``fractions.Fraction`` in the rational mode, or ``Mod``
 residues when the ring is built over a prime field.  All arithmetic is
-exact; there is no floating point anywhere in this package.
+exact; there is no floating point anywhere in this package.  The term
+dict is internal to this module: other modules read a polynomial only
+through ``Poly.coefficient``, ``coefficients_in``,
+``Poly.homogeneous_components``, ``Poly.partial`` and ``Poly.evaluate``.
 
 The kernel provides, besides the ring operations:
 
@@ -356,7 +359,9 @@ class Poly:
 
     ``terms`` maps exponent tuples to nonzero coefficients; the zero
     polynomial is the empty dict (it is a legal value, but degree queries
-    on it raise DomainError).
+    on it raise DomainError).  The dict is internal to the kernel: outside
+    this module use ``coefficient``, ``coefficients_in``,
+    ``homogeneous_components``, ``partial`` and ``evaluate``.
     """
 
     __slots__ = ("ring", "terms")
@@ -381,6 +386,15 @@ class Poly:
             return True
         degrees = {sum(e) for e in self.terms}
         return len(degrees) == 1
+
+    def homogeneous_components(self) -> list:
+        """Parts of degree 0 .. total_degree(), each zero or of that degree; [] for 0."""
+        if self.is_zero:
+            return []
+        parts: list = [dict() for _ in range(self.total_degree() + 1)]
+        for e, c in self.terms.items():
+            parts[sum(e)][e] = c
+        return [Poly(self.ring, part) for part in parts]
 
     def degree_in(self, var: str) -> int:
         i = self.ring._index[var]
@@ -879,23 +893,11 @@ def coefficients_in(f: Poly, var: str) -> list:
     return [Poly(f.ring, b) for b in buckets]
 
 
-def sylvester_matrix(f: Poly, g: Poly, var: str):
-    fc = coefficients_in(f, var)
-    gc = coefficients_in(g, var)
+def sylvester_rows(fc: Sequence, gc: Sequence, zero) -> list:
+    """Sylvester matrix of two coefficient lists (leading first), padded with zero."""
     m, n = len(fc) - 1, len(gc) - 1
-    ring = f.ring
-    size = m + n
-    rows = []
-    frow = list(reversed(fc))
-    grow = list(reversed(gc))
-    for i in range(n):
-        rows.append(
-            [ring.zero()] * i + frow + [ring.zero()] * (size - m - 1 - i)
-        )
-    for i in range(m):
-        rows.append(
-            [ring.zero()] * i + grow + [ring.zero()] * (size - n - 1 - i)
-        )
+    rows = [[zero] * i + list(fc) + [zero] * (n - 1 - i) for i in range(n)]
+    rows += [[zero] * i + list(gc) + [zero] * (m - 1 - i) for i in range(m)]
     return rows
 
 
@@ -918,7 +920,9 @@ def resultant(f: Poly, g: Poly, var: str) -> Poly:
         return f ** dg
     if dg == 0:
         return g ** df
-    return determinant(sylvester_matrix(f, g, var))
+    fc = coefficients_in(f, var)[::-1]
+    gc = coefficients_in(g, var)[::-1]
+    return determinant(sylvester_rows(fc, gc, f.ring.zero()))
 
 
 def valuation(f: Poly, var: str = None):

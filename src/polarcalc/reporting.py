@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .polyring import Poly
+
 PASS = "pass"
 FAIL = "fail"
 WARN = "warn"
@@ -21,9 +23,13 @@ class Check:
         return self.status != FAIL
 
 
+def is_zero(value) -> bool:
+    """True for a zero number or the zero polynomial."""
+    return value.is_zero if isinstance(value, Poly) else not value
+
+
 def residual_zero(name: str, value) -> Check:
-    zero = not value if not hasattr(value, "is_zero") else value.is_zero
-    return Check(name, value, 0, PASS if zero else FAIL)
+    return Check(name, value, 0, PASS if is_zero(value) else FAIL)
 
 
 def warn(name: str, detail) -> Check:

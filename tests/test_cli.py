@@ -197,6 +197,22 @@ class TestPolyCommand:
         assert out == ""
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "poly developable --chars=m=3,m=4,genus=0,alpha=0,beta=0",
+            "poly developable --chars=q=1,m=3",
+            "verify plucker --chars=degree=3,class=6,nodes=0,cusps=0,bitangents=0,flexes=9,q=5",
+            "verify plucker --chars=degree=3,degree=4,class=6,nodes=0,cusps=0,bitangents=0,"
+            "flexes=9",
+        ],
+    )
+    def test_repeated_or_unknown_character_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv.split())
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
     def test_non_homogeneous_is_domain_error(self, capsys):
         code, _, err = run(capsys, "poly", "hessian", "--expr", "x^2 + y")
         assert code == 3

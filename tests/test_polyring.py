@@ -1,10 +1,13 @@
 """Kernel tests: parser, exact arithmetic, determinants, resultants."""
 
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import polarcalc
 from polarcalc.polyring import (
     INFINITY,
     QQ,
@@ -180,6 +183,44 @@ class TestCalculus:
     def test_substitute_unassigned(self):
         with pytest.raises(DomainError):
             R.parse("x + y").substitute({"x": R.var("x")})
+
+    def test_homogeneous_components_of_zero(self):
+        assert R.zero().homogeneous_components() == []
+
+    def test_homogeneous_components_split(self):
+        parts = R.parse("3 + x*y - z^3 + 2*x*w^2 + y").homogeneous_components()
+        assert parts == [R.const(3), R.parse("y"), R.parse("x*y"), R.parse("-z^3 + 2*x*w^2")]
+
+    def test_homogeneous_components_random(self):
+        rng = random.Random(5)
+        for field in (QQ, GF):
+            ring = PolyRing(("x", "y", "z", "w"), field)
+            for _ in range(40):
+                f = ring.zero()
+                for _ in range(rng.randint(1, 8)):
+                    exps = [rng.randint(0, 3) for _ in range(4)]
+                    f = f + ring.monomial(exps, field.random(rng))
+                parts = f.homogeneous_components()
+                assert sum(parts, ring.zero()) == f
+                for k, part in enumerate(parts):
+                    assert part.is_zero or (part.is_homogeneous() and part.total_degree() == k)
+                if not f.is_zero:
+                    assert len(parts) == f.total_degree() + 1
+
+
+def test_term_layout_stays_inside_the_kernel():
+    """Only polyring.py reads the term dict, the variable index or the cofactor helper."""
+    paths = sorted(Path(polarcalc.__file__).parent.glob("*.py"))
+    assert "polyring.py" in [path.name for path in paths]
+    pattern = re.compile(r"\.terms\b|\._index\b|_det_cofactor")
+    offenders = [
+        f"{path.name}:{number}"
+        for path in paths
+        if path.name != "polyring.py"
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if pattern.search(line)
+    ]
+    assert offenders == []
 
 
 class TestDeterminant:
