@@ -102,7 +102,10 @@ def second_fundamental_form(F: Poly, p: ProjPoint) -> FundamentalForm:
     n = len(chart.variables) - 1
     # a_ij is half the second partial of the coefficient of v0^(d-2).
     small = coefficients_in(normalized, chart.variables[0])[d - 2]
-    quad = [[h.constant_value() / 2 for h in row[1:]] for row in hessian_matrix(small)[1:]]
+    quad = [
+        [field.div(h.constant_value(), 2) for h in row[1:]]
+        for row in hessian_matrix(small)[1:]
+    ]
     block = [row[: n - 1] for row in quad[: n - 1]]
     basis = tuple(
         ProjPoint([frame[i][k] for i in range(n + 1)], field) for k in range(1, n)

@@ -20,7 +20,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Tuple
 
 from . import linalg
@@ -75,23 +74,30 @@ def flecnodal_covariants(F: Poly) -> CovariantPair:
     names = ring.variables
     H = hessian_matrix(F)
     partials = [F.partial(v) for v in names]
+    # H is symmetric, so the signed minor for (rows, cols) equals the one for
+    # (cols, rows): each sum takes the diagonal once and the rest twice.
     theta = ring.zero()
     cof_sum = ring.zero()
     for i in range(4):
-        for j in range(4):
+        for j in range(i, 4):
             cof = _signed_minor(H, (i,), (j,))
             if cof.is_zero:
                 continue
+            if i != j:
+                cof = 2 * cof
             cof_sum = cof_sum + cof
             theta = theta + cof * partials[i] * partials[j]
     # Mixed second partials d_i1 d_i2 F over pairs i1 < i2, read from H.
     mixed = [(i, j) for i in range(4) for j in range(i + 1, 4) if not H[i][j].is_zero]
     pair_sum = ring.zero()
-    for i1, i2 in mixed:
-        for j1, j2 in mixed:
+    for a, (i1, i2) in enumerate(mixed):
+        for b, (j1, j2) in enumerate(mixed[a:], start=a):
             cof2 = _signed_minor(H, (i1, i2), (j1, j2))
-            if not cof2.is_zero:
-                pair_sum = pair_sum + cof2 * H[i1][i2] * H[j1][j2]
+            if cof2.is_zero:
+                continue
+            if a != b:
+                cof2 = 2 * cof2
+            pair_sum = pair_sum + cof2 * H[i1][i2] * H[j1][j2]
     phi = -(cof_sum * pair_sum)
     combination = theta - 4 * phi * hessian_determinant(F)
     degrees = {
@@ -143,7 +149,7 @@ def _tangent_frame(grads, q: ProjPoint):
             continue
         vec = [field.zero] * n
         vec[j] = field.one
-        vec[pivot] = -grads[j] / grads[pivot]
+        vec[pivot] = -field.div(grads[j], grads[pivot])
         kernel[j] = vec
     ell = next(j for j in kernel if q.coords[j])
     picked = [kernel[j] for j in kernel if j != ell]
@@ -182,16 +188,30 @@ def binary_form_resultant(f: Poly, g: Poly, deg_f: int, deg_g: int):
 def _univariate_field_roots(coeffs, field):
     """Roots in the field of sum coeffs[i] x^i, for small degrees.
 
-    Over Q this is the rational root search on the integer-cleared
-    polynomial; over a prime field only degrees <= 2 are enumerated
-    (higher degrees would need full factorization machinery).
+    Degrees 1 and 2 use the closed formulas in every field.  Above that,
+    over Q this is the rational root search on the integer-cleared
+    polynomial; over a prime field nothing is enumerated (higher degrees
+    would need full factorization machinery).
     """
     while coeffs and not coeffs[-1]:
         coeffs = coeffs[:-1]
     if len(coeffs) <= 1:
         return []
     if len(coeffs) == 2:
-        return [-coeffs[0] / coeffs[1]]
+        return [field.div(-coeffs[0], coeffs[1])]
+    if len(coeffs) == 3:
+        a, b, c = coeffs[2], coeffs[1], coeffs[0]
+        disc = b * b - 4 * a * c
+        if not field.is_square(disc):
+            return []
+        s = field.sqrt(disc)
+        roots = [field.div(-b + s, 2 * a)]
+        if s:
+            roots.append(field.div(-b - s, 2 * a))
+            if isinstance(field, Rationals):
+                # The order in which the rational root search below meets them.
+                roots.sort(key=lambda r: (abs(r.numerator), r.denominator, r < 0))
+        return roots
     if isinstance(field, Rationals):
         lcm = 1
         for c in coeffs:
@@ -203,27 +223,15 @@ def _univariate_field_roots(coeffs, field):
         ints = [c // g for c in ints]
         lead, const = ints[-1], ints[0]
         if const == 0:
-            return [Fraction(0)] + _univariate_field_roots(
-                [Fraction(c) for c in ints[1:]], field
-            )
+            return [0] + _univariate_field_roots(ints[1:], field)
         roots = []
         for p in _divisors(abs(const)):
             for q in _divisors(abs(lead)):
-                for cand in (Fraction(p, q), Fraction(-p, q)):
+                for cand in (field.div(p, q), field.div(-p, q)):
                     if cand in roots:
                         continue
                     if not sum(c * cand ** i for i, c in enumerate(ints)):
                         roots.append(cand)
-        return roots
-    if len(coeffs) == 3:
-        a, b, c = coeffs[2], coeffs[1], coeffs[0]
-        disc = b * b - 4 * a * c
-        if not field.is_square(disc):
-            return []
-        s = field.sqrt(disc)
-        roots = [(-b + s) / (2 * a)]
-        if s:
-            roots.append((-b - s) / (2 * a))
         return roots
     return []
 

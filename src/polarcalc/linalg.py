@@ -1,8 +1,8 @@
 """Tiny exact linear algebra over the coefficient fields.
 
-Everything works on lists of lists of field scalars (Fraction or Mod) and
-is only ever used on matrices of size at most 7, so plain Gaussian
-elimination with exact division is all we need.
+Everything works on lists of lists of field scalars (int, Fraction or
+Mod) and is only ever used on matrices of size at most 7, so plain
+Gaussian elimination with exact division (``field.div``) is all we need.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ def _reduce(field, m):
             work[rk], work[pivot] = work[pivot], work[rk]
             det = -det
         det = det * work[rk][col]
-        inv = field.one / work[rk][col]
+        inv = field.div(field.one, work[rk][col])
         for r in range(rk + 1, rows):
             if work[r][col]:
                 f = work[r][col] * inv
@@ -58,7 +58,7 @@ def mat_inverse(field, m):
     if pivots[:n] != list(range(n)):
         raise DomainError("singular matrix")
     for col in reversed(range(n)):
-        inv = field.one / work[col][col]
+        inv = field.div(field.one, work[col][col])
         work[col] = [x * inv for x in work[col]]
         for r in range(col):
             if work[r][col]:

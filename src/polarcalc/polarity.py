@@ -93,7 +93,7 @@ def polar_kic(F: Poly, a: ProjPoint, k: int) -> Poly:
         # multinomial coefficient k! / prod(exps!)
         mult = factorial_scalar(ring.field, k)
         for e in exps:
-            mult = mult / factorial_scalar(ring.field, e)
+            mult = ring.field.div(mult, factorial_scalar(ring.field, e))
         G = F
         for name, e in zip(ring.variables, exps):
             for _ in range(e):

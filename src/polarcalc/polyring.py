@@ -1,8 +1,10 @@
 """Exact sparse multivariate polynomial arithmetic over Q and prime fields.
 
 A polynomial is a dict mapping exponent tuples to nonzero coefficients.
-Coefficients are ``fractions.Fraction`` in the rational mode, or ``Mod``
-residues when the ring is built over a prime field.  All arithmetic is
+In the rational mode an integral coefficient is a plain ``int`` and any
+other is a ``fractions.Fraction``; over a prime field coefficients are
+``Mod`` residues.  Since ``int / int`` is a float, coefficients are divided
+only through the field's ``div``, never with ``/``.  All arithmetic is
 exact; there is no floating point anywhere in this package.  The term
 dict is internal to this module: other modules read a polynomial only
 through ``Poly.coefficient``, ``coefficients_in``,
@@ -36,6 +38,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from operator import add
 from typing import Mapping, Sequence, Union
 
 INFINITY = math.inf
@@ -164,19 +167,29 @@ class Mod:
 
 
 class Rationals:
-    """The field Q, with Fraction values."""
+    """The field Q: integral values are ``int``, the others ``Fraction``."""
 
     name = "QQ"
 
+    # Fractions, not ints: code outside the kernel that divides values built
+    # up from ``one`` (``factorial_scalar``) with ``/`` keeps an exact quotient.
     zero = Fraction(0)
     one = Fraction(1)
 
-    def coerce(self, v) -> Fraction:
-        if isinstance(v, Fraction):
+    def coerce(self, v) -> Union[int, Fraction]:
+        if type(v) is int:
             return v
+        if isinstance(v, Fraction):
+            return v.numerator if v.denominator == 1 else v
         if isinstance(v, int):
-            return Fraction(v)
+            return int(v)
         raise DomainError(f"cannot coerce {v!r} into Q")
+
+    def div(self, a, b) -> Union[int, Fraction]:
+        """Exact quotient a / b, an ``int`` when it is integral."""
+        if type(a) is int and type(b) is int and b and not a % b:
+            return a // b
+        return self.coerce(Fraction(a, b))
 
     def is_square(self, v) -> bool:
         v = self.coerce(v)
@@ -185,14 +198,14 @@ class Rationals:
         n, d = v.numerator, v.denominator
         return math.isqrt(n) ** 2 == n and math.isqrt(d) ** 2 == d
 
-    def sqrt(self, v) -> Fraction:
+    def sqrt(self, v) -> Union[int, Fraction]:
         v = self.coerce(v)
         if not self.is_square(v):
             raise DomainError(f"{v} is not a square in Q")
-        return Fraction(math.isqrt(v.numerator), math.isqrt(v.denominator))
+        return self.div(math.isqrt(v.numerator), math.isqrt(v.denominator))
 
-    def random(self, rng) -> Fraction:
-        return Fraction(rng.randint(-9, 9))
+    def random(self, rng) -> int:
+        return rng.randint(-9, 9)
 
     def __eq__(self, other):
         return isinstance(other, Rationals)
@@ -229,6 +242,10 @@ class PrimeField:
                 raise DomainError("denominator divisible by the modulus")
             return Mod(v.numerator * pow(v.denominator, -1, self.p), self.p)
         raise DomainError(f"cannot coerce {v!r} into GF({self.p})")
+
+    def div(self, a, b) -> Mod:
+        """Quotient a / b of residues."""
+        return self.coerce(a) / self.coerce(b)
 
     def is_square(self, v) -> bool:
         v = self.coerce(v)
@@ -468,18 +485,15 @@ class Poly:
         other = self._coerce_other(other)
         if other is None:
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return self.ring.zero()
         out: dict = {}
+        get = out.get
+        right = list(other.terms.items())
         for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                e = tuple(i + j for i, j in zip(ea, eb))
-                s = out.get(e)
-                s = ca * cb if s is None else s + ca * cb
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
+            for eb, cb in right:
+                e = tuple(map(add, ea, eb))
+                s = get(e)
+                out[e] = ca * cb if s is None else s + ca * cb
+        # Terms that cancelled to zero are dropped by the constructor.
         return Poly(self.ring, out)
 
     __rmul__ = __mul__
@@ -488,10 +502,11 @@ class Poly:
         # Exact division by a nonzero scalar.
         if isinstance(other, Poly):
             other = other.constant_value()
-        c = self.ring.field.coerce(other)
+        field = self.ring.field
+        c = field.coerce(other)
         if not c:
             raise ZeroDivisionError("division by zero scalar")
-        return Poly(self.ring, {e: v / c for e, v in self.terms.items()})
+        return Poly(self.ring, {e: field.div(v, c) for e, v in self.terms.items()})
 
     def __pow__(self, e: int):
         if not isinstance(e, int):
@@ -536,14 +551,14 @@ class Poly:
         coords = [field.coerce(c) for c in coords]
         if len(coords) != len(self.ring.variables):
             raise DomainError("wrong number of coordinates")
-        total = field.zero
+        total = 0
         for e, c in self.terms.items():
             v = c
             for x, k in zip(coords, e):
                 if k:
                     v = v * x ** k
             total = total + v
-        return total
+        return field.coerce(total)
 
     def substitute(self, assignment: Mapping[str, object], into: PolyRing = None) -> "Poly":
         """Substitute a polynomial or scalar for every variable.
@@ -653,10 +668,6 @@ class ProjPoint:
                     return False
         return True
 
-    def normalized(self) -> tuple:
-        pivot = next(c for c in self.coords if c)
-        return tuple(c / pivot for c in self.coords)
-
     def __repr__(self):
         return "(" + " : ".join(str(c) for c in self.coords) + ")"
 
@@ -742,7 +753,7 @@ def _parse(text: str, ring: PolyRing):
                     raise ParseError("denominator must be a positive integer", pos2)
                 coeff = Fraction(num, den)
             else:
-                coeff = Fraction(num)
+                coeff = num
             if peek()[0] == "op" and peek()[1] == "*":
                 advance()
                 if peek()[0] != "name":
@@ -825,7 +836,7 @@ def exact_div(f: Poly, g: Poly) -> Poly:
         de = tuple(a - b for a, b in zip(re, ge))
         if any(d < 0 for d in de):
             raise DomainError("inexact polynomial division")
-        t = ring.monomial(de, rc / gc)
+        t = ring.monomial(de, ring.field.div(rc, gc))
         q = q + t
         r = r - t * g
     return q

@@ -56,7 +56,7 @@ def surface_through(ring: PolyRing, point: ProjPoint, degree: int, rng: random.R
         pivot = next(i for i, c in enumerate(point.coords) if c)
         L = ring.var(ring.variables[pivot])
         value = G.evaluate(list(point.coords))
-        scale = value / point.coords[pivot] ** degree
+        scale = ring.field.div(value, point.coords[pivot] ** degree)
         F = G - L ** degree * scale
         if not F.is_zero:
             return F
@@ -83,7 +83,7 @@ def polar_symmetry_batch(ring: PolyRing, seed: int, trials: int) -> Check:
         if factorial_scalar(field, d - k) * lhs != factorial_scalar(field, k) * rhs:
             return _check("polar symmetry", False, f"ratio mismatch at trial {t}")
         kic = polar_kic(F, a, k)
-        ratio = factorial_scalar(field, k) / factorial_scalar(field, d - k)
+        ratio = field.div(factorial_scalar(field, k), factorial_scalar(field, d - k))
         if kic != polar(F, a, d - k) * ratio:
             return _check("polar symmetry", False, f"polar k-ic mismatch at trial {t}")
     return _check(f"polar symmetry ({trials} trials, {field.name})", True)
@@ -117,8 +117,8 @@ def taylor_batch(ring: PolyRing, seed: int, trials: int) -> Check:
         a, b = random_point(ring, rng), random_point(ring, rng)
         total = field.zero
         for k in range(d + 1):
-            total = total + polar(F, b, k).evaluate(list(a.coords)) / factorial_scalar(
-                field, k
+            total = total + field.div(
+                polar(F, b, k).evaluate(list(a.coords)), factorial_scalar(field, k)
             )
         shifted = F.evaluate([x + y for x, y in zip(a.coords, b.coords)])
         if total != shifted:

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from polarcalc import flecnodal
 from polarcalc.flecnodal import (
     ContactOrder,
     flecnodal_covariants,
@@ -12,7 +13,7 @@ from polarcalc.flecnodal import (
     max_contact_order,
 )
 from polarcalc.polarity import line_multiplicity, tangent_hyperplane
-from polarcalc.polyring import INFINITY, DomainError, PolyRing, exact_div
+from polarcalc.polyring import INFINITY, QQ, DomainError, PolyRing, exact_div
 
 R = PolyRing()
 FERMAT = R.parse("x^3 + y^3 + z^3 + w^3")
@@ -90,6 +91,47 @@ class TestMaxContactOrder:
         assert report.order is ContactOrder.GE4
         assert report.ii.is_zero
         assert report.line_direction is None
+
+    def test_large_rational_coefficient_needs_no_divisor_search(self, monkeypatch):
+        # II is quadratic, so its roots come from the quadratic formula and
+        # the divisor search on the cleared coefficients never runs.
+        def refuse(n):
+            raise AssertionError(f"divisor search on {n}")
+
+        monkeypatch.setattr(flecnodal, "_divisors", refuse)
+        F = R.parse(
+            "-324781/3125*x^5 - 2*x^3*y^2 - x^2*y^3 - 4*x^3*y*z - 2*y*z^4"
+            " + 7*x^3*z*w + 8*x*w^4"
+        )
+        report = max_contact_order(F, R.point([5, -8, -7, -9]))
+        assert report.order is ContactOrder.THREE
+        assert report.line_direction is None
+
+    def test_quadratic_roots_in_rational_root_search_order(self):
+        # Multiplying a quadratic by a third linear factor sends it through
+        # the divisor search (no root may be 0, which that search splits off),
+        # which must list the quadratic's roots in the order the quadratic
+        # formula does.
+        rng = random.Random(71)
+        nonzero = [v for v in range(-12, 13) if v]
+        for _ in range(200):
+            r1, r2, extra = (
+                Fraction(rng.choice(nonzero), rng.randint(1, 6)) for _ in range(3)
+            )
+            if extra in (r1, r2):
+                continue
+            scale = Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 4))
+            quad = [scale * r1 * r2, -scale * (r1 + r2), scale]
+            cubic = [
+                -extra * quad[0],
+                quad[0] - extra * quad[1],
+                quad[1] - extra * quad[2],
+                quad[2],
+            ]
+            roots = flecnodal._univariate_field_roots(quad, QQ)
+            searched = flecnodal._univariate_field_roots(cubic, QQ)
+            assert roots == [r for r in searched if r != extra]
+            assert sorted(roots) == sorted({r1, r2})
 
     def test_singular_point_rejected(self):
         with pytest.raises(DomainError):

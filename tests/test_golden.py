@@ -1,8 +1,9 @@
 """Golden ``--json`` documents: the stable CLI schema, byte for byte.
 
 Each argv below is a README command-line example (plus the four ``poly``
-operations the README does not show); its ``--json`` output must equal the
-stored document in ``tests/golden/`` exactly.  After an intended output
+operations the README does not show, and a contact query on a quintic with
+a large rational coefficient); its ``--json`` output must equal the stored
+document in ``tests/golden/`` exactly.  After an intended output
 change, regenerate the documents with ``python tests/test_golden.py``.
 """
 
@@ -40,6 +41,8 @@ COMMANDS = [
     'poly tangent-plane --expr "x^3+y^3+z^3+w^3" --point 1,-1,0,0',
     'poly second-form --expr "x*w-y*z" --point 1,0,0,0',
     'poly contact --expr "x*w-y*z" --point 1,0,0,0',
+    'poly contact --expr="-324781/3125*x^5 - 2*x^3*y^2 - x^2*y^3 - 4*x^3*y*z - 2*y*z^4'
+    ' + 7*x^3*z*w + 8*x*w^4" --point=5,-8,-7,-9',
 ]
 
 

@@ -1,6 +1,7 @@
 """Polar calculus: polars, tangent planes, line contact, tangent cones."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -67,7 +68,7 @@ class TestPolarKic:
         got = polar_kic(DIAG, R.point([1, 1, 1, 1]), 2)
         expected = R.parse("x^2 + y^2 + z^2 - 3*w^2")
         # equality up to one overall constant
-        scale = next(iter(got.terms.values())) / next(iter(expected.terms.values()))
+        scale = Fraction(next(iter(got.terms.values()))) / next(iter(expected.terms.values()))
         assert got == expected * scale
 
     def test_quadric_polar_line_is_bilinear_form(self):

@@ -12,6 +12,7 @@ from polarcalc.polyring import (
     INFINITY,
     QQ,
     DomainError,
+    Mod,
     ParseError,
     PolyRing,
     PrimeField,
@@ -382,3 +383,39 @@ class TestPrimeField:
         field = PrimeField(101)
         half = field.coerce(Fraction(1, 2))
         assert half + half == field.one
+
+
+class TestFieldDivision:
+    def test_rational_coerce_keeps_integers_as_int(self):
+        two = QQ.coerce(Fraction(4, 2))
+        assert type(two) is int and two == 2
+        assert QQ.coerce(Fraction(1, 2)) == Fraction(1, 2)
+        assert type(QQ.coerce(True)) is int
+
+    def test_parser_and_scalar_division_keep_integers_as_int(self):
+        F = R.parse("3*x - 4/2*y + 1/2*z")
+        assert [type(c) for _, c in F.sorted_terms()] == [int, int, Fraction]
+        assert all(type(c) is int for c in (R.parse("6*x + 4*y") / 2).terms.values())
+
+    def test_rational_div(self):
+        for a, b, want in ((6, 3, 2), (Fraction(3, 2), Fraction(3, 4), 2), (-8, 4, -2)):
+            got = QQ.div(a, b)
+            assert type(got) is int and got == want
+        for a, b, want in ((1, 3, Fraction(1, 3)), (-7, 2, Fraction(-7, 2)),
+                           (Fraction(1, 2), 3, Fraction(1, 6))):
+            got = QQ.div(a, b)
+            assert type(got) is Fraction and got == want
+
+    def test_prime_field_div(self):
+        got = GF.div(GF.coerce(6), GF.coerce(3))
+        assert type(got) is Mod and got == GF.coerce(2)
+        half = GF.div(1, 2)
+        assert type(half) is Mod and half * 2 == GF.one
+
+    def test_zero_divisor_raises(self):
+        for a in (1, Fraction(1, 2)):
+            for zero in (0, Fraction(0)):
+                with pytest.raises(ZeroDivisionError):
+                    QQ.div(a, zero)
+        with pytest.raises(ZeroDivisionError):
+            GF.div(GF.one, GF.zero)
