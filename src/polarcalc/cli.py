@@ -203,7 +203,10 @@ def _parse_mults(text: str) -> dict:
         if not piece:
             continue
         s, _, count = piece.partition(":")
-        out[_integer(s)] = _integer(count) if count else 1
+        s = _integer(s)
+        if s in out:
+            raise UsageError(f"multiplicity {s} is given twice")
+        out[s] = _integer(count) if count else 1
     return out
 
 
@@ -230,43 +233,53 @@ def _parse_chars(text: str, names) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _plane_chars_dict(chars: PlaneCurveCharacters) -> dict:
-    out = {
-        "degree": _count_str(chars.degree),
-        "class": _count_str(chars.dual_degree),
-        "nodes": _count_str(chars.nodes),
-        "cusps": _count_str(chars.cusps),
-        "bitangents": _count_str(chars.bitangents),
-        "flexes": _count_str(chars.flexes),
-    }
-    if chars.genus is not None:
-        out["genus"] = _count_str(chars.genus)
+# Each result record's attributes with their JSON keys, in output order.
+_KEYS = {
+    PlaneCurveCharacters: (
+        ("degree", "degree"), ("dual_degree", "class"), ("nodes", "nodes"), ("cusps", "cusps"),
+        ("bitangents", "bitangents"), ("flexes", "flexes"), ("genus", "genus"),
+    ),
+    DevelopableCharacters: (
+        ("m", "order"), ("n", "class"), ("r", "rank"), ("alpha", "stationary_planes"),
+        ("beta", "stationary_points"), ("x", "double_curve"), ("y", "dual_double_curve"),
+        ("g", "apparent_nodes_dual"), ("h", "apparent_nodes_edge"), ("genus", "genus"),
+    ),
+    invariants.NodeCoupleCharacters: (
+        ("class_degree", "class"), ("apparent_double_points", "apparent_nodes"),
+        ("cusps", "cusps"), ("triple_points", "triple_points"), ("rank", "rank"),
+    ),
+    invariants.DualSurfaceTable: (
+        ("degree", "degree"), ("dual_degree", "dual_degree"), ("cone_degree", "cone_degree"),
+        ("node_curve", "node_curve"), ("cusp_curve", "cusp_curve"), ("flex_edges", "flex_edges"),
+        ("node_meets", "node_meets"), ("cusp_meets", "cusp_meets"),
+        ("swallowtails", "swallowtail"), ("gammas", "gamma"), ("tritangents", "tritangent"),
+        ("bitangent_edges", "bitangent_edges"), ("node_apparent", "node_apparent"),
+        ("cusp_apparent", "cusp_apparent"), ("plain_meets", "plain_meets"),
+        ("flecnodal_nodes", "flecnodal_nodes"), ("flecnodal_tangencies", "flecnodal_tangencies"),
+        ("hessian", "hessian_developable"), ("node_couple", "node_couple"),
+    ),
+    invariants.ProjectedSurfaceTable: (
+        ("class_degree", "class"), ("double_curve", "double_curve"),
+        ("double_genus", "double_genus"), ("neutral_genus", "neutral_genus"),
+        ("triple_points", "triple_points"), ("pinch_points", "pinch_points"),
+        ("chern_c2", "chern_c2"), ("branch_degree", "branch_degree"),
+        ("branch_genus", "branch_genus"), ("nodes", "nodes"), ("cusps", "cusps"),
+        ("bitangents", "bitangents"), ("flexes", "flexes"),
+    ),
+}
+
+# What verify plucker's --chars must set: every plane-curve character but the genus.
+_PLUCKER_CHARS = _KEYS[PlaneCurveCharacters][:-1]
+
+
+def _record(obj) -> dict:
+    """A result record as a dict under its ``_KEYS`` names; None fields are left out."""
+    out = {}
+    for attr, key in _KEYS[type(obj)]:
+        value = getattr(obj, attr)
+        if value is not None:
+            out[key] = _record(value) if type(value) in _KEYS else _count_str(value)
     return out
-
-
-def _developable_dict(chars) -> dict:
-    return {
-        "order": _count_str(chars.m),
-        "class": _count_str(chars.n),
-        "rank": _count_str(chars.r),
-        "stationary_planes": _count_str(chars.alpha),
-        "stationary_points": _count_str(chars.beta),
-        "double_curve": _count_str(chars.x),
-        "dual_double_curve": _count_str(chars.y),
-        "apparent_nodes_dual": _count_str(chars.g),
-        "apparent_nodes_edge": _count_str(chars.h),
-        "genus": _count_str(chars.genus),
-    }
-
-
-def _node_couple_dict(couple) -> dict:
-    return {
-        "class": _count_str(couple.class_degree),
-        "apparent_nodes": _count_str(couple.apparent_double_points),
-        "cusps": _count_str(couple.cusps),
-        "triple_points": _count_str(couple.triple_points),
-        "rank": _count_str(couple.rank),
-    }
 
 
 def cmd_invariants(args) -> CommandResult:
@@ -274,27 +287,7 @@ def cmd_invariants(args) -> CommandResult:
     if sub == "surface":
         result = CommandResult("invariants surface", {"degree": args.degree})
         table = invariants.dual_surface_table(args.degree)
-        result.results = {
-            "degree": _count_str(table.degree),
-            "dual_degree": _count_str(table.dual_degree),
-            "cone_degree": _count_str(table.cone_degree),
-            "node_curve": _count_str(table.node_curve),
-            "cusp_curve": _count_str(table.cusp_curve),
-            "flex_edges": _count_str(table.flex_edges),
-            "node_meets": _count_str(table.node_meets),
-            "cusp_meets": _count_str(table.cusp_meets),
-            "swallowtail": _count_str(table.swallowtails),
-            "gamma": _count_str(table.gammas),
-            "tritangent": _count_str(table.tritangents),
-            "bitangent_edges": _count_str(table.bitangent_edges),
-            "node_apparent": _count_str(table.node_apparent),
-            "cusp_apparent": _count_str(table.cusp_apparent),
-            "plain_meets": _count_str(table.plain_meets),
-            "flecnodal_nodes": _count_str(table.flecnodal_nodes),
-            "flecnodal_tangencies": _count_str(table.flecnodal_tangencies),
-            "hessian_developable": _developable_dict(table.hessian),
-            "node_couple": _node_couple_dict(table.node_couple),
-        }
+        result.results = _record(table)
         result.add_checks(invariants.verify_dual_relations(args.degree))
         for message in table.warnings:
             result.add_checks([warn("table warning", message)])
@@ -302,37 +295,20 @@ def cmd_invariants(args) -> CommandResult:
     if sub == "branch":
         result = CommandResult("invariants branch", {"degree": args.degree})
         chars = invariants.branch_curve_characters(args.degree)
-        result.results = _plane_chars_dict(chars)
+        result.results = _record(chars)
         result.add_checks(verify_plucker_relations(chars))
         return result
     if sub == "developable":
         result = CommandResult("invariants developable", {"degree": args.degree})
-        hess = invariants.hessian_developable_characters(args.degree)
-        couple = invariants.nodecouple_characters(args.degree)
-        result.results = {
-            "hessian_developable": _developable_dict(hess),
-            "node_couple": _node_couple_dict(couple),
-        }
+        # the two developables are the nested records of the dual table
+        table = _record(invariants.dual_surface_table(args.degree))
+        result.results = {k: v for k, v in table.items() if isinstance(v, dict)}
         return result
     if sub == "projected":
         inputs = {"n": args.n, "pi": args.pi, "pa": args.pa, "ksq": args.ksq}
         result = CommandResult("invariants projected", inputs)
         table = invariants.projected_surface_table(args.n, args.pi, args.pa, args.ksq)
-        result.results = {
-            "class": _count_str(table.class_degree),
-            "double_curve": _count_str(table.double_curve),
-            "double_genus": _count_str(table.double_genus),
-            "neutral_genus": _count_str(table.neutral_genus),
-            "triple_points": _count_str(table.triple_points),
-            "pinch_points": _count_str(table.pinch_points),
-            "chern_c2": _count_str(table.chern_c2),
-            "branch_degree": _count_str(table.branch_degree),
-            "branch_genus": _count_str(table.branch_genus),
-            "nodes": _count_str(table.nodes),
-            "cusps": _count_str(table.cusps),
-            "bitangents": _count_str(table.bitangents),
-            "flexes": _count_str(table.flexes),
-        }
+        result.results = _record(table)
         result.add_checks(table.checks)
         return result
     raise UsageError(f"unknown invariants table {sub!r}")
@@ -374,19 +350,12 @@ def cmd_verify(args) -> CommandResult:
         result.add_checks(_models_checks())
         return result
     if sub == "plucker":
-        wanted = ("degree", "class", "nodes", "cusps", "bitangents", "flexes")
+        wanted = [key for _, key in _PLUCKER_CHARS]
         chars_map = _parse_chars(args.chars, wanted)
         missing = [k for k in wanted if k not in chars_map]
         if missing:
             raise UsageError(f"--chars must set {', '.join(wanted)} (missing {missing})")
-        chars = PlaneCurveCharacters(
-            degree=chars_map["degree"],
-            dual_degree=chars_map["class"],
-            nodes=chars_map["nodes"],
-            cusps=chars_map["cusps"],
-            bitangents=chars_map["bitangents"],
-            flexes=chars_map["flexes"],
-        )
+        chars = PlaneCurveCharacters(**{attr: chars_map[key] for attr, key in _PLUCKER_CHARS})
         result = CommandResult("verify plucker", chars_map)
         result.add_checks(verify_plucker_relations(chars))
         return result
@@ -435,11 +404,7 @@ def cmd_poly(args) -> CommandResult:
     ring = PolyRing()
     sub = args.operation
     inputs = {
-        k: v
-        for k, v in vars(args).items()
-        if k in ("operation", "expr", "surface", "point", "dir", "order", "m",
-                 "genus", "mult", "dim", "k", "chars")
-        and v is not None
+        k: v for k, v in vars(args).items() if k not in ("command", "json") and v is not None
     }
     result = CommandResult(f"poly {sub}", inputs)
 
@@ -452,7 +417,7 @@ def cmd_poly(args) -> CommandResult:
     if sub == "rank-profile":
         if args.m is None or args.genus is None or args.k is None:
             raise UsageError("rank-profile needs --m, --genus, and --k")
-        dim = args.dim or 3
+        dim = 3 if args.dim is None else args.dim
         ks = [_integer(x) for x in args.k.split(",")]
         profile = rank_profile(dim, args.m, args.genus, ks)
         dual = profile.dual()
@@ -467,7 +432,7 @@ def cmd_poly(args) -> CommandResult:
             raise UsageError("developable needs --chars name=value,...")
         names = [f.name for f in fields(DevelopableCharacters)]
         chars, checks = complete_developable(**_parse_chars(args.chars, names))
-        result.results = _developable_dict(chars)
+        result.results = _record(chars)
         result.add_checks(checks)
         return result
 
@@ -567,6 +532,16 @@ def _degree_range(text: str):
     return (lo_i, hi_i)
 
 
+def _trial_count(text: str) -> int:
+    try:
+        trials = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from exc
+    if trials < 1:
+        raise argparse.ArgumentTypeError("must be at least 1")
+    return trials
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polarcalc",
@@ -588,9 +563,9 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("suite", choices=("all", "models", "plucker"))
     ver.add_argument("--symbolic", action="store_true", help="polynomial-identity mode (default)")
     ver.add_argument("--degree-range", type=_degree_range, help="integer sweep A..B")
-    ver.add_argument("--chars", help="degree=..,class=..,nodes=..,cusps=..,bitangents=..,flexes=..")
+    ver.add_argument("--chars", help=",".join(f"{key}=.." for _, key in _PLUCKER_CHARS))
     ver.add_argument("--seed", type=int, default=20240913, help="seed for the property batches")
-    ver.add_argument("--trials", type=int, default=25, help="trials per property batch")
+    ver.add_argument("--trials", type=_trial_count, default=25, help="trials per property batch")
     ver.add_argument("--modp", type=int, help="run property batches over GF(p)")
 
     pol = sub.add_parser("poly", parents=[shared], help="exact kernel on explicit data")

@@ -113,7 +113,7 @@ def gradient_at(F: Poly, q: ProjPoint) -> list:
     return [F.partial(name).evaluate(coords) for name in F.ring.variables]
 
 
-def tangent_hyperplane(F: Poly, q: ProjPoint, require_smooth: bool = True) -> Poly:
+def tangent_hyperplane(F: Poly, q: ProjPoint) -> Poly:
     """Equation of the tangent hyperplane at a point q of V(F)."""
     _check_surface(F)
     ring = F.ring
@@ -121,7 +121,7 @@ def tangent_hyperplane(F: Poly, q: ProjPoint, require_smooth: bool = True) -> Po
     for name, g in zip(ring.variables, gradient_at(F, q)):
         if g:
             out = out + ring.var(name) * g
-    if out.is_zero and require_smooth:
+    if out.is_zero:
         raise DomainError("singular point: all partial derivatives vanish")
     return out
 

@@ -213,6 +213,22 @@ class TestPolyCommand:
         assert out == ""
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            ("poly rank-profile --m=3 --genus=0 --k=0,0,0 --dim=0", 3),
+            ("verify all --trials=0", 2),
+            ("verify all --trials=-3", 2),
+            ("poly dejonquieres --m=4 --genus=0 --mult=2:1,2:2", 2),
+        ],
+    )
+    def test_out_of_range_option_is_refused(self, capsys, argv, expected):
+        code, out, err = run(capsys, *argv.split())
+        assert code == expected
+        assert out == ""
+        assert "error: " in err
+        assert "Traceback" not in err
+
     def test_non_homogeneous_is_domain_error(self, capsys):
         code, _, err = run(capsys, "poly", "hessian", "--expr", "x^2 + y")
         assert code == 3

@@ -3,8 +3,11 @@
 Each argv below is a README command-line example (plus the four ``poly``
 operations the README does not show, and a contact query on a quintic with
 a large rational coefficient); its ``--json`` output must equal the stored
-document in ``tests/golden/`` exactly.  After an intended output
-change, regenerate the documents with ``python tests/test_golden.py``.
+document in ``tests/golden/`` exactly.  The commands that print record
+tables (``invariants``, ``verify plucker``, ``poly developable``) also have
+their text-mode output pinned, in a ``.txt`` document next to the JSON one.
+After an intended output change, regenerate the documents with
+``python tests/test_golden.py``.
 """
 
 import shlex
@@ -45,10 +48,16 @@ COMMANDS = [
     ' + 7*x^3*z*w + 8*x*w^4" --point=5,-8,-7,-9',
 ]
 
+TEXT_CASES = [
+    (index, command)
+    for index, command in enumerate(COMMANDS)
+    if command.startswith(("invariants ", "verify plucker ", "poly developable "))
+]
 
-def golden_path(index: int, command: str) -> Path:
+
+def golden_path(index: int, command: str, suffix: str = ".json") -> Path:
     words = shlex.split(command)
-    return GOLDEN_DIR / f"{index:02d}_{words[0]}_{words[1]}.json"
+    return GOLDEN_DIR / f"{index:02d}_{words[0]}_{words[1]}{suffix}"
 
 
 def json_output(capsys, command: str) -> str:
@@ -64,14 +73,27 @@ def test_json_document_is_unchanged(capsys, index, command):
     )
 
 
+@pytest.mark.parametrize("index, command", TEXT_CASES, ids=[c for _, c in TEXT_CASES])
+def test_text_document_is_unchanged(capsys, index, command):
+    assert main(shlex.split(command)) == 0
+    assert capsys.readouterr().out == golden_path(index, command, ".txt").read_text(
+        encoding="utf-8"
+    )
+
+
 if __name__ == "__main__":
     import contextlib
     import io
 
-    GOLDEN_DIR.mkdir(exist_ok=True)
-    for index, command in enumerate(COMMANDS):
+    def write_document(index, command, extra, suffix):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            if main(shlex.split(command) + ["--json"]) != 0:
+            if main(shlex.split(command) + extra) != 0:
                 sys.exit(f"nonzero exit: {command}")
-        golden_path(index, command).write_text(out.getvalue(), encoding="utf-8")
+        golden_path(index, command, suffix).write_text(out.getvalue(), encoding="utf-8")
+
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for index, command in enumerate(COMMANDS):
+        write_document(index, command, ["--json"], ".json")
+    for index, command in TEXT_CASES:
+        write_document(index, command, [], ".txt")
