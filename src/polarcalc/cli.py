@@ -15,12 +15,15 @@ counts are emitted as decimal strings uniformly so the schema does not
 depend on their size.
 
 Exit codes: 0 success, 1 a check failed, 2 usage or parse error,
-3 mathematical domain error (singular point, wrong homogeneity, ...).
+3 mathematical domain error (singular point, wrong homogeneity, ...),
+4 internal error: an internal cross-check between two routes disagreed
+(a bug in polarcalc, reported as ``internal error: ...`` on stderr).
 
 ``--modp P`` switches the kernel to the prime field GF(P).  Commands that
-report values (everything under ``poly``) refuse modular mode, since
-reported values are exact rational statements; the verify suites accept
-it as a fast identity-check mode.
+report values (everything under ``poly``) and the exact checks of
+``verify models`` and ``verify plucker`` refuse modular mode, since they
+are exact rational statements; ``verify all`` accepts it as a fast
+identity-check mode for its property batches.
 """
 
 from __future__ import annotations
@@ -61,6 +64,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
+EXIT_INTERNAL = 4
 
 _JSON_INT_LIMIT = 2 ** 53 - 1
 
@@ -345,6 +349,8 @@ def _models_checks() -> list:
 
 def cmd_verify(args) -> CommandResult:
     sub = args.suite
+    if sub != "all" and args.modp is not None:
+        raise UsageError(f"verify {sub} checks exact values and refuses modular mode")
     if sub == "models":
         result = CommandResult("verify models", {})
         result.add_checks(_models_checks())
@@ -566,7 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--chars", help=",".join(f"{key}=.." for _, key in _PLUCKER_CHARS))
     ver.add_argument("--seed", type=int, default=20240913, help="seed for the property batches")
     ver.add_argument("--trials", type=_trial_count, default=25, help="trials per property batch")
-    ver.add_argument("--modp", type=int, help="run property batches over GF(p)")
+    ver.add_argument("--modp", type=int, help="verify all: run the property batches over GF(p)")
 
     pol = sub.add_parser("poly", parents=[shared], help="exact kernel on explicit data")
     pol.add_argument(
@@ -632,6 +638,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     print(result.render(args.json))
     return EXIT_CHECK_FAILED if result.failed else EXIT_OK
 

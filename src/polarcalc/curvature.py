@@ -2,16 +2,19 @@
 
 The Hessian determinant of a degree-n form in N+1 variables has degree
 (N+1)(n-2); its zero locus meets the surface along the parabolic curve.
-The second fundamental form at a smooth point is extracted from a
-deterministic normal form: the point is moved to (1 : 0 : ... : 0) and
-the linear form of the tangent hyperplane becomes the last coordinate
-itself, so the chart reads
+The second fundamental form at a smooth point p is read off from
+derivatives at p, in a deterministic frame: column 0 is p, columns
+1 .. N-1 span the tangent hyperplane, and column N is a coordinate vector
+scaled so that the gradient pairs with it to one.  In the chart x = frame . v,
+Taylor's formula F(p v0 + w) = sum_m v0^(d-m) D_w^m F(p) / m! reads
 
     v0^(d-1) vN  +  v0^(d-2) (sum a_ij vi vj)  +  (cubic and higher),
 
-with (a_ij) symmetric.  The form on tangent directions is the leading
-(N-1) x (N-1) block; its rank and the vanishing of its discriminant are
-frame independent and are the only data consumed downstream.
+with (a_ij) = C^T H(p) C / 2 for C the columns 1 .. N and H(p) the
+Hessian matrix at p, so the chart equation is never expanded.  The form on
+tangent directions is the leading (N-1) x (N-1) block; its rank and the
+vanishing of its discriminant are frame independent and are the only data
+consumed downstream.
 """
 
 from __future__ import annotations
@@ -21,9 +24,14 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from . import linalg
-from .polyring import INFINITY, DomainError, Poly, PolyRing, ProjPoint
-from .polyring import coefficients_in, determinant
-from .polarity import chart_at_point, line_multiplicity, linear_change, _check_surface
+from .polyring import INFINITY, DomainError, Poly, ProjPoint, determinant
+from .polarity import (
+    _check_point,
+    _check_surface,
+    gradient_at,
+    line_multiplicity,
+    tangent_directions,
+)
 
 
 def hessian_matrix(F: Poly):
@@ -44,12 +52,16 @@ def hessian_determinant(F: Poly) -> Poly:
 class FundamentalForm:
     """Second fundamental form of a surface at a smooth point.
 
-    ``matrix`` is the (N-1) x (N-1) block acting on tangent directions, in
-    the recorded frame; ``quadratic`` is the full N x N symmetric matrix
-    (a_ij) of the normal form, ``normalized`` the normal-form chart equation,
-    and ``frame`` the column matrix expressing chart coordinates in the
-    original ones.  ``tangent_basis`` spans the tangent plane together
-    with the point itself.
+    ``frame`` is the (N+1) x (N+1) matrix whose columns express the chart
+    coordinates in the original ones: column 0 is the point, column N is
+    e_J / g_J for g the gradient and J the first index other than the
+    point's first nonzero coordinate with g_J != 0, and columns 1 .. N-1
+    are the tangent directions e_i - (g_i / g_J) e_J for the remaining
+    indices, in order, the last of them in J's slot.  ``quadratic`` is the
+    full N x N symmetric matrix (a_ij) of the chart equation in that frame
+    and ``matrix`` its leading (N-1) x (N-1) block, the form on tangent
+    directions.  ``tangent_basis`` (columns 1 .. N-1) spans the tangent
+    plane together with the point itself.
     """
 
     point: ProjPoint
@@ -57,68 +69,48 @@ class FundamentalForm:
     quadratic: tuple
     rank: int
     frame: tuple
-    chart: PolyRing
-    normalized: Poly
     tangent_basis: tuple
-
-
-def _normal_form(F: Poly, p: ProjPoint):
-    d = _check_surface(F)
-    if d < 2:
-        raise DomainError("second fundamental form needs degree at least 2")
-    if F.evaluate(list(p.coords)):
-        raise DomainError("point does not lie on the surface")
-    transformed, chart, matrix = chart_at_point(F, p)
-    field = chart.field
-    n = len(chart.variables) - 1
-
-    # Linear stratum of the chart expansion: the coefficient of v0^(d-1),
-    # whose partial in vi is the coefficient of v0^(d-1) vi (zero for v0).
-    strata = coefficients_in(transformed, chart.variables[0])
-    stratum = strata[d - 1] if len(strata) >= d else chart.zero()
-    linear = [stratum.partial(v).constant_value() for v in chart.variables]
-    if not any(linear):
-        raise DomainError("singular point: no tangent hyperplane")
-
-    # Second change: send the tangent hyperplane to {vN = 0}, pivoting on
-    # the first chart coordinate with a nonzero linear coefficient.
-    j = next(i for i, c in enumerate(linear) if c)
-    fwd = linalg.identity(field, n + 1)
-    fwd[n] = linear
-    if j != n:
-        fwd[j] = [field.one if k == n else field.zero for k in range(n + 1)]
-    back = linalg.mat_inverse(field, fwd)
-    # The linear stratum becomes vN itself, so v0^(d-1) vN has coefficient one.
-    normalized = linear_change(transformed, back, chart)
-    total = tuple(tuple(row) for row in linalg.mat_mul(field, [list(r) for r in matrix], back))
-    return normalized, chart, total
 
 
 def second_fundamental_form(F: Poly, p: ProjPoint) -> FundamentalForm:
     """Second fundamental form at a smooth point p of V(F)."""
-    normalized, chart, frame = _normal_form(F, p)
-    field = chart.field
-    d = F.total_degree()
-    n = len(chart.variables) - 1
-    # a_ij is half the second partial of the coefficient of v0^(d-2).
-    small = coefficients_in(normalized, chart.variables[0])[d - 2]
+    d = _check_surface(F)
+    if d < 2:
+        raise DomainError("second fundamental form needs degree at least 2")
+    _check_point(F, p)
+    coords = list(p.coords)
+    if F.evaluate(coords):
+        raise DomainError("point does not lie on the surface")
+    field = F.ring.field
+    n = len(coords) - 1
+    # The frame pivots on the first nonzero coordinate of p, then on the
+    # first other index with a nonzero partial; the last other index takes
+    # that second pivot's slot.
+    pivot = next(i for i, c in enumerate(coords) if c)
+    others = [i for i in range(n + 1) if i != pivot]
+    grads = gradient_at(F, p)
+    j = next((i for i in others if grads[i]), None)
+    if j is None:
+        raise DomainError("singular point: no tangent hyperplane")
+    slots = [others[-1] if i == j else i for i in others[:-1]]
+    normal = [field.zero] * (n + 1)
+    normal[j] = field.div(field.one, grads[j])
+    columns = [coords] + tangent_directions(grads, j, slots, field) + [normal]
+    # a_ij = C_i^T H(p) C_j / 2, the v0^(d-2) coefficient of F(p v0 + w).
+    hess = [[h.evaluate(coords) for h in row] for row in hessian_matrix(F)]
+    images = [[sum(h * x for h, x in zip(row, col)) for row in hess] for col in columns[1:]]
     quad = [
-        [field.div(h.constant_value(), 2) for h in row[1:]]
-        for row in hessian_matrix(small)[1:]
+        [field.div(sum(x * y for x, y in zip(col, image)), 2) for image in images]
+        for col in columns[1:]
     ]
     block = [row[: n - 1] for row in quad[: n - 1]]
-    basis = tuple(
-        ProjPoint([frame[i][k] for i in range(n + 1)], field) for k in range(1, n)
-    )
     return FundamentalForm(
         point=p,
         matrix=tuple(tuple(r) for r in block),
         quadratic=tuple(tuple(r) for r in quad),
         rank=linalg.rank(field, block),
-        frame=frame,
-        chart=chart,
-        normalized=normalized,
-        tangent_basis=basis,
+        frame=tuple(zip(*columns)),
+        tangent_basis=tuple(ProjPoint(col, field) for col in columns[1:n]),
     )
 
 

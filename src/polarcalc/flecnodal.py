@@ -24,7 +24,13 @@ from typing import Optional, Tuple
 
 from . import linalg
 from .curvature import hessian_determinant, hessian_matrix
-from .polarity import _check_point, _check_surface, gradient_at, line_multiplicity
+from .polarity import (
+    _check_point,
+    _check_surface,
+    gradient_at,
+    line_multiplicity,
+    tangent_directions,
+)
 from .polyring import (
     INFINITY,
     DomainError,
@@ -140,20 +146,11 @@ class ContactReport:
 
 def _tangent_frame(grads, q: ProjPoint):
     """Two deterministic directions spanning, with q, the plane grads . x = 0."""
-    field = q.field
     pivot = next(i for i, g in enumerate(grads) if g)
-    n = len(grads)
-    kernel = {}
-    for j in range(n):
-        if j == pivot:
-            continue
-        vec = [field.zero] * n
-        vec[j] = field.one
-        vec[pivot] = -field.div(grads[j], grads[pivot])
-        kernel[j] = vec
-    ell = next(j for j in kernel if q.coords[j])
-    picked = [kernel[j] for j in kernel if j != ell]
-    return ProjPoint(picked[0], field), ProjPoint(picked[1], field)
+    others = [j for j in range(len(grads)) if j != pivot]
+    ell = next(j for j in others if q.coords[j])
+    picked = tangent_directions(grads, pivot, [j for j in others if j != ell], q.field)
+    return ProjPoint(picked[0], q.field), ProjPoint(picked[1], q.field)
 
 
 def _restriction_strata(F: Poly, q: ProjPoint, t1: ProjPoint, t2: ProjPoint):

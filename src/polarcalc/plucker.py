@@ -41,13 +41,13 @@ def _value(v):
     return Fraction(v)
 
 
-def _require_count(name: str, v):
-    """A character must be a nonnegative integer when numeric."""
+def _require_count(name: str, v, least: int = 0):
+    """A character must be an integer of at least ``least`` when numeric."""
     if isinstance(v, Fraction):
         if v.denominator != 1:
             raise DomainError(f"{name} = {v} is not an integer")
-        if v < 0:
-            raise DomainError(f"{name} = {v} is negative")
+        if v < least:
+            raise DomainError(f"{name} = {v} is " + (f"below {least}" if least else "negative"))
         return int(v)
     return v
 
@@ -350,6 +350,10 @@ def rank_profile(dim: int, degree, genus, k: Sequence) -> RankProfile:
     if len(k) != dim:
         raise DomainError(f"need {dim} hyperosculation totals k_1..k_{dim}")
     m, g = _value(degree), _value(genus)
+    _require_count("degree", m, least=1)
+    _require_count("genus", g)
+    for i, v in enumerate(k, start=1):
+        _require_count(f"k_{i}", v)
     closing = sum(
         ((dim - j + 1) * k[j - 1] for j in range(2, dim + 1)),
         dim * k[0],
@@ -361,7 +365,8 @@ def rank_profile(dim: int, degree, genus, k: Sequence) -> RankProfile:
         r = (i + 1) * (m + i * (g - 1))
         for j in range(1, i + 1):
             r = r - (i - j + 1) * k[j - 1]
-        ranks.append(_require_count(f"r_{i}", r))
+        # r_(N-1) is the degree of the dual curve, so it obeys the degree bound.
+        ranks.append(_require_count(f"r_{i}", r, least=1 if i == dim - 1 else 0))
     # Telescoping consistency, with r_N = r_(-1) = 0.
     padded = [0 * m] + ranks + [0 * m]
     for i in range(dim):

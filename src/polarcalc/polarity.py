@@ -113,6 +113,17 @@ def gradient_at(F: Poly, q: ProjPoint) -> list:
     return [F.partial(name).evaluate(coords) for name in F.ring.variables]
 
 
+def tangent_directions(grads, pivot: int, indices, field) -> list:
+    """Tangent directions e_i - (g_i / g_pivot) e_pivot for i in indices; g_pivot != 0."""
+    out = []
+    for i in indices:
+        vec = [field.zero] * len(grads)
+        vec[i] = field.one
+        vec[pivot] = -field.div(grads[i], grads[pivot])
+        out.append(vec)
+    return out
+
+
 def tangent_hyperplane(F: Poly, q: ProjPoint) -> Poly:
     """Equation of the tangent hyperplane at a point q of V(F)."""
     _check_surface(F)

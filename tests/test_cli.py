@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from polarcalc import cli
 from polarcalc.cli import main
 from polarcalc.polyring import PolyRing
 
@@ -107,6 +108,20 @@ class TestVerifyCommand:
             "--modp", "1048583",
         )
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "verify models --modp 101",
+            "verify plucker --chars degree=4,class=12,nodes=0,cusps=0,bitangents=28,flexes=24"
+            " --modp 7",
+        ],
+    )
+    def test_exact_suites_refuse_modp(self, capsys, argv):
+        code, out, err = run(capsys, *argv.split())
+        assert code == 2
+        assert out == ""
+        assert "refuse" in err
 
 
 class TestPolyCommand:
@@ -228,6 +243,30 @@ class TestPolyCommand:
         assert out == ""
         assert "error: " in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            ("poly rank-profile --m=-3 --genus=0 --k=0,0,0", "degree"),
+            ("poly rank-profile --m=0 --genus=1 --k=0,0,0", "degree"),
+            ("poly rank-profile --m=3 --genus=-1 --k=0,0,0", "genus"),
+        ],
+    )
+    def test_rank_profile_names_the_bad_input(self, capsys, argv, name):
+        code, out, err = run(capsys, *argv.split())
+        assert code == 3
+        assert out == ""
+        assert err.startswith(f"domain error: {name} = ")
+
+    def test_internal_error_exit(self, capsys, monkeypatch):
+        def disagree(F):
+            raise RuntimeError("the two routes disagree")
+
+        monkeypatch.setattr(cli, "hessian_determinant", disagree)
+        code, out, err = run(capsys, "poly", "hessian", "--expr", "x^3+y^3+z^3+w^3")
+        assert code == 4
+        assert out == ""
+        assert err == "internal error: the two routes disagree\n"
 
     def test_non_homogeneous_is_domain_error(self, capsys):
         code, _, err = run(capsys, "poly", "hessian", "--expr", "x^2 + y")

@@ -12,9 +12,17 @@ from polarcalc.curvature import (
     second_fundamental_form,
 )
 from polarcalc.linalg import scalar_determinant
-from polarcalc.polarity import is_smooth_point, polar_kic
-from polarcalc.polyring import INFINITY, QQ, DomainError, PolyRing, determinant
-from polarcalc.randomchecks import random_homogeneous
+from polarcalc.polarity import is_smooth_point, linear_change, polar_kic
+from polarcalc.polyring import (
+    INFINITY,
+    QQ,
+    DomainError,
+    PolyRing,
+    PrimeField,
+    coefficients_in,
+    determinant,
+)
+from polarcalc.randomchecks import random_homogeneous, random_point, surface_through
 
 R = PolyRing()
 FERMAT = R.parse("x^3 + y^3 + z^3 + w^3")
@@ -88,6 +96,19 @@ class TestSecondFundamentalForm:
         with pytest.raises(DomainError):
             second_fundamental_form(R.parse("y^2*w - x^3"), R.point([0, 0, 0, 1]))
 
+    def test_frame_columns(self):
+        # (3 : 4 : 5 : -6) pivots on x, then on y, the first other index with
+        # a nonzero partial; z keeps its slot, w takes y's, and the last
+        # column is e_y / F_y = e_y / 48.
+        form = second_fundamental_form(FERMAT, R.point([3, 4, 5, -6]))
+        assert form.frame == (
+            (3, 0, 0, 0),
+            (4, Fraction(-9, 4), Fraction(-25, 16), Fraction(1, 48)),
+            (5, 0, 1, 0),
+            (-6, 1, 0, 0),
+        )
+        assert form.tangent_basis == (R.point([0, -9, 0, 4]), R.point([0, -25, 16, 0]))
+
     def test_normal_form_factorization(self):
         # Hess of the normalized equation at the point splits into the
         # 2x2 corner block [[0, d-1], [d-1, 2 a_nn]] times det(2 a_ij).
@@ -101,7 +122,7 @@ class TestSecondFundamentalForm:
                     continue
                 form = second_fundamental_form(F, p)
                 count += 1
-                hess_value = hessian_determinant(form.normalized).evaluate(
+                hess_value = hessian_determinant(chart_equation(F, form)).evaluate(
                     [1] + [0] * 3
                 )
                 a_nn = form.quadratic[2][2]
@@ -141,9 +162,9 @@ class TestSecondFundamentalForm:
                     continue
                 done += 1
                 form = second_fundamental_form(F, p)
-                chart = form.chart
+                chart = F.ring
                 base = chart.point([1, 0, 0, 0])
-                quadric = polar_kic(form.normalized, base, 2)
+                quadric = polar_kic(chart_equation(F, form), base, 2)
                 gens = dict(zip(chart.variables, chart.gens()))
                 gens[chart.variables[3]] = chart.zero()
                 restricted = quadric.substitute(gens, into=chart)
@@ -155,6 +176,55 @@ class TestSecondFundamentalForm:
                             expected = expected + 2 * coeff * gens_at(chart, i) * gens_at(chart, j)
                 assert restricted == expected
         assert done >= 10
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(1048583)], ids=["QQ", "GFp"])
+    def test_frame_and_form_match_the_chart_expansion(self, field):
+        # Expanding F in the chart x = frame . v must give v0^(d-1) vN as
+        # the linear stratum, and half the second partials of the
+        # v0^(d-2) coefficient must be the recorded quadratic.
+        rng = random.Random(61)
+        ring = PolyRing(("x", "y", "z", "w"), field)
+        x, y, z, w = ring.gens()
+        checked = 0
+        for d in range(2, 7):
+            for trial in range(8):
+                if trial % 4 == 3:
+                    # The tangent plane {z = 0} at (0:0:0:1) puts the
+                    # frame's second pivot on the last remaining index.
+                    first, second = (
+                        sum((g * field.random(rng) for g in (x, y, z)), ring.zero())
+                        for _ in range(2)
+                    )
+                    F = w ** (d - 1) * z + first * second * random_homogeneous(ring, d - 2, rng)
+                    p = ring.point([0, 0, 0, 1])
+                else:
+                    coords = list(random_point(ring, rng).coords)
+                    for i in rng.sample(range(4), rng.randint(0, 2)):
+                        coords[i] = field.zero
+                    if not any(coords):
+                        continue
+                    p = ring.point(coords)
+                    F = surface_through(ring, p, d, rng)
+                if not is_smooth_point(F, p):
+                    continue
+                form = second_fundamental_form(F, p)
+                strata = coefficients_in(chart_equation(F, form), "x")
+                assert len(strata) == d
+                assert strata[d - 1] == w
+                small = strata[d - 2]
+                quad = tuple(
+                    tuple(field.div(small.partial(a).partial(b).constant_value(), 2)
+                          for b in "yzw")
+                    for a in "yzw"
+                )
+                assert quad == form.quadratic
+                checked += 1
+        assert checked >= 30
+
+
+def chart_equation(F, form):
+    """F in the chart x = frame . v of the form, written in F's own variables."""
+    return linear_change(F, form.frame, F.ring)
 
 
 def gens_at(ring, i):

@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 from polarcalc.curvature import hessian_determinant
+from polarcalc.localmodels import tacnode_discriminant
 from polarcalc.polyring import PolyRing, PrimeField, determinant, exact_div, resultant
 
 sympy = pytest.importorskip("sympy")
@@ -163,3 +164,12 @@ def test_homogeneous_components():
         assert len(parts) == (max(by_degree) + 1 if by_degree else 0)
         for k, part in enumerate(parts):
             assert to_oracle(part) == by_degree.get(k, QQ_ORACLE.zero)
+
+
+def test_tacnode_discriminant():
+    # The resultant route against sympy's discriminant of the same quartic,
+    # compared as polynomials in (a, b, c) through the printed form.
+    x, a, b, c = sympy.symbols("x a b c")
+    expected = sympy.discriminant(x**4 + a * x**2 + b * x + c, x)
+    got = sympy.sympify(str(tacnode_discriminant()).replace("^", "**"))
+    assert sympy.Poly(got, a, b, c) == sympy.Poly(expected, a, b, c)

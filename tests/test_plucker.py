@@ -220,6 +220,28 @@ class TestRankProfiles:
         with pytest.raises(DomainError):
             rank_profile(3, 4, 1, (0, 0, 15))
 
+    @pytest.mark.parametrize(
+        "degree, genus, k, name",
+        [
+            (-3, 0, (0, 0, 0), "degree"),
+            (0, 1, (0, 0, 0), "degree"),
+            (3, -1, (0, 0, 0), "genus"),
+            (3, 0, (0, -1, 2), "k_2"),
+            (3, 0, (1, 0, -3), "k_3"),
+        ],
+    )
+    def test_numeric_inputs_checked_before_the_closing_relation(self, degree, genus, k, name):
+        # (0, 1, (0, 0, 0)) satisfies the closing relation with ranks 0, 0, 0,
+        # and the k with a negative entry satisfy it too.
+        with pytest.raises(DomainError, match=rf"^{name} = -?\d+ is "):
+            rank_profile(3, degree, genus, k)
+
+    def test_dual_curve_degree_is_bounded_like_the_degree(self):
+        # Ranks (1, 0) pass the closing relation, but r_1 is the degree of
+        # the dual curve.
+        with pytest.raises(DomainError, match=r"^r_1 = 0 is below 1"):
+            rank_profile(2, 1, 2, (4, 1))
+
     def test_plane_curve_case_matches_plucker(self):
         # smooth plane quartic as a curve in P^2: k_1 = cusps, k_2 = flexes
         chars = complete_plane_characters(4, 0, 0)

@@ -5,13 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from polarcalc.linalg import mat_inverse
 from polarcalc.polarity import (
     line_multiplicity,
     polar,
     polar_kic,
     restrict_to_line,
     tangent_cone,
+    tangent_directions,
     tangent_hyperplane,
 )
 from polarcalc.polyring import (
@@ -109,6 +109,16 @@ class TestTangentHyperplane:
         with pytest.raises(DomainError):
             tangent_hyperplane(FERMAT, R.point([1, 0, 0, 0]))
 
+    def test_tangent_directions_pair_with_the_gradient_to_zero(self):
+        grads = [3, 0, -2, 5]
+        vectors = tangent_directions(grads, 2, [0, 1, 3], QQ)
+        assert vectors == [
+            [1, 0, Fraction(3, 2), 0],
+            [0, 1, 0, 0],
+            [0, 0, Fraction(5, 2), 1],
+        ]
+        assert all(sum(g * v for g, v in zip(grads, vec)) == 0 for vec in vectors)
+
 
 class TestLineMultiplicity:
     def test_inflection_line(self):
@@ -184,21 +194,18 @@ class TestPolarsAtSingularities:
         a = R.point(point)
         base = tangent_cone(F, a)
         assert base.multiplicity == mult
-        field = R.field
-        matrix = [list(row) for row in base.matrix]
-        inverse = mat_inverse(field, matrix)
+        # The chart sends x to a v0 + (x_i = v_k for the k-th non-pivot i),
+        # so b has chart coordinates (b_P/a_P, b_i - a_i b_P/a_P).
+        pivot = next(i for i, c in enumerate(a.coords) if c)
+        others = [i for i in range(4) if i != pivot]
         trials = 0
         while trials < 20:
             b = random_point(R, rng)
             if b == a:
                 continue
+            scale = Fraction(b.coords[pivot], a.coords[pivot])
             chart_b = ProjPoint(
-                [
-                    sum((inverse[i][j] * b.coords[j] for j in range(1, 4)),
-                        inverse[i][0] * b.coords[0])
-                    for i in range(4)
-                ],
-                field,
+                [scale] + [b.coords[i] - a.coords[i] * scale for i in others], R.field
             )
             # The exact drop needs b generic: the polarized cone must survive.
             if any(polar(base.cone, chart_b, r).is_zero for r in range(1, mult)):
