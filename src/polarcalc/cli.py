@@ -16,8 +16,9 @@ depend on their size.
 
 Exit codes: 0 success, 1 a check failed, 2 usage or parse error,
 3 mathematical domain error (singular point, wrong homogeneity, ...),
-4 internal error: an internal cross-check between two routes disagreed
-(a bug in polarcalc, reported as ``internal error: ...`` on stderr).
+4 internal error: an internal cross-check between two routes disagreed,
+or a float reached the JSON document (a bug in polarcalc, reported as
+``internal error: ...`` on stderr).
 
 ``--modp P`` switches the kernel to the prime field GF(P).  Commands that
 report values (everything under ``poly``) and the exact checks of
@@ -81,7 +82,10 @@ def _jsonable(value):
     if isinstance(value, int):
         return str(value) if abs(value) > _JSON_INT_LIMIT else value
     if isinstance(value, float):
-        return "infinity" if value == INFINITY else value
+        # Every reported value is exact; a float here is a bug upstream.
+        if value != INFINITY:
+            raise RuntimeError(f"float {value!r} in the JSON document")
+        return "infinity"
     if isinstance(value, Fraction):
         return str(value) if value.denominator != 1 else _jsonable(int(value))
     if isinstance(value, (Poly, Mod, ProjPoint)):
@@ -626,6 +630,7 @@ def main(argv=None) -> int:
             result = cmd_poly(args)
         else:  # pragma: no cover
             raise UsageError(f"unknown command {args.command!r}")
+        text = result.render(args.json)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -641,7 +646,7 @@ def main(argv=None) -> int:
     except RuntimeError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    print(result.render(args.json))
+    print(text)
     return EXIT_CHECK_FAILED if result.failed else EXIT_OK
 
 

@@ -8,13 +8,20 @@ apparent double points of the double curves, and the characteristic
 numbers of the two developables dual to those curves.  Every count here
 is a polynomial in n, so each cross-relation between them is checked as
 an exact polynomial identity (the symbolic mode) as well as at integer
-degrees.
+degrees.  The branch curve of a generic projection is solved from its
+degree, class and genus, and the dual table reads its circumscribed-cone
+block (dual degree, cone degree, node- and cusp-curve degrees) and the
+parabolic developable's class from that record, so those counts are
+written once.
 
 The projected-surface block expresses the analogous counts for a surface
 with ordinary singularities in P^3 through the four invariants
-(n, pi, p_a, K^2) of its normalization; the same functions accept either
-integers or polynomial generators, and the class formula equates with the
-Euler-number pencil count exactly through the Noether formula.
+(n, pi, p_a, K^2) of its normalization, and refuses inputs that give a
+negative or fractional degree, class or point count; the same functions
+accept either integers or polynomial generators, and the class formula
+equates with the Euler-number pencil count exactly through the Noether
+formula.  Its branch-curve block is a second route to the branch curve of
+a smooth surface, and the two are proved equal as polynomials in n.
 
 Everything is pure arithmetic over exact rationals; nothing here touches
 the polynomial-geometry kernel except through shared value types.
@@ -31,6 +38,7 @@ from .plucker import (
     PlaneCurveCharacters,
     complete_developable,
     solve_from_genus,
+    _require_count,
     _value,
 )
 from .polyring import QQ, DomainError, Poly, PolyRing
@@ -63,41 +71,15 @@ def _as_count(v):
 def branch_curve_characters(n) -> PlaneCurveCharacters:
     """Pluecker characters of the branch curve of a generic projection.
 
-    The closed forms in the surface degree are re-derived through a second
-    route (genus of the complete intersection of the surface with a first
-    polar, then the genus-and-class solve); any disagreement between the
-    two routes is a hard failure, not a report entry.
+    The curve is the image of the contour, the complete intersection of the
+    surface with a first polar: degree n(n-1), class n(n-1)^2 (the dual
+    degree) and 2g - 2 = n(n-1)(2n - 5); the genus-and-class solve gives the
+    rest.  ``verify_projection_pipelines`` checks the projected-table route.
     """
     v = _value(n)
     if isinstance(v, Fraction) and v < 2:
         raise DomainError("branch curve needs surface degree at least 2")
-    degree = v * (v - 1)
-    dual_degree = v * (v - 1) ** 2
-    nodes = v * (v - 1) * (v - 2) * (v - 3) / 2
-    cusps = v * (v - 1) * (v - 2)
-    bitangents = v * (v - 1) * (v - 2) * (v ** 3 - v ** 2 + v - 12) / 2
-    flexes = 4 * v * (v - 1) * (v - 2)
-    # Independent route: the pre-image is a complete intersection of
-    # degrees (n, n-1), so 2g - 2 = n(n-1)(2n - 5).
-    genus = v * (v - 1) * (2 * v - 5) / 2 + 1
-    solved = solve_from_genus(degree, dual_degree, genus)
-    for name, closed, derived in (
-        ("nodes", nodes, solved.nodes),
-        ("cusps", cusps, solved.cusps),
-        ("bitangents", bitangents, solved.bitangents),
-        ("flexes", flexes, solved.flexes),
-    ):
-        if not is_zero(closed - derived):
-            raise RuntimeError(f"branch-curve routes disagree on {name}")
-    return PlaneCurveCharacters(
-        degree=_as_count(degree),
-        dual_degree=_as_count(dual_degree),
-        nodes=_as_count(nodes),
-        cusps=_as_count(cusps),
-        bitangents=_as_count(bitangents),
-        flexes=_as_count(flexes),
-        genus=_as_count(genus),
-    )
+    return solve_from_genus(v * (v - 1), v * (v - 1) ** 2, v * (v - 1) * (2 * v - 5) / 2 + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -161,14 +143,15 @@ def _degree_value(n):
 def hessian_developable_characters(n) -> DevelopableCharacters:
     """Characters of the developable enveloped by parabolic tangent planes.
 
-    Degree, class, and stationary planes have closed forms; everything
-    else follows from the developable relation system, and the solved
+    Rank and stationary planes have closed forms, and the class (parabolic
+    tangent planes through a point) is the branch curve's flex count; the
+    rest follows from the developable relation system, and the solved
     order, stationary points, and apparent double points must reproduce
     their own closed forms exactly (a hard failure otherwise).
     """
     v = _degree_value(n)
     rank = 2 * v * (v - 2) * (3 * v - 4)
-    class_degree = 4 * v * (v - 1) * (v - 2)
+    class_degree = branch_curve_characters(v).flexes
     stationary_planes = 2 * v * (v - 2) * (11 * v - 24)
     chars, _ = complete_developable(r=rank, n=class_degree, alpha=stationary_planes)
     closed = {
@@ -190,10 +173,9 @@ def dual_surface_table(n) -> DualSurfaceTable:
     """All checked invariants of the dual surface, exact in n."""
     v = _degree_value(n)
     numeric = isinstance(v, Fraction)
-    dual_degree = v * (v - 1) ** 2
-    cone_degree = v * (v - 1)
-    node_curve = v * (v - 1) * (v - 2) * (v ** 3 - v ** 2 + v - 12) / 2
-    cusp_curve = 4 * v * (v - 1) * (v - 2)
+    # The circumscribed cone is the cone over the branch curve; its bitangent
+    # and stationary planes give the degrees of the dual's node and cusp curves.
+    branch = branch_curve_characters(v)
     flex_edges = 3 * v * (v - 2)
     node_meets = v * (v - 2) * (v ** 3 - v ** 2 + v - 12)
     cusp_meets = 4 * v * (v - 2)
@@ -241,7 +223,7 @@ def dual_surface_table(n) -> DualSurfaceTable:
     plain_meets = 0 * v
     rank_closed = v * (v - 2) * (v - 3) * (v ** 2 + 2 * v - 4)
     rank_adapted = (
-        node_curve * (node_curve - 1)
+        branch.bitangents * (branch.bitangents - 1)
         - 2 * node_apparent
         - 6 * tritangents
         - 3 * gammas
@@ -249,7 +231,7 @@ def dual_surface_table(n) -> DualSurfaceTable:
     if not is_zero(rank_closed - rank_adapted):
         raise RuntimeError("node-couple rank routes disagree")
     node_couple = NodeCoupleCharacters(
-        class_degree=_as_count(node_curve),
+        class_degree=branch.bitangents,
         apparent_double_points=_as_count(node_apparent),
         cusps=_as_count(gammas),
         triple_points=_as_count(tritangents),
@@ -268,10 +250,10 @@ def dual_surface_table(n) -> DualSurfaceTable:
             )
     return DualSurfaceTable(
         degree=_as_count(v),
-        dual_degree=_as_count(dual_degree),
-        cone_degree=_as_count(cone_degree),
-        node_curve=_as_count(node_curve),
-        cusp_curve=_as_count(cusp_curve),
+        dual_degree=branch.dual_degree,
+        cone_degree=branch.degree,
+        node_curve=branch.bitangents,
+        cusp_curve=branch.flexes,
         flex_edges=_as_count(flex_edges),
         node_meets=_as_count(node_meets),
         cusp_meets=_as_count(cusp_meets),
@@ -299,9 +281,10 @@ def verify_dual_relations(n) -> list:
 
     The table is substituted into the polar-cone edge relations (with the
     ambient degree replaced by the dual degree), the node-couple /
-    parabolic intersection count, and the three ordinary-edge relations;
-    the tritangent and apparent-double-point counts are additionally
-    re-derived from the relations and compared with their closed forms.
+    parabolic intersection count, and the three ordinary-edge relations.
+    The tritangent and node-curve apparent-point counts are the ones the
+    node-curve edge relations solve for, so their re-derived residuals are
+    those relations' residuals divided by the counts' coefficients.
     """
     v = _degree_value(n)
     t = dual_surface_table(v)
@@ -316,54 +299,39 @@ def verify_dual_relations(n) -> list:
     delta = _value(t.bitangent_edges)
     k_app, h_app = _value(t.node_apparent), _value(t.cusp_apparent)
     plain = _value(t.plain_meets)
-    checks = [
+    node_cuspidal = b * (nd - 2) - (rho + 2 * beta + 3 * gamma + 3 * tri)
+    node_ordinary = b * (nd - 2) * (nd - 3) - (
+        4 * k_app + a * b + 3 * b * c - 9 * beta - 6 * gamma - 3 * plain - 2 * rho
+    )
+    return [
         residual_zero("polar cone degree splits", nd * (nd - 1) - (a + 2 * b + 3 * c)),
         residual_zero(
             "cuspidal edges on the circumscribed cone",
             a * (nd - 2) - (kappa + rho + 2 * sigma),
         ),
-        residual_zero(
-            "cuspidal edges along the node curve",
-            b * (nd - 2) - (rho + 2 * beta + 3 * gamma + 3 * tri),
-        ),
+        residual_zero("cuspidal edges along the node curve", node_cuspidal),
         residual_zero(
             "cuspidal edges along the cusp curve",
             c * (nd - 2) - (2 * sigma + 4 * beta + gamma),
         ),
         residual_zero(
             "node-couple meets the parabolic curve",
-            v * (v - 2) * (v ** 3 - v ** 2 + v - 12) * 4 * (v - 2)
-            - (2 * beta + gamma),
+            rho * 4 * (v - 2) - (2 * beta + gamma),
         ),
         residual_zero(
             "ordinary edges on the circumscribed cone",
             a * (nd - 2) * (nd - 3)
             - (2 * delta + 2 * a * b + 3 * a * c - 4 * rho - 9 * sigma),
         ),
-        residual_zero(
-            "ordinary edges along the node curve",
-            b * (nd - 2) * (nd - 3)
-            - (4 * k_app + a * b + 3 * b * c - 9 * beta - 6 * gamma - 3 * plain - 2 * rho),
-        ),
+        residual_zero("ordinary edges along the node curve", node_ordinary),
         residual_zero(
             "ordinary edges along the cusp curve",
             c * (nd - 2) * (nd - 3)
             - (6 * h_app + a * c + 2 * b * c - 6 * beta - 4 * gamma - 2 * plain - 3 * sigma),
         ),
+        residual_zero("tritangents re-derived", node_cuspidal / 3),
+        residual_zero("node-curve apparent points re-derived", node_ordinary / 4),
     ]
-    derived_tri = (b * (nd - 2) - rho - 2 * beta - 3 * gamma) / 3
-    checks.append(residual_zero("tritangents re-derived", derived_tri - tri))
-    derived_k = (
-        b * (nd - 2) * (nd - 3)
-        - a * b
-        - 3 * b * c
-        + 9 * beta
-        + 6 * gamma
-        + 3 * plain
-        + 2 * rho
-    ) / 4
-    checks.append(residual_zero("node-curve apparent points re-derived", derived_k - k_app))
-    return checks
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +372,12 @@ class ProjectedSurfaceTable:
 
 
 def projected_surface_table(n, pi, pa, ksq) -> ProjectedSurfaceTable:
+    """The table for the invariants (n, pi, p_a, K^2) of the normalization.
+
+    Every degree, class and point count must come out a nonnegative
+    integer, or the inputs describe no surface (a ``DomainError`` naming
+    the first bad entry); genera, K^2 and c2 may be negative.
+    """
     n, pi, pa, ksq = _value(n), _value(pi), _value(pa), _value(ksq)
     class_degree = n + 4 * pi + 12 * pa - ksq + 8
     double_curve = (n - 1) * (n - 2) / 2 - pi
@@ -467,23 +441,23 @@ def projected_surface_table(n, pi, pa, ksq) -> ProjectedSurfaceTable:
         ),
     )
     return ProjectedSurfaceTable(
-        degree=_as_count(n),
+        degree=_require_count("degree", n, least=1),
         section_genus=_as_count(pi),
         arithmetic_genus=_as_count(pa),
         canonical_square=_as_count(ksq),
         chern_c2=_as_count(chern_c2),
-        class_degree=_as_count(class_degree),
-        double_curve=_as_count(double_curve),
+        class_degree=_require_count("class", class_degree),
+        double_curve=_require_count("double_curve", double_curve),
         double_genus=_as_count(double_genus),
         neutral_genus=_as_count(neutral_genus),
-        triple_points=_as_count(triple_points),
-        pinch_points=_as_count(pinch_points),
-        branch_degree=_as_count(branch_degree),
+        triple_points=_require_count("triple_points", triple_points),
+        pinch_points=_require_count("pinch_points", pinch_points),
+        branch_degree=_require_count("branch_degree", branch_degree),
         branch_genus=_as_count(branch_genus),
-        nodes=_as_count(nodes),
-        cusps=_as_count(cusps),
-        bitangents=_as_count(bitangents),
-        flexes=_as_count(flexes),
+        nodes=_require_count("nodes", nodes),
+        cusps=_require_count("cusps", cusps),
+        bitangents=_require_count("bitangents", bitangents),
+        flexes=_require_count("flexes", flexes),
         checks=checks,
     )
 
@@ -497,12 +471,12 @@ def verify_noether_equivalence() -> Check:
     """
     ring = PolyRing(("n", "pi", "pa", "ksq", "c2"), QQ)
     n, pi, pa, ksq, c2 = ring.gens()
+    table = projected_surface_table(n, pi, pa, ksq)
     pencil = c2 + n + 4 * pi - 4
-    polars = n + 4 * pi + 12 * pa - ksq + 8
-    noether_residual = 12 * (1 + pa) - ksq - c2
+    noether_residual = table.chern_c2 - c2
     return residual_zero(
         "Noether equivalence of the class formulas",
-        (pencil - polars) + noether_residual,
+        (pencil - table.class_degree) + noether_residual,
     )
 
 

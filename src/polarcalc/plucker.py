@@ -81,13 +81,17 @@ class PlaneCurveCharacters:
 
 
 # The Pluecker pair: class and flex count of a plane curve with ordinary
-# nodes and cusps.
+# nodes and cusps; beside it, the genus of such a curve.
 def _plane_class(degree, nodes, cusps):
     return degree * (degree - 1) - 2 * nodes - 3 * cusps
 
 
 def _plane_flexes(degree, nodes, cusps):
     return 3 * degree * (degree - 2) - 6 * nodes - 8 * cusps
+
+
+def _plane_genus(degree, nodes, cusps):
+    return (degree - 1) * (degree - 2) / 2 - nodes - cusps
 
 
 def _counted_plane_characters(*values) -> PlaneCurveCharacters:
@@ -103,7 +107,7 @@ def complete_plane_characters(n, nodes, cusps) -> PlaneCurveCharacters:
         raise DomainError("degree must be at least 2")
     dual, flexes = _plane_class(n, d, k), _plane_flexes(n, d, k)
     bitangents = (_plane_class(dual, 0, flexes) - n) / 2
-    genus = (n - 1) * (n - 2) / 2 - d - k
+    genus = _plane_genus(n, d, k)
     return _counted_plane_characters(n, dual, d, k, bitangents, flexes, genus)
 
 
@@ -114,10 +118,10 @@ def solve_from_genus(degree, dual_degree, genus) -> PlaneCurveCharacters:
     duality: a 2 x 2 integer linear solve for each pair.
     """
     n, nd, g = _value(degree), _value(dual_degree), _value(genus)
-    nodes_plus_cusps = (n - 1) * (n - 2) / 2 - g
+    nodes_plus_cusps = _plane_genus(n, 0, 0) - g
     cusps = n * (n - 1) - nd - 2 * nodes_plus_cusps
     nodes = nodes_plus_cusps - cusps
-    bi_plus_flex = (nd - 1) * (nd - 2) / 2 - g
+    bi_plus_flex = _plane_genus(nd, 0, 0) - g
     flexes = nd * (nd - 1) - n - 2 * bi_plus_flex
     bitangents = bi_plus_flex - flexes
     return _counted_plane_characters(n, nd, nodes, cusps, bitangents, flexes, g)
@@ -133,8 +137,7 @@ def plucker_residuals(chars: PlaneCurveCharacters) -> Dict[str, object]:
         "G1": (3 * n - k) - (3 * nd - f),
         "G2": n * (n - 2) + nd * (nd - 2) - (2 * d + 3 * k + 2 * b + 3 * f),
         "G3": 18 * (d - b) - (k - f) * ((k - f) + 6 * nd - 27),
-        "genus": ((n - 1) * (n - 2) / 2 - d - k)
-        - ((nd - 1) * (nd - 2) / 2 - b - f),
+        "genus": _plane_genus(n, d, k) - _plane_genus(nd, b, f),
     }
 
 
@@ -425,6 +428,7 @@ class DeJonquieresProblem:
 
 
 def dejonquieres_problem(degree: int, genus: int, multiplicities: Mapping[int, int]):
+    _require_count("genus", _value(genus))
     filled = {int(s): int(ms) for s, ms in multiplicities.items() if ms}
     if any(s < 1 or ms < 0 for s, ms in filled.items()):
         raise DomainError("multiplicities must map s >= 1 to counts >= 0")

@@ -61,7 +61,7 @@ def test_criterion_02_classical_cross_anchors():
     assert (chars.dual_degree, chars.flexes, chars.bitangents) == (12, 24, 28)
     assert branch_curve_characters(3).as_tuple() == (6, 12, 0, 6, 27, 24)
     assert branch_curve_characters(4).as_tuple() == (12, 36, 12, 24, 480, 96)
-    branch_curve_characters(symbolic_degree())  # route agreement is internal
+    branch_curve_characters(symbolic_degree())  # second route: criterion 6's pipeline check
     _report(2, "28 bitangents, smooth-quartic characters, branch curves both routes")
 
 

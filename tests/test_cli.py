@@ -258,6 +258,30 @@ class TestPolyCommand:
         assert out == ""
         assert err.startswith(f"domain error: {name} = ")
 
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            ("poly dejonquieres --m=4 --genus=-1 --mult=2:1", "genus"),
+            ("invariants projected --n=4 --pi=7 --pa=5 --ksq=1000", "class"),
+            ("invariants projected --n=0 --pi=0 --pa=0 --ksq=0", "degree"),
+        ],
+    )
+    def test_domain_input_names_the_bad_entry(self, capsys, argv, name):
+        code, out, err = run(capsys, *argv.split())
+        assert code == 3
+        assert out == ""
+        assert err.startswith(f"domain error: {name} = ")
+
+    def test_float_in_json_is_an_internal_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "flecnodal_member", lambda F, point: 0.5)
+        code, out, err = run(
+            capsys, "poly", "flecnodal", "--expr", "x^3+y^3+z^3+w^3",
+            "--point", "1,-1,1,-1", "--json",
+        )
+        assert code == 4
+        assert out == ""
+        assert err == "internal error: float 0.5 in the JSON document\n"
+
     def test_internal_error_exit(self, capsys, monkeypatch):
         def disagree(F):
             raise RuntimeError("the two routes disagree")

@@ -46,6 +46,9 @@ COMMANDS = [
     'poly contact --expr "x*w-y*z" --point 1,0,0,0',
     'poly contact --expr="-324781/3125*x^5 - 2*x^3*y^2 - x^2*y^3 - 4*x^3*y*z - 2*y*z^4'
     ' + 7*x^3*z*w + 8*x*w^4" --point=5,-8,-7,-9',
+    "invariants branch --degree 2",
+    "invariants surface --degree 3",
+    "invariants surface --degree 1000000000000000000000",
 ]
 
 TEXT_CASES = [

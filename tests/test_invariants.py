@@ -26,10 +26,24 @@ class TestBranchCurve:
 
     def test_symbolic_route_agreement(self):
         chars = branch_curve_characters(symbolic_degree())
-        # the second route runs inside; reaching here means zero difference
+        # the second route, through the projected table, is criterion 6's
+        # pipeline check (verify_projection_pipelines)
         assert isinstance(chars.cusps, Poly)
         n = symbolic_degree()
         assert chars.cusps == n * (n - 1) * (n - 2)
+
+    def test_symbolic_closed_forms(self):
+        n = symbolic_degree()
+        chars = branch_curve_characters(n)
+        assert chars.as_tuple() + (chars.genus,) == (
+            n * (n - 1),
+            n * (n - 1) ** 2,
+            n * (n - 1) * (n - 2) * (n - 3) / 2,
+            n * (n - 1) * (n - 2),
+            n * (n - 1) * (n - 2) * (n ** 3 - n ** 2 + n - 12) / 2,
+            4 * n * (n - 1) * (n - 2),
+            n * (n - 1) * (2 * n - 5) / 2 + 1,
+        )
 
     def test_degree_too_small(self):
         with pytest.raises(DomainError):
@@ -85,6 +99,15 @@ class TestDualSurfaceTable:
     def test_degree_below_range(self):
         with pytest.raises(DomainError):
             dual_surface_table(2)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, "symbolic"])
+    def test_cone_block_is_the_branch_record(self, n):
+        n = symbolic_degree() if n == "symbolic" else n
+        t, branch = dual_surface_table(n), branch_curve_characters(n)
+        assert (t.dual_degree, t.cone_degree, t.node_curve, t.cusp_curve) == (
+            branch.dual_degree, branch.degree, branch.bitangents, branch.flexes,
+        )
+        assert t.hessian.n == branch.flexes
 
     def test_wrong_gamma_variant_breaks_the_intersection_count(self):
         # the n^3 - 3n - 16 variant fails Kn . He = 2 beta + gamma at n = 4
@@ -194,6 +217,26 @@ class TestProjectedSurfaces:
         assert t.class_degree == 80
         assert t.double_curve == 0
         assert all_ok(t.checks)
+
+    @pytest.mark.parametrize(
+        "inputs, message",
+        [
+            ((4, 7, 5, 1000), "class = -900 is negative"),
+            ((0, 0, 0, 0), "degree = 0 is below 1"),
+            ((4, 4, 0, 9), "double_curve = -1 is negative"),
+        ],
+    )
+    def test_invalid_inputs_name_the_entry(self, inputs, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            projected_surface_table(*inputs)
+
+    def test_smooth_and_veronese_inputs_are_valid(self):
+        for n in range(1, 13):
+            projected_surface_table(
+                n, (n - 1) * (n - 2) // 2, (n - 1) * (n - 2) * (n - 3) // 6, n * (n - 4) ** 2
+            )
+        for d in range(2, 7):
+            projected_surface_table(d * d, (d - 1) * (d - 2) // 2, 0, 9)
 
     def test_pipeline_agreement_symbolic(self):
         assert all_ok(verify_projection_pipelines())

@@ -255,6 +255,10 @@ class TestDeJonquieres:
         assert problem.multiplicities == {1: 2, 2: 1}
         assert problem.dimension == 1
 
+    def test_negative_genus_is_refused(self):
+        with pytest.raises(DomainError, match=r"^genus = -1 is negative$"):
+            dejonquieres_problem(4, -1, {2: 1})
+
     def test_examples(self):
         assert dejonquieres_count(4, 0, {2: 1}) == 6
         assert dejonquieres_count(3, 1, {2: 1}) == 6
