@@ -296,7 +296,7 @@ def cmd_invariants(args) -> CommandResult:
         result = CommandResult("invariants surface", {"degree": args.degree})
         table = invariants.dual_surface_table(args.degree)
         result.results = _record(table)
-        result.add_checks(invariants.verify_dual_relations(args.degree))
+        result.add_checks(table.checks)
         for message in table.warnings:
             result.add_checks([warn("table warning", message)])
         return result

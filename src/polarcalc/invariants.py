@@ -8,11 +8,14 @@ apparent double points of the double curves, and the characteristic
 numbers of the two developables dual to those curves.  Every count here
 is a polynomial in n, so each cross-relation between them is checked as
 an exact polynomial identity (the symbolic mode) as well as at integer
-degrees.  The branch curve of a generic projection is solved from its
-degree, class and genus, and the dual table reads its circumscribed-cone
-block (dual degree, cone degree, node- and cusp-curve degrees) and the
-parabolic developable's class from that record, so those counts are
-written once.
+degrees; the table carries those checks, built from the values it has
+just computed.  The branch curve of a generic projection is solved once
+per table from its degree, class and genus, and the table reads its
+circumscribed-cone block (dual degree, cone degree, node- and cusp-curve
+degrees) and the parabolic developable's class from that record, so those
+counts are written once.  Closed forms that the test suite proves for
+every n (the parabolic developable's order, stationary points and
+apparent double points, the node-couple rank) are not re-derived per call.
 
 The projected-surface block expresses the analogous counts for a surface
 with ordinary singularities in P^3 through the four invariants
@@ -20,8 +23,9 @@ with ordinary singularities in P^3 through the four invariants
 negative or fractional degree, class or point count; the same functions
 accept either integers or polynomial generators, and the class formula
 equates with the Euler-number pencil count exactly through the Noether
-formula.  Its branch-curve block is a second route to the branch curve of
-a smooth surface, and the two are proved equal as polynomials in n.
+formula.  Its seven relations are proved as polynomial identities in all
+four invariants.  Its branch-curve block is a second route to the branch
+curve of a smooth surface, and the two are proved equal as polynomials in n.
 
 Everything is pure arithmetic over exact rationals; nothing here touches
 the polynomial-geometry kernel except through shared value types.
@@ -42,7 +46,7 @@ from .plucker import (
     _value,
 )
 from .polyring import QQ, DomainError, Poly, PolyRing
-from .reporting import Check, is_zero, residual_zero
+from .reporting import Check, residual_zero
 
 DEGREE_RING = PolyRing(("n",), QQ)
 PROJECTED_RING = PolyRing(("n", "pi", "pa", "ksq"), QQ)
@@ -130,6 +134,7 @@ class DualSurfaceTable:
     flecnodal_nodes: object  # double points of the flecnodal curve
     flecnodal_tangencies: object  # higher-flex contacts with asymptotic lines
     warnings: Tuple[str, ...]
+    checks: Tuple[Check, ...]
 
 
 def _degree_value(n):
@@ -145,41 +150,38 @@ def hessian_developable_characters(n) -> DevelopableCharacters:
 
     Rank and stationary planes have closed forms, and the class (parabolic
     tangent planes through a point) is the branch curve's flex count; the
-    rest follows from the developable relation system, and the solved
-    order, stationary points, and apparent double points must reproduce
-    their own closed forms exactly (a hard failure otherwise).
+    developable relation system gives the rest.  The closed forms of the
+    solved order, stationary points and apparent double points are proved
+    as polynomial identities in n by the test suite, not per call.
     """
-    v = _degree_value(n)
-    rank = 2 * v * (v - 2) * (3 * v - 4)
-    class_degree = branch_curve_characters(v).flexes
-    stationary_planes = 2 * v * (v - 2) * (11 * v - 24)
-    chars, _ = complete_developable(r=rank, n=class_degree, alpha=stationary_planes)
-    closed = {
-        "m": 4 * v * (v - 2) * (7 * v - 15),
-        "beta": 10 * v * (v - 2) * (7 * v - 16),
-        "g": 2 * v * (v - 2) * (4 * v ** 4 - 16 * v ** 3 + 20 * v ** 2 - 27 * v + 39),
-        "h": 2
-        * v
-        * (v - 2)
-        * (196 * v ** 4 - 1232 * v ** 3 + 2580 * v ** 2 - 1861 * v + 137),
-    }
-    for name, expected in closed.items():
-        if not is_zero(getattr(chars, name) - expected):
-            raise RuntimeError(f"developable closure disagrees on {name}")
-    return chars
+    return dual_surface_table(n).hessian
 
 
 def dual_surface_table(n) -> DualSurfaceTable:
-    """All checked invariants of the dual surface, exact in n."""
+    """All checked invariants of the dual surface, exact in n.
+
+    ``checks`` holds the residuals of every cross-relation of the table:
+    the polar-cone edge relations (with the ambient degree replaced by the
+    dual degree), the node-couple / parabolic intersection count, and the
+    three ordinary-edge relations.  The tritangent and node-curve
+    apparent-point counts are the ones the node-curve edge relations solve
+    for, so their re-derived residuals are those relations' residuals
+    divided by the counts' coefficients.
+    """
     v = _degree_value(n)
     numeric = isinstance(v, Fraction)
     # The circumscribed cone is the cone over the branch curve; its bitangent
     # and stationary planes give the degrees of the dual's node and cusp curves.
     branch = branch_curve_characters(v)
+    nd, a, b, c = branch.dual_degree, branch.degree, branch.bitangents, branch.flexes
     flex_edges = 3 * v * (v - 2)
     node_meets = v * (v - 2) * (v ** 3 - v ** 2 + v - 12)
     cusp_meets = 4 * v * (v - 2)
-    hessian = hessian_developable_characters(v)
+    # the parabolic developable: rank and stationary planes in closed form,
+    # class (parabolic tangent planes through a point) the branch flex count
+    hessian, _ = complete_developable(
+        r=2 * v * (v - 2) * (3 * v - 4), n=c, alpha=2 * v * (v - 2) * (11 * v - 24)
+    )
     # notational collisions resolved by aliasing: the swallowtail count is
     # the stationary-plane count of the parabolic developable, and the
     # cusp-curve apparent double points are its dual apparent nodes
@@ -221,21 +223,12 @@ def dual_surface_table(n) -> DualSurfaceTable:
         / 8
     )
     plain_meets = 0 * v
-    rank_closed = v * (v - 2) * (v - 3) * (v ** 2 + 2 * v - 4)
-    rank_adapted = (
-        branch.bitangents * (branch.bitangents - 1)
-        - 2 * node_apparent
-        - 6 * tritangents
-        - 3 * gammas
-    )
-    if not is_zero(rank_closed - rank_adapted):
-        raise RuntimeError("node-couple rank routes disagree")
     node_couple = NodeCoupleCharacters(
-        class_degree=branch.bitangents,
+        class_degree=b,
         apparent_double_points=_as_count(node_apparent),
         cusps=_as_count(gammas),
         triple_points=_as_count(tritangents),
-        rank=_as_count(rank_closed),
+        rank=_as_count(b * (b - 1) - 2 * node_apparent - 6 * tritangents - 3 * gammas),
     )
     flecnodal_nodes = 5 * v * (7 * v ** 2 - 28 * v + 30)
     flecnodal_tangencies = 5 * v * (v - 4) * (7 * v - 12)
@@ -248,12 +241,48 @@ def dual_surface_table(n) -> DualSurfaceTable:
                 "flecnodal tangency count is negative below degree 4 "
                 "(the formula presumes a general surface of degree >= 4)"
             )
+    node_cuspidal = b * (nd - 2) - (node_meets + 2 * swallowtails + 3 * gammas + 3 * tritangents)
+    node_ordinary = b * (nd - 2) * (nd - 3) - (
+        4 * node_apparent + a * b + 3 * b * c
+        - 9 * swallowtails - 6 * gammas - 3 * plain_meets - 2 * node_meets
+    )
+    checks = (
+        residual_zero("polar cone degree splits", nd * (nd - 1) - (a + 2 * b + 3 * c)),
+        residual_zero(
+            "cuspidal edges on the circumscribed cone",
+            a * (nd - 2) - (flex_edges + node_meets + 2 * cusp_meets),
+        ),
+        residual_zero("cuspidal edges along the node curve", node_cuspidal),
+        residual_zero(
+            "cuspidal edges along the cusp curve",
+            c * (nd - 2) - (2 * cusp_meets + 4 * swallowtails + gammas),
+        ),
+        residual_zero(
+            "node-couple meets the parabolic curve",
+            node_meets * 4 * (v - 2) - (2 * swallowtails + gammas),
+        ),
+        residual_zero(
+            "ordinary edges on the circumscribed cone",
+            a * (nd - 2) * (nd - 3)
+            - (2 * bitangent_edges + 2 * a * b + 3 * a * c - 4 * node_meets - 9 * cusp_meets),
+        ),
+        residual_zero("ordinary edges along the node curve", node_ordinary),
+        residual_zero(
+            "ordinary edges along the cusp curve",
+            c * (nd - 2) * (nd - 3) - (
+                6 * cusp_apparent + a * c + 2 * b * c
+                - 6 * swallowtails - 4 * gammas - 2 * plain_meets - 3 * cusp_meets
+            ),
+        ),
+        residual_zero("tritangents re-derived", node_cuspidal / 3),
+        residual_zero("node-curve apparent points re-derived", node_ordinary / 4),
+    )
     return DualSurfaceTable(
         degree=_as_count(v),
-        dual_degree=branch.dual_degree,
-        cone_degree=branch.degree,
-        node_curve=branch.bitangents,
-        cusp_curve=branch.flexes,
+        dual_degree=nd,
+        cone_degree=a,
+        node_curve=b,
+        cusp_curve=c,
         flex_edges=_as_count(flex_edges),
         node_meets=_as_count(node_meets),
         cusp_meets=_as_count(cusp_meets),
@@ -269,6 +298,7 @@ def dual_surface_table(n) -> DualSurfaceTable:
         flecnodal_nodes=_as_count(flecnodal_nodes),
         flecnodal_tangencies=_as_count(flecnodal_tangencies),
         warnings=tuple(warnings),
+        checks=checks,
     )
 
 
@@ -277,61 +307,8 @@ def nodecouple_characters(n) -> NodeCoupleCharacters:
 
 
 def verify_dual_relations(n) -> list:
-    """Residuals of every cross-relation of the dual-surface table.
-
-    The table is substituted into the polar-cone edge relations (with the
-    ambient degree replaced by the dual degree), the node-couple /
-    parabolic intersection count, and the three ordinary-edge relations.
-    The tritangent and node-curve apparent-point counts are the ones the
-    node-curve edge relations solve for, so their re-derived residuals are
-    those relations' residuals divided by the counts' coefficients.
-    """
-    v = _degree_value(n)
-    t = dual_surface_table(v)
-    nd = _value(t.dual_degree)
-    a, b, c = _value(t.cone_degree), _value(t.node_curve), _value(t.cusp_curve)
-    kappa, rho, sigma = (
-        _value(t.flex_edges),
-        _value(t.node_meets),
-        _value(t.cusp_meets),
-    )
-    beta, gamma, tri = _value(t.swallowtails), _value(t.gammas), _value(t.tritangents)
-    delta = _value(t.bitangent_edges)
-    k_app, h_app = _value(t.node_apparent), _value(t.cusp_apparent)
-    plain = _value(t.plain_meets)
-    node_cuspidal = b * (nd - 2) - (rho + 2 * beta + 3 * gamma + 3 * tri)
-    node_ordinary = b * (nd - 2) * (nd - 3) - (
-        4 * k_app + a * b + 3 * b * c - 9 * beta - 6 * gamma - 3 * plain - 2 * rho
-    )
-    return [
-        residual_zero("polar cone degree splits", nd * (nd - 1) - (a + 2 * b + 3 * c)),
-        residual_zero(
-            "cuspidal edges on the circumscribed cone",
-            a * (nd - 2) - (kappa + rho + 2 * sigma),
-        ),
-        residual_zero("cuspidal edges along the node curve", node_cuspidal),
-        residual_zero(
-            "cuspidal edges along the cusp curve",
-            c * (nd - 2) - (2 * sigma + 4 * beta + gamma),
-        ),
-        residual_zero(
-            "node-couple meets the parabolic curve",
-            rho * 4 * (v - 2) - (2 * beta + gamma),
-        ),
-        residual_zero(
-            "ordinary edges on the circumscribed cone",
-            a * (nd - 2) * (nd - 3)
-            - (2 * delta + 2 * a * b + 3 * a * c - 4 * rho - 9 * sigma),
-        ),
-        residual_zero("ordinary edges along the node curve", node_ordinary),
-        residual_zero(
-            "ordinary edges along the cusp curve",
-            c * (nd - 2) * (nd - 3)
-            - (6 * h_app + a * c + 2 * b * c - 6 * beta - 4 * gamma - 2 * plain - 3 * sigma),
-        ),
-        residual_zero("tritangents re-derived", node_cuspidal / 3),
-        residual_zero("node-curve apparent points re-derived", node_ordinary / 4),
-    ]
+    """Residuals of every cross-relation of the dual-surface table: its ``checks``."""
+    return list(dual_surface_table(n).checks)
 
 
 # ---------------------------------------------------------------------------
@@ -481,19 +458,22 @@ def verify_noether_equivalence() -> Check:
 
 
 def verify_projection_pipelines() -> list:
-    """Branch characters through the projected table equal the direct ones.
+    """The projected table's identities, and its branch route for smooth surfaces.
 
-    Substituting the smooth-surface data (section genus, arithmetic genus,
-    K^2 of a smooth degree-n surface in P^3) must reproduce the branch
-    curve characters as polynomial identities in n.
+    The seven projected-table relations are proved as polynomial identities
+    in all four invariants (n, pi, p_a, K^2).  Substituting the
+    smooth-surface data (section genus, arithmetic genus, K^2 of a smooth
+    degree-n surface in P^3) must then reproduce the branch curve
+    characters as polynomial identities in n.
     """
+    general = projected_surface_table(*PROJECTED_RING.gens())
+    checks = [residual_zero(f"projected-table identity: {c.name}", c.lhs) for c in general.checks]
     v = symbolic_degree()
     section_genus = (v - 1) * (v - 2) / 2
     arithmetic_genus = (v - 1) * (v - 2) * (v - 3) / 6
     canonical_square = v * (v - 4) ** 2
     table = projected_surface_table(v, section_genus, arithmetic_genus, canonical_square)
     branch = branch_curve_characters(v)
-    checks = [residual_zero(f"projected-table identity: {c.name}", c.lhs) for c in table.checks]
     for name, lhs, rhs in (
         ("branch degree", table.branch_degree, branch.degree),
         ("class", table.class_degree, branch.dual_degree),

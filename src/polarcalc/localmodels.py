@@ -80,7 +80,8 @@ def stratum_model(model_id: str) -> StratumModel:
     if model_id == SWALLOWTAIL:
         return StratumModel(
             id=SWALLOWTAIL,
-            discriminant=tacnode_discriminant(),
+            # ``verify models`` proves the resultant route equal to this form
+            discriminant=reference_discriminant(),
             cuspidal=CurveModel(
                 "cuspidal",
                 (_p("-6*u^2"), _p("8*u^3"), _p("-3*u^4")),

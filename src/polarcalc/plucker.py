@@ -325,7 +325,10 @@ class RankProfile:
     """Degrees r_0..r_{N-1} of the osculating varieties of a curve in P^N.
 
     k[i] totals the i-th hyperosculation jumps (k_1..k_N), constrained by
-    the closing relation sum (N-j+1) k_j = (N+1)(m + N(genus-1)).
+    the closing relation sum (N-j+1) k_j = (N+1)(m + N(genus-1)).  The
+    ranks telescope, r_(i-1) - 2 r_i + r_(i+1) = 2g - 2 - k_(i+1) with
+    r_(-1) = r_N = 0; the test suite proves this and the duality below as
+    polynomial identities for N = 2..6.
     """
 
     dim: int
@@ -335,14 +338,8 @@ class RankProfile:
     ranks: Tuple[object, ...]
 
     def dual(self) -> "RankProfile":
-        """Profile of the osculating dual: ranks reversed, jumps reversed."""
-        dual_profile = rank_profile(
-            self.dim, self.ranks[-1], self.genus, tuple(reversed(self.k))
-        )
-        expected = tuple(reversed(self.ranks))
-        if dual_profile.ranks != expected:
-            raise RuntimeError("rank duality failed the independent recomputation")
-        return dual_profile
+        """Profile of the osculating dual: jumps reversed, so ranks reversed."""
+        return rank_profile(self.dim, self.ranks[-1], self.genus, tuple(reversed(self.k)))
 
 
 def rank_profile(dim: int, degree, genus, k: Sequence) -> RankProfile:
@@ -370,14 +367,6 @@ def rank_profile(dim: int, degree, genus, k: Sequence) -> RankProfile:
             r = r - (i - j + 1) * k[j - 1]
         # r_(N-1) is the degree of the dual curve, so it obeys the degree bound.
         ranks.append(_require_count(f"r_{i}", r, least=1 if i == dim - 1 else 0))
-    # Telescoping consistency, with r_N = r_(-1) = 0.
-    padded = [0 * m] + ranks + [0 * m]
-    for i in range(dim):
-        residual = (
-            padded[i] - 2 * padded[i + 1] + padded[i + 2] - (2 * g - 2 - k[i])
-        )
-        if not is_zero(residual):
-            raise RuntimeError(f"telescoping relation failed at i={i}")
     return RankProfile(dim, _require_count("degree", m), g, k, tuple(ranks))
 
 
@@ -428,6 +417,7 @@ class DeJonquieresProblem:
 
 
 def dejonquieres_problem(degree: int, genus: int, multiplicities: Mapping[int, int]):
+    _require_count("degree", _value(degree), least=1)
     _require_count("genus", _value(genus))
     filled = {int(s): int(ms) for s, ms in multiplicities.items() if ms}
     if any(s < 1 or ms < 0 for s, ms in filled.items()):

@@ -31,6 +31,24 @@ class TestInvariantsCommand:
         assert doc["results"]["node_apparent"] == "102400"
         assert all(c["status"] == "pass" for c in doc["checks"])
 
+    def test_surface_table_is_built_once(self, capsys, monkeypatch):
+        calls = {"dual_surface_table": 0, "solve_from_genus": 0}
+
+        def counted(name):
+            original = getattr(cli.invariants, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(cli.invariants, name, wrapper)
+
+        counted("dual_surface_table")
+        counted("solve_from_genus")
+        code, _, _ = run(capsys, "invariants", "surface", "--degree", "5")
+        assert code == 0
+        assert calls == {"dual_surface_table": 1, "solve_from_genus": 1}
+
     def test_projected_steiner(self, capsys):
         code, doc, _ = run_json(
             capsys, "invariants", "projected",
@@ -262,6 +280,8 @@ class TestPolyCommand:
         "argv, name",
         [
             ("poly dejonquieres --m=4 --genus=-1 --mult=2:1", "genus"),
+            ("poly dejonquieres --m=0 --genus=0 --mult=2:0", "degree"),
+            ("poly dejonquieres --m=-3 --genus=0 --mult=2:1", "degree"),
             ("invariants projected --n=4 --pi=7 --pa=5 --ksq=1000", "class"),
             ("invariants projected --n=0 --pi=0 --pa=0 --ksq=0", "degree"),
         ],

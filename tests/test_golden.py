@@ -49,6 +49,9 @@ COMMANDS = [
     "invariants branch --degree 2",
     "invariants surface --degree 3",
     "invariants surface --degree 1000000000000000000000",
+    "poly rank-profile --m 6 --genus 2 --k 0,2,32",
+    "poly rank-profile --m 4 --genus 1 --k 0,12 --dim 2",
+    "invariants developable --degree 1000000000000000000000",
 ]
 
 TEXT_CASES = [

@@ -3,6 +3,7 @@
 import pytest
 
 from polarcalc.invariants import (
+    PROJECTED_RING,
     branch_curve_characters,
     dual_surface_table,
     hessian_developable_characters,
@@ -240,6 +241,14 @@ class TestProjectedSurfaces:
 
     def test_pipeline_agreement_symbolic(self):
         assert all_ok(verify_projection_pipelines())
+
+    def test_pipeline_proves_the_identities_in_all_four_invariants(self):
+        identities = [
+            c for c in verify_projection_pipelines()
+            if c.name.startswith("projected-table identity: ")
+        ]
+        assert len(identities) == 7
+        assert all(c.lhs.ring is PROJECTED_RING and c.ok for c in identities)
 
     def test_noether_equivalence(self):
         assert verify_noether_equivalence().ok

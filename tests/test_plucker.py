@@ -242,6 +242,20 @@ class TestRankProfiles:
         with pytest.raises(DomainError, match=r"^r_1 = 0 is below 1"):
             rank_profile(2, 1, 2, (4, 1))
 
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+    def test_symbolic_telescoping_and_duality(self, dim):
+        ring = PolyRing(("m", "g") + tuple(f"k{i}" for i in range(1, dim)), QQ)
+        m, g, *k = ring.gens()
+        # k_N from the closing relation sum (N-j+1) k_j = (N+1)(m + N(g-1))
+        k.append((dim + 1) * (m + dim * (g - 1))
+                 - sum((dim - j + 1) * k[j - 1] for j in range(1, dim)))
+        profile = rank_profile(dim, m, g, k)
+        padded = [0 * m, *profile.ranks, 0 * m]
+        for i in range(dim):
+            assert padded[i] - 2 * padded[i + 1] + padded[i + 2] == 2 * g - 2 - k[i]
+        assert profile.dual().ranks == tuple(reversed(profile.ranks))
+        assert profile.dual().dual() == profile
+
     def test_plane_curve_case_matches_plucker(self):
         # smooth plane quartic as a curve in P^2: k_1 = cusps, k_2 = flexes
         chars = complete_plane_characters(4, 0, 0)
