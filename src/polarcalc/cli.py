@@ -30,6 +30,7 @@ identity-check mode for its property batches.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from dataclasses import fields
@@ -97,13 +98,29 @@ def _jsonable(value):
     return str(value)
 
 
+@contextlib.contextmanager
+def _all_digits():
+    """Lift Python's cap (3.11+) on int-to-str digits while output is built.
+
+    Input literals keep the cap: reading a long one stays cheap to refuse.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _count_str(value):
     """Enumerative counts go out as decimal strings, whatever their size."""
-    if isinstance(value, Poly):
-        return str(value)
     if isinstance(value, Fraction) and value.denominator == 1:
         value = int(value)
-    return str(value)
+    with _all_digits():
+        return str(value)
 
 
 class CommandResult:
@@ -333,10 +350,14 @@ def _models_checks() -> list:
     reference = localmodels.reference_discriminant()
     status = PASS if disc == reference else FAIL
     checks.append(Check("tacnode discriminant matches the reference form", str(disc), str(reference), status))
-    for model in (localmodels.SWALLOWTAIL, localmodels.GAMMA, localmodels.TRIPLE_T):
+    models = [
+        localmodels.stratum_model(model_id)
+        for model_id in (localmodels.SWALLOWTAIL, localmodels.GAMMA, localmodels.TRIPLE_T)
+    ]
+    for model in models:
         for name, ok in localmodels.stratum_check(model):
             checks.append(Check(name, None, None, PASS if ok else FAIL))
-    sw = localmodels.stratum_model(localmodels.SWALLOWTAIL)
+    sw = models[0]
     contact = localmodels.contact_order(
         sw.ordinary.parametrization, sw.cuspidal.ideal, sw.ordinary.covering_degree
     )
@@ -630,7 +651,8 @@ def main(argv=None) -> int:
             result = cmd_poly(args)
         else:  # pragma: no cover
             raise UsageError(f"unknown command {args.command!r}")
-        text = result.render(args.json)
+        with _all_digits():
+            text = result.render(args.json)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -28,11 +28,9 @@ from .polarity import (
     _check_point,
     _check_surface,
     gradient_at,
-    line_multiplicity,
     tangent_directions,
 )
 from .polyring import (
-    INFINITY,
     DomainError,
     Poly,
     PolyRing,
@@ -284,18 +282,18 @@ def max_contact_order(F: Poly, q: ProjPoint) -> ContactReport:
     iii = strata[3] if d >= 3 else duo.zero()
     tail = strata[2:]
 
+    # F(q + T(u t1 + v t2)) = sum c_k(u, v) T^k with c_0 = F(q) = 0 and c_1
+    # zero on the tangent plane, so a common root of c_2..c_d is a line of
+    # the surface through q (q is off the span of t1, t2: q_ell != 0).
     common = _common_projective_roots(tail, duo)
     line_dir = None
     if common is None:
         # The whole tangent plane lies inside the surface.
         line_dir = t1
-    else:
-        for u0, v0 in common:
-            vec = [u0 * a + v0 * b for a, b in zip(t1.coords, t2.coords)]
-            direction = ProjPoint(vec, duo.field)
-            if line_multiplicity(F, q, direction).multiplicity == INFINITY:
-                line_dir = direction
-                break
+    elif common:
+        u0, v0 = common[0]
+        vec = [u0 * a + v0 * b for a, b in zip(t1.coords, t2.coords)]
+        line_dir = ProjPoint(vec, duo.field)
     res = binary_form_resultant(ii, iii, 2, 3)
     if line_dir is not None:
         order = ContactOrder.INFINITE

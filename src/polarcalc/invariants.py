@@ -439,21 +439,24 @@ def projected_surface_table(n, pi, pa, ksq) -> ProjectedSurfaceTable:
     )
 
 
-def verify_noether_equivalence() -> Check:
+def verify_noether_equivalence(general: ProjectedSurfaceTable) -> Check:
     """Equating the two class formulas is exactly the Noether formula.
 
     With c2 a fifth indeterminate, (pencil class) - (polar class) equals
     c2 + K^2 - 12(1 + p_a) identically, so the two class counts agree
-    precisely when Noether's relation holds.
+    precisely when Noether's relation holds.  ``general`` is the table over
+    the generators of ``PROJECTED_RING``; its class and c2 are lifted into
+    the ring that adds c2.
     """
-    ring = PolyRing(("n", "pi", "pa", "ksq", "c2"), QQ)
+    ring = PolyRing(PROJECTED_RING.variables + ("c2",), QQ)
     n, pi, pa, ksq, c2 = ring.gens()
-    table = projected_surface_table(n, pi, pa, ksq)
+    lift = dict(zip(PROJECTED_RING.variables, (n, pi, pa, ksq)))
+    class_degree = general.class_degree.substitute(lift)
     pencil = c2 + n + 4 * pi - 4
-    noether_residual = table.chern_c2 - c2
+    noether_residual = general.chern_c2.substitute(lift) - c2
     return residual_zero(
         "Noether equivalence of the class formulas",
-        (pencil - table.class_degree) + noether_residual,
+        (pencil - class_degree) + noether_residual,
     )
 
 
@@ -484,5 +487,5 @@ def verify_projection_pipelines() -> list:
         ("branch genus", table.branch_genus, branch.genus),
     ):
         checks.append(residual_zero(f"pipeline agreement: {name}", _value(lhs) - _value(rhs)))
-    checks.append(verify_noether_equivalence())
+    checks.append(verify_noether_equivalence(general))
     return checks

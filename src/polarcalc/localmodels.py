@@ -139,14 +139,13 @@ def _pullback(gen: Poly, param: Sequence[Poly]) -> Poly:
     return gen.substitute(assignment, into=PARAM)
 
 
-def stratum_check(model_id: str):
+def stratum_check(model: StratumModel):
     """Polynomial-identity checks for one local model.
 
     Every parametrized curve must annihilate its own ideal and land inside
     the discriminant; for the swallowtail the full two-parameter sweep of
     the discriminant surface is checked as well.  Returns (name, ok) pairs.
     """
-    model = stratum_model(model_id)
     checks = []
 
     def vanish(name: str, poly: Poly):

@@ -15,8 +15,8 @@ Covers four classical calculi:
   hyperosculation totals k_1..k_N, together with the involution sending a
   curve to its osculating dual;
 * de Jonquieres counts of divisors with prescribed multiplicities in a
-  linear series, by exact truncated power-series coefficient extraction
-  (the generalized binomial handles the possibly negative exponent).
+  linear series, as a closed sum of binomial and multinomial products with
+  at most prod over s >= 2 of (min(m_s, g) + 1) terms.
 
 Every function accepts exact integers or polynomial values in an
 indeterminate, so each relation can be verified either at sample degrees
@@ -25,6 +25,8 @@ or as a symbolic zero.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Mapping, Optional, Sequence, Tuple
@@ -375,35 +377,13 @@ def rank_profile(dim: int, degree, genus, k: Sequence) -> RankProfile:
 # ---------------------------------------------------------------------------
 
 
-def _series_mul(a, b, caps):
-    out: dict = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(i + j for i, j in zip(ea, eb))
-            if any(x > cap for x, cap in zip(e, caps)):
-                continue
-            out[e] = out.get(e, Fraction(0)) + ca * cb
-    return {e: c for e, c in out.items() if c}
-
-
-def _series_pow(base, exponent: int, caps):
-    """(1 + u)^exponent truncated, where base = u has no constant term.
-
-    The generalized binomial handles negative exponents exactly.
-    """
-    total_cap = sum(caps)
-    one = {(0,) * len(caps): Fraction(1)}
-    result = dict(one)
-    power = dict(one)
-    coeff = Fraction(1)
-    for k in range(1, total_cap + 1):
-        power = _series_mul(power, base, caps)
-        if not power:
-            break
-        coeff = coeff * Fraction(exponent - (k - 1), k)
-        for e, c in power.items():
-            result[e] = result.get(e, Fraction(0)) + coeff * c
-    return result
+def _multinomial(parts) -> int:
+    """(sum parts)! / prod parts_s!, as a product of binomials."""
+    out, total = 1, 0
+    for k in parts:
+        total += k
+        out *= math.comb(total, k)
+    return out
 
 
 @dataclass(frozen=True)
@@ -417,8 +397,8 @@ class DeJonquieresProblem:
 
 
 def dejonquieres_problem(degree: int, genus: int, multiplicities: Mapping[int, int]):
-    _require_count("degree", _value(degree), least=1)
-    _require_count("genus", _value(genus))
+    degree = _require_count("degree", _value(degree), least=1)
+    genus = _require_count("genus", _value(genus))
     filled = {int(s): int(ms) for s, ms in multiplicities.items() if ms}
     if any(s < 1 or ms < 0 for s, ms in filled.items()):
         raise DomainError("multiplicities must map s >= 1 to counts >= 0")
@@ -438,27 +418,23 @@ def dejonquieres_count(degree: int, genus: int, multiplicities: Mapping[int, int
     """Virtual count of divisors with the given multiplicity pattern.
 
     Coefficient of prod t_s^(m_s) in
-    (1 + sum s^2 t_s)^genus * (1 + sum s t_s)^(degree - dim - genus);
-    the result may be negative (virtual-number semantics) but is always an
-    integer, which is asserted.
+    (1 + sum s^2 t_s)^genus * (1 + sum s t_s)^(degree - dim - genus).
+    With B = 1 + sum s t_s and C = sum s(s-1) t_s the first base is B + C,
+    and degree - dim = |m| (the number of points), so the product is
+    sum_k binom(genus, k) C^k B^(|m| - k).  Its coefficient is a sum over
+    the share j of C in the multiple points (C has no t_1 term) with
+    |j| <= genus: at most prod over s >= 2 of (min(m_s, genus) + 1)
+    nonnegative integer terms.
     """
     problem = dejonquieres_problem(degree, genus, multiplicities)
-    support = sorted(problem.multiplicities)
-    caps = tuple(problem.multiplicities[s] for s in support)
-    nvars = len(support)
-
-    def linear(weight_fn):
-        out = {}
-        for idx, s in enumerate(support):
-            e = tuple(1 if i == idx else 0 for i in range(nvars))
-            out[e] = Fraction(weight_fn(s))
-        return out
-
-    genus_factor = _series_pow(linear(lambda s: s * s), problem.genus, caps)
-    tail_exponent = problem.degree - problem.dimension - problem.genus
-    tail_factor = _series_pow(linear(lambda s: s), tail_exponent, caps)
-    product = _series_mul(genus_factor, tail_factor, caps)
-    coeff = product.get(caps, Fraction(0))
-    if coeff.denominator != 1:
-        raise RuntimeError(f"non-integer de Jonquieres coefficient {coeff}")
-    return int(coeff)
+    g = problem.genus
+    simple = problem.multiplicities.get(1, 0)
+    multiple = sorted((s, ms) for s, ms in problem.multiplicities.items() if s > 1)
+    count = 0
+    for j in itertools.product(*(range(min(ms, g) + 1) for _, ms in multiple)):
+        if sum(j) > g:
+            continue
+        rest = [ms - js for (_, ms), js in zip(multiple, j)]
+        weight = math.prod((s * (s - 1)) ** js * s ** r for (s, _), js, r in zip(multiple, j, rest))
+        count += math.comb(g, sum(j)) * _multinomial(j) * _multinomial([simple, *rest]) * weight
+    return count

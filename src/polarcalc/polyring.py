@@ -690,7 +690,12 @@ def _tokenize(text: str):
                 break
             raise ParseError(f"unexpected character {stripped[0]!r}", pos)
         if m.group(1) is not None:
-            tokens.append(("int", int(m.group(1)), m.start(1)))
+            digits = m.group(1)
+            try:
+                value = int(digits)
+            except ValueError:  # longer than Python's int-to-str digit cap
+                raise ParseError(f"integer of {len(digits)} digits is too long", m.start(1)) from None
+            tokens.append(("int", value, m.start(1)))
         elif m.group(2) is not None:
             tokens.append(("name", m.group(2), m.start(2)))
         else:

@@ -1,6 +1,8 @@
 """End-to-end CLI behaviour: output schema, exit codes, round-trips."""
 
 import json
+import signal
+import sys
 
 import pytest
 
@@ -177,6 +179,45 @@ class TestPolyCommand:
         )
         assert code == 0
         assert doc["results"]["count"] == "6"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "invariants surface --degree " + "9" * 400,
+            "poly dejonquieres --m 1000000 --genus 2 --mult 2:2000",
+        ],
+        ids=["invariants surface", "poly dejonquieres"],
+    )
+    def test_counts_past_4300_digits_print_in_full(self, capsys, argv):
+        # The De Jonquieres count is a closed sum of prod over s >= 2 of
+        # (min(m_s, genus) + 1) = 3 terms: a million points answer in well
+        # under the 5 s alarm.
+        def expired(signum, frame):
+            raise TimeoutError(f"{argv} ran past 5 s")
+
+        previous = signal.signal(signal.SIGALRM, expired)
+        signal.alarm(5)
+        try:
+            code, out, err = run(capsys, *argv.split(), "--json")
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code == 0, err
+        assert max(len(v) for v in json.loads(out)["results"].values() if isinstance(v, str)) > 4300
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit cap before 3.11"
+    )
+    def test_digit_cap_is_lifted_for_output_only(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        code, _, err = run(capsys, "invariants", "surface", "--degree", "9" * 400)
+        assert code == 0, err
+        assert sys.get_int_max_str_digits() == limit
+        literal = "1" + "0" * 5000
+        code, _, err = run(capsys, "poly", "hessian", "--expr", f"{literal}*x^3+y^3+z^3+w^3")
+        assert code == 2
+        assert err.startswith("parse error: integer of 5001 digits is too long")
+        assert "Traceback" not in err
 
     def test_rank_profile(self, capsys):
         code, doc, _ = run_json(

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from polarcalc import flecnodal
+from polarcalc import flecnodal, polarity
 from polarcalc.flecnodal import (
     ContactOrder,
     flecnodal_covariants,
@@ -57,6 +57,18 @@ class TestMaxContactOrder:
         line = report.line_direction
         assert line is not None
         assert line_multiplicity(FERMAT, R.point([1, -1, 1, -1]), line).multiplicity == INFINITY
+
+    def test_line_certificate_is_the_common_root(self, monkeypatch):
+        # A common root of the strata II..(d) already spans a line of the
+        # surface with q, so certifying it expands no line multiplicity.
+        def refuse(*args):
+            raise AssertionError("line multiplicity expanded")
+
+        monkeypatch.setattr(flecnodal, "line_multiplicity", refuse, raising=False)
+        monkeypatch.setattr(polarity, "line_multiplicity", refuse)
+        report = max_contact_order(FERMAT, R.point([1, -1, 1, -1]))
+        assert report.order is ContactOrder.INFINITE
+        assert report.line_direction.coords == (-1, 0, 0, 1)
 
     def test_generic_point_is_not_flecnodal(self):
         report = max_contact_order(DIAG, R.point([1, 1, 1, 1]))

@@ -1,8 +1,9 @@
 """Golden ``--json`` documents: the stable CLI schema, byte for byte.
 
 Each argv below is a README command-line example (plus the four ``poly``
-operations the README does not show, and a contact query on a quintic with
-a large rational coefficient); its ``--json`` output must equal the stored
+operations the README does not show, a contact query on a quintic with a
+large rational coefficient, and a de Jonquieres count with two kinds of
+multiple points); its ``--json`` output must equal the stored
 document in ``tests/golden/`` exactly.  The commands that print record
 tables (``invariants``, ``verify plucker``, ``poly developable``) also have
 their text-mode output pinned, in a ``.txt`` document next to the JSON one.
@@ -52,6 +53,7 @@ COMMANDS = [
     "poly rank-profile --m 6 --genus 2 --k 0,2,32",
     "poly rank-profile --m 4 --genus 1 --k 0,12 --dim 2",
     "invariants developable --degree 1000000000000000000000",
+    "poly dejonquieres --m 16 --genus 3 --mult 2:4,3:1",
 ]
 
 TEXT_CASES = [

@@ -251,4 +251,4 @@ class TestProjectedSurfaces:
         assert all(c.lhs.ring is PROJECTED_RING and c.ok for c in identities)
 
     def test_noether_equivalence(self):
-        assert verify_noether_equivalence().ok
+        assert verify_noether_equivalence(projected_surface_table(*PROJECTED_RING.gens())).ok

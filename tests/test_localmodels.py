@@ -58,13 +58,13 @@ class TestTacnodeDiscriminant:
 class TestStratumChecks:
     @pytest.mark.parametrize("model_id", [SWALLOWTAIL, GAMMA, TRIPLE_T])
     def test_all_vanishing_identities(self, model_id):
-        checks = stratum_check(model_id)
+        checks = stratum_check(stratum_model(model_id))
         assert checks
         for name, ok in checks:
             assert ok, name
 
     def test_swallowtail_has_surface_sweep(self):
-        names = [name for name, _ in stratum_check(SWALLOWTAIL)]
+        names = [name for name, _ in stratum_check(stratum_model(SWALLOWTAIL))]
         assert any("surface sweep" in name for name in names)
 
     def test_gamma_restriction(self):

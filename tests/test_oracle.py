@@ -6,6 +6,7 @@ sympy through its printed form, evaluated in sympy's sparse polynomial
 ring, so every comparison also checks printing.
 """
 
+import math
 import random
 import re
 from fractions import Fraction
@@ -14,6 +15,7 @@ import pytest
 
 from polarcalc.curvature import hessian_determinant
 from polarcalc.localmodels import tacnode_discriminant
+from polarcalc.plucker import dejonquieres_count, dejonquieres_problem
 from polarcalc.polyring import PolyRing, PrimeField, determinant, exact_div, resultant
 
 sympy = pytest.importorskip("sympy")
@@ -173,3 +175,29 @@ def test_tacnode_discriminant():
     expected = sympy.discriminant(x**4 + a * x**2 + b * x + c, x)
     got = sympy.sympify(str(tacnode_discriminant()).replace("^", "**"))
     assert sympy.Poly(got, a, b, c) == sympy.Poly(expected, a, b, c)
+
+
+def test_dejonquieres_count():
+    # The coefficient of t1^m1 t2^m2 t3^m3 in A^g B^e, read off sympy's
+    # derivatives at t = 0; the tail exponent e is negative in some patterns.
+    rng = random.Random(97)
+    t = sympy.symbols("t1 t2 t3")
+    A = 1 + t[0] + 4 * t[1] + 9 * t[2]
+    B = 1 + t[0] + 2 * t[1] + 3 * t[2]
+    negative = 0
+    for _ in range(40):
+        mult = {2: rng.randint(0, 3), 3: rng.randint(0, 1)}
+        weighted = 2 * mult[2] + 3 * mult[3]
+        degree = rng.randint(max(weighted, 1), 9)
+        genus = rng.randint(0, 4)
+        problem = dejonquieres_problem(degree, genus, mult)
+        tail = degree - problem.dimension - genus
+        negative += tail < 0
+        ms = [problem.multiplicities.get(s, 0) for s in (1, 2, 3)]
+        expr = A**genus * B**tail
+        for ts, k in zip(t, ms):
+            if k:
+                expr = sympy.diff(expr, ts, k)
+        expected = expr.subs(dict.fromkeys(t, 0)) / math.prod(math.factorial(k) for k in ms)
+        assert dejonquieres_count(degree, genus, mult) == expected, (degree, genus, mult)
+    assert negative

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -290,6 +291,16 @@ class TestDeJonquieres:
                 for g in range(0, 6):
                     expected = (i + 1) * (m + (g - 1) * i)
                     assert dejonquieres_count(m, g, {i + 1: 1}) == expected
+
+    def test_multi_point_patterns(self):
+        for args, expected in (
+            ((12, 2, {2: 3}), 1176),
+            ((Fraction(12), Fraction(2), {2: 3}), 1176),
+            ((16, 3, {2: 4, 3: 2}), 457920),
+            ((24, 3, {2: 6, 3: 2}), 234710784),
+            ((40, 5, {2: 10, 3: 3}), 235650290024448),
+        ):
+            assert dejonquieres_count(*args) == expected, args
 
     def test_virtual_counts_can_be_negative(self):
         assert dejonquieres_count(3, 0, {3: 1}) == 3 * (3 - 2)
