@@ -624,10 +624,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once: parse_args leaves a parser unchanged, and nothing here mutates it.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:

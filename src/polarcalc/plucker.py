@@ -25,7 +25,6 @@ or as a symbolic zero.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -386,6 +385,24 @@ def _multinomial(parts) -> int:
     return out
 
 
+def _bounded_indices(bounds: Sequence[int], budget: int):
+    """Every tuple j with 0 <= j_i <= bounds[i] and sum j <= budget, in lexicographic order."""
+    j = [0] * len(bounds)
+    left = budget
+    while True:
+        yield tuple(j)
+        # Odometer step: raise the last entry that may grow, zeroing those after it.
+        for i in reversed(range(len(j))):
+            if j[i] < bounds[i] and left:
+                j[i] += 1
+                left -= 1
+                break
+            left += j[i]
+            j[i] = 0
+        else:
+            return
+
+
 @dataclass(frozen=True)
 class DeJonquieresProblem:
     """Degree m series of genus g with prescribed multiplicity pattern."""
@@ -423,17 +440,15 @@ def dejonquieres_count(degree: int, genus: int, multiplicities: Mapping[int, int
     and degree - dim = |m| (the number of points), so the product is
     sum_k binom(genus, k) C^k B^(|m| - k).  Its coefficient is a sum over
     the share j of C in the multiple points (C has no t_1 term) with
-    |j| <= genus: at most prod over s >= 2 of (min(m_s, genus) + 1)
-    nonnegative integer terms.
+    |j| <= genus, and only those j are enumerated: at most prod over
+    s >= 2 of (min(m_s, genus) + 1) nonnegative integer terms.
     """
     problem = dejonquieres_problem(degree, genus, multiplicities)
     g = problem.genus
     simple = problem.multiplicities.get(1, 0)
     multiple = sorted((s, ms) for s, ms in problem.multiplicities.items() if s > 1)
     count = 0
-    for j in itertools.product(*(range(min(ms, g) + 1) for _, ms in multiple)):
-        if sum(j) > g:
-            continue
+    for j in _bounded_indices([ms for _, ms in multiple], g):
         rest = [ms - js for (_, ms), js in zip(multiple, j)]
         weight = math.prod((s * (s - 1)) ** js * s ** r for (s, _), js, r in zip(multiple, j, rest))
         count += math.comb(g, sum(j)) * _multinomial(j) * _multinomial([simple, *rest]) * weight

@@ -1,6 +1,6 @@
 """Exact sparse multivariate polynomial arithmetic over Q and prime fields.
 
-A polynomial is a dict mapping exponent tuples to nonzero coefficients.
+A polynomial is a dict mapping packed monomials to nonzero coefficients.
 In the rational mode an integral coefficient is a plain ``int`` and any
 other is a ``fractions.Fraction``; over a prime field coefficients are
 ``Mod`` residues.  Since ``int / int`` is a float, coefficients are divided
@@ -8,7 +8,19 @@ only through the field's ``div``, never with ``/``.  All arithmetic is
 exact; there is no floating point anywhere in this package.  The term
 dict is internal to this module: other modules read a polynomial only
 through ``Poly.coefficient``, ``coefficients_in``,
-``Poly.homogeneous_components``, ``Poly.partial`` and ``Poly.evaluate``.
+``Poly.homogeneous_components``, ``Poly.partial``, ``Poly.evaluate`` and
+``Poly.sorted_terms``, which speak in exponent tuples.
+
+A monomial x_1^e_1 ... x_n^e_n is packed into one int of n 32-bit fields
+that hold, from the bottom, the prefix sums e_1, e_1 + e_2, ...,
+e_1 + ... + e_n; the top field is the total degree.  Keys add under
+multiplication, and plain int order is the graded reverse lexicographic
+order, so sorting and the leading term need no key function.  Every field
+is at most the total degree, so a monomial's total degree is capped at
+``MAX_DEGREE`` = 2^32 - 1: building a monomial or a product past it raises
+DomainError.  Exponent tuples are packed and unpacked only at the kernel's
+edges: ``monomial`` and ``coefficient`` in, ``sorted_terms`` (and so
+printing), ``evaluate`` and ``substitute`` out.
 
 The kernel provides, besides the ring operations:
 
@@ -38,7 +50,6 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from operator import add
 from typing import Mapping, Sequence, Union
 
 INFINITY = math.inf
@@ -304,9 +315,9 @@ QQ = Rationals()
 Exponents = tuple
 Scalar = Union[int, Fraction, Mod]
 
-
-def _grevlex_key(exps: Exponents):
-    return (sum(exps), tuple(-e for e in reversed(exps)))
+_FIELD_BITS = 32
+_FIELD_MASK = (1 << _FIELD_BITS) - 1
+MAX_DEGREE = _FIELD_MASK
 
 
 class PolyRing:
@@ -319,6 +330,38 @@ class PolyRing:
         self.variables = variables
         self.field = field
         self._index = {v: i for i, v in enumerate(variables)}
+        # Bit offset of each prefix-sum field; the top one is the total degree.
+        self._shifts = tuple(range(0, _FIELD_BITS * len(variables), _FIELD_BITS))
+        self._degree_shift = self._shifts[-1] if variables else 0
+        # The packed key of each variable: one added to its field and every field above.
+        self._var_keys = tuple(sum(1 << s for s in self._shifts[i:]) for i in range(len(variables)))
+
+    # -- the packed monomial layout ----------------------------------------
+
+    def _pack(self, exps: Sequence[int]) -> int:
+        exps = tuple(int(e) for e in exps)
+        if len(exps) != len(self.variables) or any(e < 0 for e in exps):
+            raise DomainError("bad exponent tuple")
+        key = total = 0
+        for shift, e in zip(self._shifts, exps):
+            total += e
+            key |= total << shift
+        if total > MAX_DEGREE:
+            raise DomainError(f"monomial of total degree {total} exceeds the limit 2^32 - 1")
+        return key
+
+    def _unpack(self, key: int) -> Exponents:
+        exps, below = [], 0
+        for shift in self._shifts:
+            total = key >> shift & _FIELD_MASK
+            exps.append(total - below)
+            below = total
+        return tuple(exps)
+
+    def _exponent(self, key: int, i: int) -> int:
+        """The exponent of variable i in a packed monomial."""
+        total = key >> self._shifts[i] & _FIELD_MASK
+        return total - (key >> self._shifts[i - 1] & _FIELD_MASK) if i else total
 
     # -- constructors ------------------------------------------------------
 
@@ -332,24 +375,20 @@ class PolyRing:
         c = self.field.coerce(c)
         if not c:
             return Poly(self, {})
-        return Poly(self, {(0,) * len(self.variables): c})
+        return Poly(self, {0: c})
 
     def var(self, name: str) -> "Poly":
         if name not in self._index:
             raise DomainError(f"unknown variable {name!r}")
-        e = [0] * len(self.variables)
-        e[self._index[name]] = 1
-        return Poly(self, {tuple(e): self.field.coerce(1)})
+        return Poly(self, {self._var_keys[self._index[name]]: self.field.coerce(1)})
 
     def gens(self) -> tuple:
         return tuple(self.var(v) for v in self.variables)
 
     def monomial(self, exps: Sequence[int], coeff=1) -> "Poly":
-        exps = tuple(int(e) for e in exps)
-        if len(exps) != len(self.variables) or any(e < 0 for e in exps):
-            raise DomainError("bad exponent tuple")
+        key = self._pack(exps)
         c = self.field.coerce(coeff)
-        return Poly(self, {exps: c} if c else {})
+        return Poly(self, {key: c} if c else {})
 
     def point(self, coords: Sequence) -> "ProjPoint":
         return ProjPoint(coords, self.field)
@@ -374,11 +413,13 @@ class PolyRing:
 class Poly:
     """Immutable sparse polynomial attached to a PolyRing.
 
-    ``terms`` maps exponent tuples to nonzero coefficients; the zero
-    polynomial is the empty dict (it is a legal value, but degree queries
-    on it raise DomainError).  The dict is internal to the kernel: outside
-    this module use ``coefficient``, ``coefficients_in``,
-    ``homogeneous_components``, ``partial`` and ``evaluate``.
+    ``terms`` maps packed monomials (see the module docstring) to nonzero
+    coefficients; the zero polynomial is the empty dict (it is a legal
+    value, but degree queries on it raise DomainError).  Every monomial has
+    total degree at most ``MAX_DEGREE`` = 2^32 - 1.  The dict is internal
+    to the kernel: outside this module use ``coefficient``,
+    ``coefficients_in``, ``homogeneous_components``, ``partial``,
+    ``evaluate`` and ``sorted_terms``, which speak in exponent tuples.
     """
 
     __slots__ = ("ring", "terms")
@@ -396,39 +437,41 @@ class Poly:
     def total_degree(self) -> int:
         if self.is_zero:
             raise DomainError("degree of the zero polynomial is undefined")
-        return max(sum(e) for e in self.terms)
+        return max(self.terms) >> self.ring._degree_shift
 
     def is_homogeneous(self) -> bool:
         if self.is_zero:
             return True
-        degrees = {sum(e) for e in self.terms}
-        return len(degrees) == 1
+        shift = self.ring._degree_shift
+        return len({k >> shift for k in self.terms}) == 1
 
     def homogeneous_components(self) -> list:
         """Parts of degree 0 .. total_degree(), each zero or of that degree; [] for 0."""
         if self.is_zero:
             return []
+        shift = self.ring._degree_shift
         parts: list = [dict() for _ in range(self.total_degree() + 1)]
-        for e, c in self.terms.items():
-            parts[sum(e)][e] = c
+        for k, c in self.terms.items():
+            parts[k >> shift][k] = c
         return [Poly(self.ring, part) for part in parts]
 
     def degree_in(self, var: str) -> int:
         i = self.ring._index[var]
         if self.is_zero:
             raise DomainError("degree of the zero polynomial is undefined")
-        return max(e[i] for e in self.terms)
+        exponent = self.ring._exponent
+        return max(exponent(k, i) for k in self.terms)
 
     def variables_used(self) -> tuple:
         used = [False] * len(self.ring.variables)
-        for e in self.terms:
-            for i, k in enumerate(e):
-                if k:
+        for k in self.terms:
+            for i, e in enumerate(self.ring._unpack(k)):
+                if e:
                     used[i] = True
         return tuple(v for v, u in zip(self.ring.variables, used) if u)
 
     def coefficient(self, exps: Sequence[int]):
-        return self.terms.get(tuple(exps), self.ring.field.zero)
+        return self.terms.get(self.ring._pack(exps), self.ring.field.zero)
 
     def constant_value(self):
         if self.is_zero:
@@ -485,14 +528,20 @@ class Poly:
         other = self._coerce_other(other)
         if other is None:
             return NotImplemented
+        if self.terms and other.terms:
+            shift = self.ring._degree_shift
+            degree = (max(self.terms) >> shift) + (max(other.terms) >> shift)
+            if degree > MAX_DEGREE:
+                raise DomainError(f"product of total degree {degree} exceeds the limit 2^32 - 1")
+        # Below the degree limit no field carries, so a product's key is the sum.
         out: dict = {}
         get = out.get
         right = list(other.terms.items())
-        for ea, ca in self.terms.items():
-            for eb, cb in right:
-                e = tuple(map(add, ea, eb))
-                s = get(e)
-                out[e] = ca * cb if s is None else s + ca * cb
+        for ka, ca in self.terms.items():
+            for kb, cb in right:
+                k = ka + kb
+                s = get(k)
+                out[k] = ca * cb if s is None else s + ca * cb
         # Terms that cancelled to zero are dropped by the constructor.
         return Poly(self.ring, out)
 
@@ -535,15 +584,15 @@ class Poly:
     # -- calculus ----------------------------------------------------------
 
     def partial(self, var: str) -> "Poly":
-        i = self.ring._index[var]
+        ring = self.ring
+        i = ring._index[var]
+        step = ring._var_keys[i]
         out: dict = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            ne = list(e)
-            ne[i] -= 1
-            out[tuple(ne)] = c * e[i]
-        return Poly(self.ring, out)
+        for k, c in self.terms.items():
+            e = ring._exponent(k, i)
+            if e:
+                out[k - step] = c * e
+        return Poly(ring, out)
 
     def evaluate(self, coords: Sequence):
         """Value at a scalar tuple (one entry per ring variable)."""
@@ -552,9 +601,10 @@ class Poly:
         if len(coords) != len(self.ring.variables):
             raise DomainError("wrong number of coordinates")
         total = 0
-        for e, c in self.terms.items():
+        unpack = self.ring._unpack
+        for mono, c in self.terms.items():
             v = c
-            for x, k in zip(coords, e):
+            for x, k in zip(coords, unpack(mono)):
                 if k:
                     v = v * x ** k
             total = total + v
@@ -586,9 +636,9 @@ class Poly:
             values[name] = v if isinstance(v, Poly) else target.const(v)
         out = target.zero()
         cache: dict = {}
-        for e, c in self.terms.items():
+        for mono, c in self.terms.items():
             term = target.const(c)
-            for name, k in zip(self.ring.variables, e):
+            for name, k in zip(self.ring.variables, self.ring._unpack(mono)):
                 if k == 0:
                     continue
                 key = (name, k)
@@ -600,8 +650,10 @@ class Poly:
 
     # -- printing ----------------------------------------------------------
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda item: _grevlex_key(item[0]), reverse=True)
+    def sorted_terms(self) -> list:
+        """(exponent tuple, coefficient) pairs, leading grevlex term first."""
+        unpack, terms = self.ring._unpack, self.terms
+        return [(unpack(k), terms[k]) for k in sorted(terms, reverse=True)]
 
     def __str__(self):
         if self.is_zero:
@@ -835,13 +887,13 @@ def exact_div(f: Poly, g: Poly) -> Poly:
         raise DomainError("mismatched rings in exact_div")
     q = ring.zero()
     r = f
-    ge, gc = max(g.terms.items(), key=lambda item: _grevlex_key(item[0]))
+    gk = max(g.terms)
+    gc, ge = g.terms[gk], ring._unpack(gk)
     while not r.is_zero:
-        re, rc = max(r.terms.items(), key=lambda item: _grevlex_key(item[0]))
-        de = tuple(a - b for a, b in zip(re, ge))
-        if any(d < 0 for d in de):
+        rk = max(r.terms)
+        if any(a < b for a, b in zip(ring._unpack(rk), ge)):
             raise DomainError("inexact polynomial division")
-        t = ring.monomial(de, ring.field.div(rc, gc))
+        t = Poly(ring, {rk - gk: ring.field.div(r.terms[rk], gc)})
         q = q + t
         r = r - t * g
     return q
@@ -899,14 +951,13 @@ def coefficients_in(f: Poly, var: str) -> list:
     i = f.ring._index[var]
     if f.is_zero:
         return [f.ring.zero()]
-    d = f.degree_in(var)
-    buckets: list = [dict() for _ in range(d + 1)]
-    for e, c in f.terms.items():
-        ne = list(e)
-        k = ne[i]
-        ne[i] = 0
-        buckets[k][tuple(ne)] = c
-    return [Poly(f.ring, b) for b in buckets]
+    ring = f.ring
+    step = ring._var_keys[i]
+    buckets: list = [dict() for _ in range(f.degree_in(var) + 1)]
+    for k, c in f.terms.items():
+        e = ring._exponent(k, i)
+        buckets[e][k - e * step] = c
+    return [Poly(ring, b) for b in buckets]
 
 
 def sylvester_rows(fc: Sequence, gc: Sequence, zero) -> list:
@@ -957,7 +1008,7 @@ def valuation(f: Poly, var: str = None):
         if any(u != var for u in used):
             raise DomainError(f"polynomial involves more than {var!r}")
     i = f.ring._index[var]
-    return min(e[i] for e in f.terms)
+    return min(f.ring._exponent(k, i) for k in f.terms)
 
 
 def factorial_scalar(field, k: int):

@@ -1,8 +1,11 @@
 """End-to-end CLI behaviour: output schema, exit codes, round-trips."""
 
 import json
+import os
 import signal
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -399,3 +402,39 @@ class TestPolyCommand:
         assert R.parse(doc["results"]["theta"]) == R.parse(
             "1944*x*y*z*w"
         ) * R.parse("x^3+y^3+z^3+w^3")
+
+
+class TestParserBuiltOnce:
+    ARGVS = (
+        ["poly", "classify", "--expr", "x*w-y*z", "--point", "1,0,0,0", "--json"],
+        ["invariants", "surface", "--degree", "4"],
+        ["poly", "hessian", "--expr", "x^3 +"],
+    )
+
+    def test_back_to_back_calls_match_fresh_processes(self, capsys, monkeypatch):
+        def rebuilt():
+            raise AssertionError("main built a second parser")
+
+        monkeypatch.setattr(cli, "build_parser", rebuilt)
+        in_process = [run(capsys, *argv) for argv in self.ARGVS + self.ARGVS]
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        fresh = [
+            subprocess.run(
+                [sys.executable, "-m", "polarcalc.cli", *argv],
+                capture_output=True, text=True, env=env, check=False,
+            )
+            for argv in self.ARGVS
+        ]
+        assert in_process == [(p.returncode, p.stdout, p.stderr) for p in fresh] * 2
+
+    def test_help_and_usage_errors_leave_the_parser_unchanged(self, capsys):
+        help_text = cli._PARSER.format_help()
+        first = run(capsys, *self.ARGVS[0])
+        code, out, _ = run(capsys, "--help")
+        assert code == 0 and out.startswith("usage: polarcalc")
+        code, out, err = run(capsys, "poly", "no-such-operation")
+        assert code == 2 and out == "" and "invalid choice" in err
+        code, _, err = run(capsys, "verify", "all", "--trials", "0")
+        assert code == 2 and "must be at least 1" in err
+        assert run(capsys, *self.ARGVS[0]) == first
+        assert cli._PARSER.format_help() == help_text

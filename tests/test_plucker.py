@@ -6,10 +6,12 @@ from fractions import Fraction
 
 import pytest
 
+from polarcalc import plucker
 from polarcalc.invariants import hessian_developable_characters
 from polarcalc.plucker import (
     _FIELDS,
     _SYSTEM,
+    _bounded_indices,
     DevelopableCharacters,
     PlaneCurveCharacters,
     complete_developable,
@@ -302,9 +304,31 @@ class TestDeJonquieres:
         ):
             assert dejonquieres_count(*args) == expected, args
 
-    def test_virtual_counts_can_be_negative(self):
+    def test_counts_at_the_smallest_degrees(self):
+        # A single s-fold point in a series of degree s: a triple point of a
+        # rational g^2_3 and a double point of a rational g^1_2.
         assert dejonquieres_count(3, 0, {3: 1}) == 3 * (3 - 2)
         assert dejonquieres_count(2, 0, {2: 1}) == 2
+
+    def test_only_indices_within_the_genus_are_generated(self, monkeypatch):
+        # --m 400 --genus 40 --mult 2:40,3:40,4:40: of the 41^3 = 68921
+        # indices in the box, the 12341 with |j| <= 40 are the summed terms.
+        generated = []
+
+        def counted(bounds, budget):
+            for j in _bounded_indices(bounds, budget):
+                generated.append(j)
+                yield j
+
+        monkeypatch.setattr(plucker, "_bounded_indices", counted)
+        dejonquieres_count(400, 40, {2: 40, 3: 40, 4: 40})
+        assert len(generated) == 12341
+        assert generated == [j for j in itertools.product(range(41), repeat=3) if sum(j) <= 40]
+        for bounds in ([], [0], [3], [2, 0, 3], [1, 4, 2, 5]):
+            for budget in range(7):
+                box = itertools.product(*(range(b + 1) for b in bounds))
+                within = [j for j in box if sum(j) <= budget]
+                assert list(_bounded_indices(bounds, budget)) == within
 
     def test_pattern_exceeding_degree_rejected(self):
         with pytest.raises(DomainError):

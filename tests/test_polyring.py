@@ -1,5 +1,6 @@
 """Kernel tests: parser, exact arithmetic, determinants, resultants."""
 
+import math
 import random
 import re
 from fractions import Fraction
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import polarcalc
+from polarcalc.cli import main
 from polarcalc.polyring import (
     INFINITY,
     QQ,
@@ -16,6 +18,7 @@ from polarcalc.polyring import (
     ParseError,
     PolyRing,
     PrimeField,
+    coefficients_in,
     determinant,
     exact_div,
     resultant,
@@ -419,3 +422,145 @@ class TestFieldDivision:
                     QQ.div(a, zero)
         with pytest.raises(ZeroDivisionError):
             GF.div(GF.one, GF.zero)
+
+
+class TestPackedLayout:
+    """Monomials are packed ints; the degree cap and the edges speak in tuples."""
+
+    def test_degree_cap_at_parse(self):
+        assert str(R.parse("x^4294967295")) == "x^4294967295"
+        assert str(R.parse("w^4294967295")) == "w^4294967295"
+        for text in ("x^4294967296", "w^4294967296", "x^4294967295*w", "x^2147483648*x^2147483648"):
+            with pytest.raises(DomainError, match="exceeds the limit 2"):
+                R.parse(text)
+
+    def test_degree_cap_at_the_cli(self, capsys):
+        polar = ["poly", "polar", "--point", "1,1,1,1", "--order", "1", "--expr"]
+        assert main(polar + ["x^4294967295"]) == 0
+        assert capsys.readouterr().out.split()[-1] == "4294967295*x^4294967294"
+        assert main(polar + ["x^4294967296"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("domain error: monomial of total degree 4294967296")
+
+    def test_degree_cap_on_products(self):
+        half = R.parse("x^2147483648")
+        with pytest.raises(DomainError, match="product of total degree 4294967296"):
+            half * half
+        with pytest.raises(DomainError):
+            half ** 2
+        with pytest.raises(DomainError):
+            R.parse("x^2147483647*y") * R.parse("z^2147483648 + 1")
+        assert str(R.parse("x^2147483647") * half) == "x^4294967295"
+        assert R.monomial((0, 0, 0, 4294967295)).total_degree() == 4294967295
+
+
+def _grevlex(exps):
+    return (sum(exps), tuple(-e for e in reversed(exps)))
+
+
+def _ref_mul(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_substitute(a, images, n):
+    # images[i] = (coefficient, exponent tuple): the monomial put for variable i
+    out = {}
+    for e, c in a.items():
+        target = [0] * n
+        for (ci, mi), k in zip(images, e):
+            c = c * ci ** k
+            target = [t + k * m for t, m in zip(target, mi)]
+        out[tuple(target)] = out.get(tuple(target), 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+class TestPackedDifferential:
+    """Seeded kernel operations against a tuple-keyed reference.
+
+    About half the monomials carry one exponent past 2^16, so that a field
+    narrower than 32 bits carries into its neighbour and shows up as a
+    wrong monomial or a wrong order.
+    """
+
+    @staticmethod
+    def _random(rng, n, terms):
+        out = {}
+        for _ in range(terms):
+            e = [rng.randint(0, 2) for _ in range(n)]
+            if rng.random() < 0.5:
+                e[rng.randrange(n)] += 65536 + rng.randint(0, 9)
+            out[tuple(e)] = out.get(tuple(e), 0) + rng.choice((-3, -1, 1, 2, Fraction(1, 2)))
+        return {e: c for e, c in out.items() if c}
+
+    @staticmethod
+    def _poly(ring, ref):
+        return sum((ring.monomial(e, c) for e, c in ref.items()), ring.zero())
+
+    @staticmethod
+    def _check(poly, ref):
+        expected = sorted(ref.items(), key=lambda t: _grevlex(t[0]), reverse=True)
+        assert poly.sorted_terms() == expected
+
+    @classmethod
+    def _check_parts(cls, parts, ref, index):
+        """Nonzero parts sit at the indices the reference gives, with its terms."""
+        buckets = {}
+        for e, c in ref.items():
+            k, rest = index(e)
+            buckets.setdefault(k, {})[rest] = c
+        assert len(parts) == max(buckets) + 1
+        assert [k for k, part in enumerate(parts) if not part.is_zero] == sorted(buckets)
+        for k, bucket in buckets.items():
+            cls._check(parts[k], bucket)
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 5])
+    def test_operations_match_tuple_reference(self, n):
+        ring = PolyRing([f"v{i}" for i in range(n)])
+        rng = random.Random(1000 + n)
+        for trial in range(12):
+            a_ref, b_ref = self._random(rng, n, 5), self._random(rng, n, 4)
+            a, b = self._poly(ring, a_ref), self._poly(ring, b_ref)
+            self._check(a, a_ref)
+            self._check(a * b, _ref_mul(a_ref, b_ref))
+            if b_ref:
+                self._check(exact_div(a * b, b), a_ref)
+            for i, var in enumerate(ring.variables):
+                self._check(a.partial(var), {
+                    e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in a_ref.items() if e[i]
+                })
+            # A part list is as long as the degree, so only the first trial's are checked.
+            if trial == 0:
+                assert max(map(sum, a_ref)) > 1 << 16
+                for i, var in enumerate(ring.variables):
+                    self._check_parts(
+                        coefficients_in(a, var), a_ref, lambda e: (e[i], e[:i] + (0,) + e[i + 1:])
+                    )
+                self._check_parts(a.homogeneous_components(), a_ref, lambda e: (sum(e), e))
+            coords = [rng.choice((-1, 0, 1, 2)) for _ in range(n)]
+            assert a.evaluate(coords) == sum(
+                c * math.prod(x ** k for x, k in zip(coords, e)) for e, c in a_ref.items()
+            )
+            images = [
+                (rng.choice((1, -1, 2)), tuple(rng.randint(0, 1) for _ in range(n)))
+                for _ in range(n)
+            ]
+            assignment = {
+                var: ring.monomial(m, ci) for var, (ci, m) in zip(ring.variables, images)
+            }
+            self._check(a.substitute(assignment), _ref_substitute(a_ref, images, n))
+
+    def test_evaluate_over_a_prime_field(self):
+        ring = PolyRing(("x", "y", "z", "w"), GF)
+        rng = random.Random(7)
+        for _ in range(10):
+            ref = self._random(rng, 4, 6)
+            coords = [rng.randint(0, 10**6) for _ in range(4)]
+            expected = sum(
+                c * math.prod(pow(x, k, GF.p) for x, k in zip(coords, e)) for e, c in ref.items()
+            )
+            assert self._poly(ring, ref).evaluate(coords) == GF.coerce(expected)
