@@ -53,7 +53,6 @@ from .polyring import (
     INFINITY,
     QQ,
     DomainError,
-    Mod,
     ParseError,
     Poly,
     PolyRing,
@@ -89,7 +88,7 @@ def _jsonable(value):
         return "infinity"
     if isinstance(value, Fraction):
         return str(value) if value.denominator != 1 else _jsonable(int(value))
-    if isinstance(value, (Poly, Mod, ProjPoint)):
+    if isinstance(value, (Poly, ProjPoint)):
         return str(value)
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
@@ -185,6 +184,8 @@ def _field_from_args(args):
     p = getattr(args, "modp", None)
     if p is None:
         return QQ
+    if p < 5:
+        raise DomainError(f"--modp {p}: the property batches divide by k! for k <= 4, so p must be a prime >= 5")
     return PrimeField(p)
 
 
@@ -192,8 +193,11 @@ def _load_surface(args, ring: PolyRing) -> Poly:
     if getattr(args, "expr", None):
         text = args.expr
     elif getattr(args, "surface", None):
-        with open(args.surface, "r", encoding="utf-8") as handle:
-            text = handle.read().strip()
+        try:
+            with open(args.surface, "r", encoding="utf-8") as handle:
+                text = handle.read().strip()
+        except UnicodeDecodeError as exc:
+            raise UsageError(f"{args.surface}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     else:
         raise UsageError("one of --expr or --surface is required")
     return ring.parse(text)
@@ -391,6 +395,7 @@ def cmd_verify(args) -> CommandResult:
         result.add_checks(verify_plucker_relations(chars))
         return result
     if sub == "all":
+        field = _field_from_args(args)
         inputs = {"seed": args.seed, "trials": args.trials}
         if args.degree_range:
             inputs["degree_range"] = args.degree_range
@@ -412,7 +417,6 @@ def cmd_verify(args) -> CommandResult:
             sym = invariants.symbolic_degree()
             result.add_checks(invariants.verify_dual_relations(sym))
         result.add_checks(invariants.verify_projection_pipelines())
-        field = _field_from_args(args)
         result.add_checks(randomchecks.property_suite(field, args.seed, args.trials))
         return result
     raise UsageError(f"unknown verify suite {sub!r}")

@@ -143,12 +143,11 @@ class SurfacePointClass:
     asymptotic: AsymptoticData
 
 
-def _binary_quadratic_roots(field, a, r, b):
-    """Projective roots (u : v) of a u^2 + 2 r u v + b v^2 over the field."""
+def _binary_quadratic_roots(field, a, r, b, disc):
+    """Projective roots (u : v) of a u^2 + 2 r u v + b v^2, given disc = r^2 - ab."""
     if not a and not r and not b:
         return None  # identically zero
     if a:
-        disc = r * r - a * b
         if not field.is_square(disc):
             return []
         s = field.sqrt(disc)
@@ -172,8 +171,8 @@ def classify_surface_point(F: Poly, p: ProjPoint) -> SurfacePointClass:
         kind = SurfacePointKind.PARABOLIC_RANK1
     else:
         kind = SurfacePointKind.PLANAR_II_ZERO
-    disc = r * r - a * b
-    roots = _binary_quadratic_roots(field, a, r, b)
+    disc = field.coerce(r * r - a * b)
+    roots = _binary_quadratic_roots(field, a, r, b, disc)
     t1, t2 = form.tangent_basis
     directions = []
     contacts = []

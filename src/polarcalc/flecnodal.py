@@ -259,11 +259,9 @@ def _common_projective_roots(forms, duo: PolyRing):
     for root in _univariate_field_roots(univ, field):
         candidates.append((root, field.one))
     for cand in candidates:
-        if any(cand[0] * s[1] == cand[1] * s[0] for s in seen):
-            continue
-        u0, v0 = cand
-        if all(not f.evaluate([u0, v0]) for f in nonzero):
-            seen.append(cand)
+        point = ProjPoint(cand, field)
+        if point not in seen and all(not f.evaluate(point.coords) for f in nonzero):
+            seen.append(point)
     return seen
 
 

@@ -1,8 +1,10 @@
 """Tiny exact linear algebra over the coefficient fields.
 
-Everything works on lists of lists of field scalars (int, Fraction or
-Mod) and is only ever used on matrices of size at most 7, so plain
-Gaussian elimination with exact division (``field.div``) is all we need.
+Everything works on lists of lists of field scalars (int or Fraction over
+Q, int over GF(p)) and is only ever used on matrices of size at most 7, so
+plain Gaussian elimination with exact division (``field.div``) is all we
+need.  Each updated entry and the returned determinant go through
+``field.coerce``, which reduces them over GF(p).
 """
 
 from __future__ import annotations
@@ -32,9 +34,9 @@ def _reduce(field, m):
         for r in range(rk + 1, rows):
             if work[r][col]:
                 f = work[r][col] * inv
-                work[r] = [a - f * b for a, b in zip(work[r], work[rk])]
+                work[r] = [field.coerce(a - f * b) for a, b in zip(work[r], work[rk])]
         pivots.append(col)
-    return pivots, det
+    return pivots, field.coerce(det)
 
 
 def rank(field, m):

@@ -119,7 +119,7 @@ def tangent_directions(grads, pivot: int, indices, field) -> list:
     for i in indices:
         vec = [field.zero] * len(grads)
         vec[i] = field.one
-        vec[pivot] = -field.div(grads[i], grads[pivot])
+        vec[pivot] = field.div(-grads[i], grads[pivot])
         out.append(vec)
     return out
 

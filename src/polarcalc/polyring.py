@@ -2,14 +2,17 @@
 
 A polynomial is a dict mapping packed monomials to nonzero coefficients.
 In the rational mode an integral coefficient is a plain ``int`` and any
-other is a ``fractions.Fraction``; over a prime field coefficients are
-``Mod`` residues.  Since ``int / int`` is a float, coefficients are divided
-only through the field's ``div``, never with ``/``.  All arithmetic is
-exact; there is no floating point anywhere in this package.  The term
-dict is internal to this module: other modules read a polynomial only
-through ``Poly.coefficient``, ``coefficients_in``,
-``Poly.homogeneous_components``, ``Poly.partial``, ``Poly.evaluate`` and
-``Poly.sorted_terms``, which speak in exponent tuples.
+other is a ``fractions.Fraction``; over a prime field GF(p) every
+coefficient and scalar is a plain ``int`` in 0 .. p - 1.  The ring
+operations work on unreduced ints and ``Poly`` construction reduces each
+coefficient once; a scalar computed outside the kernel goes through the
+field's ``coerce`` or ``div`` before it is compared or truth-tested.  Since
+``int / int`` is a float, coefficients are divided only through the field's
+``div``, never with ``/``.  All arithmetic is exact; there is no floating
+point anywhere in this package.  The term dict is internal to this module:
+other modules read a polynomial only through ``Poly.coefficient``,
+``coefficients_in``, ``Poly.homogeneous_components``, ``Poly.partial``,
+``Poly.evaluate`` and ``Poly.sorted_terms``, which speak in exponent tuples.
 
 A monomial x_1^e_1 ... x_n^e_n is packed into one int of n 32-bit fields
 that hold, from the bottom, the prefix sums e_1, e_1 + e_2, ...,
@@ -98,89 +101,11 @@ def _is_probable_prime(n: int) -> bool:
     return True
 
 
-class Mod:
-    """Residue modulo a fixed prime; behaves like a number."""
-
-    __slots__ = ("value", "p")
-
-    def __init__(self, value: int, p: int):
-        self.value = value % p
-        self.p = p
-
-    def _lift(self, other) -> "Mod":
-        if isinstance(other, Mod):
-            if other.p != self.p:
-                raise DomainError("mixed moduli %d and %d" % (self.p, other.p))
-            return other
-        if isinstance(other, int):
-            return Mod(other, self.p)
-        if isinstance(other, Fraction):
-            if other.denominator % self.p == 0:
-                raise DomainError("denominator divisible by the modulus")
-            return Mod(other.numerator * pow(other.denominator, -1, self.p), self.p)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._lift(other)
-        return other if other is NotImplemented else Mod(self.value + other.value, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._lift(other)
-        return other if other is NotImplemented else Mod(self.value - other.value, self.p)
-
-    def __rsub__(self, other):
-        other = self._lift(other)
-        return other if other is NotImplemented else Mod(other.value - self.value, self.p)
-
-    def __mul__(self, other):
-        other = self._lift(other)
-        return other if other is NotImplemented else Mod(self.value * other.value, self.p)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return other
-        if other.value == 0:
-            raise ZeroDivisionError("division by zero residue")
-        return Mod(self.value * pow(other.value, -1, self.p), self.p)
-
-    def __rtruediv__(self, other):
-        other = self._lift(other)
-        return other if other is NotImplemented else other.__truediv__(self)
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return Mod(1, self.p) / self ** (-e)
-        return Mod(pow(self.value, e, self.p), self.p)
-
-    def __neg__(self):
-        return Mod(-self.value, self.p)
-
-    def __eq__(self, other):
-        if isinstance(other, Mod):
-            return self.p == other.p and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.p
-        return NotImplemented
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __hash__(self):
-        return hash((self.value, self.p))
-
-    def __repr__(self):
-        return str(self.value)
-
-
 class Rationals:
     """The field Q: integral values are ``int``, the others ``Fraction``."""
 
     name = "QQ"
+    p = None  # no modulus: ``Poly`` construction reduces nothing
 
     # Fractions, not ints: code outside the kernel that divides values built
     # up from ``one`` (``factorial_scalar``) with ``/`` keeps an exact quotient.
@@ -229,7 +154,10 @@ class Rationals:
 
 
 class PrimeField:
-    """The field Z/p for a prime p, with Mod values."""
+    """The field Z/p for a prime p; values are ints in 0 .. p - 1."""
+
+    zero = 0
+    one = 1
 
     def __init__(self, p: int):
         if not _is_probable_prime(p):
@@ -238,42 +166,39 @@ class PrimeField:
             raise DomainError("p = 2 is not supported (square roots degenerate)")
         self.p = p
         self.name = f"GF({p})"
-        self.zero = Mod(0, p)
-        self.one = Mod(1, p)
 
-    def coerce(self, v) -> Mod:
-        if isinstance(v, Mod):
-            if v.p != self.p:
-                raise DomainError("residue from a different prime field")
-            return v
+    def coerce(self, v) -> int:
         if isinstance(v, int):
-            return Mod(v, self.p)
+            return v % self.p
         if isinstance(v, Fraction):
             if v.denominator % self.p == 0:
                 raise DomainError("denominator divisible by the modulus")
-            return Mod(v.numerator * pow(v.denominator, -1, self.p), self.p)
+            return v.numerator * pow(v.denominator, -1, self.p) % self.p
         raise DomainError(f"cannot coerce {v!r} into GF({self.p})")
 
-    def div(self, a, b) -> Mod:
+    def div(self, a, b) -> int:
         """Quotient a / b of residues."""
-        return self.coerce(a) / self.coerce(b)
+        b = self.coerce(b)
+        if not b:
+            raise ZeroDivisionError("division by zero residue")
+        return self.coerce(a) * pow(b, -1, self.p) % self.p
 
     def is_square(self, v) -> bool:
         v = self.coerce(v)
-        if v.value == 0:
+        if v == 0:
             return True
-        return pow(v.value, (self.p - 1) // 2, self.p) == 1
+        return pow(v, (self.p - 1) // 2, self.p) == 1
 
-    def sqrt(self, v) -> Mod:
+    def sqrt(self, v) -> int:
         # Tonelli-Shanks.
         v = self.coerce(v)
         p = self.p
-        if v.value == 0:
-            return Mod(0, p)
+        if v == 0:
+            return 0
         if not self.is_square(v):
-            raise DomainError(f"{v.value} is not a square mod {p}")
+            raise DomainError(f"{v} is not a square mod {p}")
         if p % 4 == 3:
-            return Mod(pow(v.value, (p + 1) // 4, p), p)
+            return pow(v, (p + 1) // 4, p)
         q, s = p - 1, 0
         while q % 2 == 0:
             q //= 2
@@ -281,7 +206,7 @@ class PrimeField:
         z = 2
         while pow(z, (p - 1) // 2, p) != p - 1:
             z += 1
-        m, c, t, r = s, pow(z, q, p), pow(v.value, q, p), pow(v.value, (q + 1) // 2, p)
+        m, c, t, r = s, pow(z, q, p), pow(v, q, p), pow(v, (q + 1) // 2, p)
         while t != 1:
             t2, i = t * t % p, 1
             while t2 != 1:
@@ -290,10 +215,10 @@ class PrimeField:
             b = pow(c, 1 << (m - i - 1), p)
             m, c = i, b * b % p
             t, r = t * c % p, r * b % p
-        return Mod(r, p)
+        return r
 
-    def random(self, rng) -> Mod:
-        return Mod(rng.randint(0, self.p - 1), self.p)
+    def random(self, rng) -> int:
+        return rng.randint(0, self.p - 1)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -313,7 +238,7 @@ QQ = Rationals()
 # ---------------------------------------------------------------------------
 
 Exponents = tuple
-Scalar = Union[int, Fraction, Mod]
+Scalar = Union[int, Fraction]
 
 _FIELD_BITS = 32
 _FIELD_MASK = (1 << _FIELD_BITS) - 1
@@ -329,6 +254,7 @@ class PolyRing:
             raise DomainError("duplicate variable names")
         self.variables = variables
         self.field = field
+        self._modulus = field.p  # cached: every Poly construction reads it
         self._index = {v: i for i, v in enumerate(variables)}
         # Bit offset of each prefix-sum field; the top one is the total degree.
         self._shifts = tuple(range(0, _FIELD_BITS * len(variables), _FIELD_BITS))
@@ -414,19 +340,24 @@ class Poly:
     """Immutable sparse polynomial attached to a PolyRing.
 
     ``terms`` maps packed monomials (see the module docstring) to nonzero
-    coefficients; the zero polynomial is the empty dict (it is a legal
-    value, but degree queries on it raise DomainError).  Every monomial has
-    total degree at most ``MAX_DEGREE`` = 2^32 - 1.  The dict is internal
-    to the kernel: outside this module use ``coefficient``,
-    ``coefficients_in``, ``homogeneous_components``, ``partial``,
-    ``evaluate`` and ``sorted_terms``, which speak in exponent tuples.
+    coefficients, reduced into 1 .. p - 1 over GF(p); the zero polynomial
+    is the empty dict (it is a legal value, but degree queries on it raise
+    DomainError).  Every monomial has total degree at most ``MAX_DEGREE`` =
+    2^32 - 1.  The dict is internal to the kernel: outside this module use
+    ``coefficient``, ``coefficients_in``, ``homogeneous_components``,
+    ``partial``, ``evaluate`` and ``sorted_terms``, which speak in exponent
+    tuples.
     """
 
     __slots__ = ("ring", "terms")
 
     def __init__(self, ring: PolyRing, terms: Mapping[Exponents, Scalar]):
         self.ring = ring
-        self.terms = {e: c for e, c in terms.items() if c}
+        p = ring._modulus
+        if p is None:
+            self.terms = {e: c for e, c in terms.items() if c}
+        else:
+            self.terms = {e: r for e, c in terms.items() if (r := c % p)}
 
     # -- structure ---------------------------------------------------------
 
@@ -489,7 +420,7 @@ class Poly:
                     f"mismatched rings: {self.ring!r} vs {other.ring!r}"
                 )
             return other
-        if isinstance(other, (int, Fraction, Mod)):
+        if isinstance(other, (int, Fraction)):
             return self.ring.const(other)
         return None
 
@@ -572,7 +503,7 @@ class Poly:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, Mod)):
+        if isinstance(other, (int, Fraction)):
             other = self.ring.const(other)
         if not isinstance(other, Poly):
             return NotImplemented
@@ -601,12 +532,12 @@ class Poly:
         if len(coords) != len(self.ring.variables):
             raise DomainError("wrong number of coordinates")
         total = 0
-        unpack = self.ring._unpack
+        unpack, p = self.ring._unpack, self.ring._modulus
         for mono, c in self.terms.items():
             v = c
             for x, k in zip(coords, unpack(mono)):
                 if k:
-                    v = v * x ** k
+                    v = v * pow(x, k, p)  # x ** k over Q, reduced over GF(p)
             total = total + v
         return field.coerce(total)
 
@@ -665,15 +596,10 @@ class Poly:
                 for v, k in zip(self.ring.variables, e)
                 if k
             )
-            if isinstance(c, Mod):
-                negative = False
-                cstr = str(c.value)
-                is_one = c.value == 1
-            else:
-                negative = c < 0
-                a = -c if negative else c
-                cstr = str(a)
-                is_one = a == 1
+            negative = c < 0
+            a = -c if negative else c
+            cstr = str(a)
+            is_one = a == 1
             if not mono:
                 body = cstr
             elif is_one:
@@ -713,10 +639,10 @@ class ProjPoint:
             return NotImplemented
         if len(self.coords) != len(other.coords) or self.field != other.field:
             return False
-        a, b = self.coords, other.coords
+        a, b, coerce = self.coords, other.coords, self.field.coerce
         for i in range(len(a)):
             for j in range(i + 1, len(a)):
-                if a[i] * b[j] != a[j] * b[i]:
+                if coerce(a[i] * b[j] - a[j] * b[i]):
                     return False
         return True
 

@@ -80,7 +80,7 @@ def polar_symmetry_batch(ring: PolyRing, seed: int, trials: int) -> Check:
         rhs = polar(F, a, d - k).evaluate(list(b.coords))
         if (not lhs) != (not rhs):
             return _check("polar symmetry", False, f"vanishing mismatch at trial {t}")
-        if factorial_scalar(field, d - k) * lhs != factorial_scalar(field, k) * rhs:
+        if field.coerce(factorial_scalar(field, d - k) * lhs - factorial_scalar(field, k) * rhs):
             return _check("polar symmetry", False, f"ratio mismatch at trial {t}")
         kic = polar_kic(F, a, k)
         ratio = field.div(factorial_scalar(field, k), factorial_scalar(field, d - k))
@@ -102,7 +102,7 @@ def euler_polar_batch(ring: PolyRing, seed: int, trials: int) -> Check:
         for i in range(k):
             falling = falling * (d - i)
         lhs = polar(F, a, k).evaluate(list(a.coords))
-        if lhs != falling * F.evaluate(list(a.coords)):
+        if field.coerce(lhs - falling * F.evaluate(list(a.coords))):
             return _check("Euler polar identity", False, f"trial {t}")
     return _check(f"Euler polar identity ({trials} trials, {field.name})", True)
 
@@ -121,7 +121,7 @@ def taylor_batch(ring: PolyRing, seed: int, trials: int) -> Check:
                 polar(F, b, k).evaluate(list(a.coords)), factorial_scalar(field, k)
             )
         shifted = F.evaluate([x + y for x, y in zip(a.coords, b.coords)])
-        if total != shifted:
+        if field.coerce(total - shifted):
             return _check("Taylor polar expansion", False, f"trial {t}")
     return _check(f"Taylor polar expansion ({trials} trials, {field.name})", True)
 

@@ -245,6 +245,15 @@ class TestPolyCommand:
         assert code == 0
         assert doc["results"]["flecnodal"] is True
 
+    def test_surface_file_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "surface.txt"
+        path.write_bytes(b"\xff\xfe x^2")
+        code, out, err = run(capsys, "poly", "hessian", "--surface", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "UTF-8" in err
+        assert "Traceback" not in err
+
     def test_parse_error_exit(self, capsys):
         code, _, err = run(capsys, "poly", "hessian", "--expr", "x^3 +")
         assert code == 2
@@ -297,6 +306,7 @@ class TestPolyCommand:
             ("verify all --trials=0", 2),
             ("verify all --trials=-3", 2),
             ("poly dejonquieres --m=4 --genus=0 --mult=2:1,2:2", 2),
+            ("verify all --modp=3", 3),
         ],
     )
     def test_out_of_range_option_is_refused(self, capsys, argv, expected):

@@ -3,7 +3,8 @@
 Python's ``int / int`` is a float, so a division that bypasses the field's
 ``div`` would leave one in a polynomial.  Every golden command and every
 acceptance criterion runs here with a check on ``Poly.__init__`` that each
-coefficient is an ``int`` (not a ``bool``), a ``Fraction`` or a ``Mod``.
+coefficient is an ``int`` (not a ``bool``) or a ``Fraction``, and that over a
+prime field GF(p) each one is an ``int`` in 1 .. p - 1.
 """
 
 import shlex
@@ -12,11 +13,11 @@ from fractions import Fraction
 import pytest
 
 from polarcalc.cli import main
-from polarcalc.polyring import Mod, Poly
+from polarcalc.polyring import Poly
 from test_acceptance import CRITERIA
 from test_golden import COMMANDS
 
-EXACT_TYPES = {int, Fraction, Mod}
+EXACT_TYPES = {int, Fraction}
 
 
 @pytest.fixture
@@ -28,6 +29,8 @@ def coefficient_types(monkeypatch):
     def checked_init(self, ring, terms):
         build(self, ring, terms)
         seen.update(map(type, self.terms.values()))
+        p = ring.field.p
+        assert p is None or all(0 < c < p for c in self.terms.values())
 
     monkeypatch.setattr(Poly, "__init__", checked_init)
     return seen

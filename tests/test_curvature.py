@@ -333,6 +333,32 @@ class TestClassification:
         assert len(cls.asymptotic.directions) == 2
         assert field.is_square(cls.asymptotic.discriminant)
 
+    def test_parabolic_point_over_prime_field(self):
+        # a, r, b = 1, 2000, 2000^2 mod p: r^2 - ab is a nonzero multiple of p
+        # until it is reduced, and the one asymptotic direction is double.
+        field = PrimeField(1048583)
+        ring = PolyRing(("x", "y", "z", "w"), field)
+        F = ring.parse("w^2*z + w*x^2 + 4000*w*x*y + 4000000*w*y^2")
+        cls = classify_surface_point(F, ring.point([0, 0, 0, 1]))
+        assert cls.kind is SurfacePointKind.PARABOLIC_RANK1
+        assert cls.asymptotic.discriminant == 0
+        assert len(cls.asymptotic.directions) == 1
+
+    def test_frame_over_prime_field_is_reduced(self):
+        field = PrimeField(1048583)
+        ring = PolyRing(("x", "y", "z", "w"), field)
+        rng = random.Random(67)
+        checked = 0
+        for _ in range(20):
+            p = random_point(ring, rng)
+            F = surface_through(ring, p, 3, rng)
+            if not is_smooth_point(F, p):
+                continue
+            frame = second_fundamental_form(F, p).frame
+            assert all(0 <= x < field.p for row in frame for x in row)
+            checked += 1
+        assert checked >= 10
+
     def test_non_asymptotic_directions_have_contact_two(self):
         from polarcalc.polarity import line_multiplicity, tangent_hyperplane
 

@@ -9,12 +9,12 @@ from pathlib import Path
 import pytest
 
 import polarcalc
+from polarcalc import linalg
 from polarcalc.cli import main
 from polarcalc.polyring import (
     INFINITY,
     QQ,
     DomainError,
-    Mod,
     ParseError,
     PolyRing,
     PrimeField,
@@ -379,13 +379,13 @@ class TestPrimeField:
         for v in (4, 9, 12345):
             sq = field.coerce(v * v)
             root = field.sqrt(sq)
-            assert root * root == sq
+            assert field.coerce(root * root) == sq
         assert field.is_square(field.coerce(4))
 
     def test_fraction_coercion(self):
         field = PrimeField(101)
         half = field.coerce(Fraction(1, 2))
-        assert half + half == field.one
+        assert field.coerce(half + half) == field.one
 
 
 class TestFieldDivision:
@@ -411,9 +411,9 @@ class TestFieldDivision:
 
     def test_prime_field_div(self):
         got = GF.div(GF.coerce(6), GF.coerce(3))
-        assert type(got) is Mod and got == GF.coerce(2)
+        assert type(got) is int and got == 2
         half = GF.div(1, 2)
-        assert type(half) is Mod and half * 2 == GF.one
+        assert type(half) is int and 0 < half < GF.p and GF.coerce(half * 2) == GF.one
 
     def test_zero_divisor_raises(self):
         for a in (1, Fraction(1, 2)):
@@ -422,6 +422,25 @@ class TestFieldDivision:
                     QQ.div(a, zero)
         with pytest.raises(ZeroDivisionError):
             GF.div(GF.one, GF.zero)
+
+
+class TestPrimeFieldReduction:
+    """Over GF(p) a product of residues is an unreduced int: each value
+    below is divisible by p or exceeds p before it is reduced."""
+
+    def test_point_equality_reduces_cross_products(self):
+        p = GF.p
+        ring = PolyRing(R.variables, GF)
+        assert ring.point([1, p - 1, 0, 0]) == ring.point([p - 1, 1, 0, 0])
+
+    def test_elimination_reduces_row_updates(self):
+        m = [[2, 3], [3, Fraction(9, 2)]]
+        assert linalg.rank(GF, m) == 1
+        assert linalg.scalar_determinant(GF, m) == 0
+
+    def test_determinant_is_reduced(self):
+        p = GF.p
+        assert linalg.scalar_determinant(GF, [[p - 1, 0], [0, p - 1]]) == 1
 
 
 class TestPackedLayout:
