@@ -612,8 +612,9 @@ def build_parser() -> argparse.ArgumentParser:
             "flecnodal", "dejonquieres", "rank-profile", "developable",
         ),
     )
-    pol.add_argument("--expr", help="surface equation in the expression grammar")
-    pol.add_argument("--surface", help="file holding one expression")
+    source = pol.add_mutually_exclusive_group()
+    source.add_argument("--expr", help="surface equation in the expression grammar")
+    source.add_argument("--surface", help="file holding one expression")
     pol.add_argument("--point", help="projective point a,b,c,d (rationals allowed)")
     pol.add_argument("--dir", help="second projective point for line contact")
     pol.add_argument("--order", type=int, help="polar order k")

@@ -32,7 +32,9 @@ The kernel provides, besides the ring operations:
   ``mono ::= var('^'nat)? ('*' var('^'nat)?)*``,
   ``coeff ::= int | int '/' nat``, terms separated by ``+`` / ``-``,
   whitespace ignored, default variables ``x y z w`` with aliases
-  ``x0..x3``),
+  ``x0..x3``); one pass over the tokens adds each term's coefficient into a
+  single dict under its packed monomial, so like terms combine and ``x*x``
+  is ``x^2``, and builds one ``Poly`` at the end,
 * determinants of polynomial matrices (cofactor expansion for size <= 4,
   fraction-free Bareiss elimination above that),
 * Sylvester resultants of polynomials taken univariately in one chosen
@@ -415,7 +417,7 @@ class Poly:
 
     def _coerce_other(self, other):
         if isinstance(other, Poly):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise DomainError(
                     f"mismatched rings: {self.ring!r} vs {other.ring!r}"
                 )
@@ -507,7 +509,7 @@ class Poly:
             other = self.ring.const(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
+        return (self.ring is other.ring or self.ring == other.ring) and self.terms == other.terms
 
     def __hash__(self):
         return hash((self.ring, frozenset(self.terms.items())))
@@ -553,7 +555,7 @@ class Poly:
             if isinstance(v, Poly):
                 if target is None:
                     target = v.ring
-                elif v.ring != target:
+                elif v.ring is not target and v.ring != target:
                     raise DomainError("substituted polynomials in mismatched rings")
         if target is None:
             raise DomainError("substitution needs a target ring (pass into=...)")
@@ -654,126 +656,87 @@ class ProjPoint:
 # parser
 # ---------------------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([+\-−*/^()]))")
+_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([+\-−*/^()])|(\S))")
 
 
-def _tokenize(text: str):
+def _tokenize(text: str) -> list:
+    """(kind, value, position) triples ending in an ``end`` token; an
+    operator is its own kind and ``−`` reads as ``-``."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise ParseError(f"unexpected character {stripped[0]!r}", pos)
-        if m.group(1) is not None:
-            digits = m.group(1)
+    for m in _TOKEN.finditer(text):
+        digits, name, op, junk = m.groups()
+        if digits is not None:
             try:
-                value = int(digits)
+                tokens.append(("int", int(digits), m.start(1)))
             except ValueError:  # longer than Python's int-to-str digit cap
                 raise ParseError(f"integer of {len(digits)} digits is too long", m.start(1)) from None
-            tokens.append(("int", value, m.start(1)))
-        elif m.group(2) is not None:
-            tokens.append(("name", m.group(2), m.start(2)))
+        elif name is not None:
+            tokens.append(("name", name, m.start(2)))
+        elif op is not None:
+            op = "-" if op == "−" else op
+            tokens.append((op, op, m.start(3)))
         else:
-            op = m.group(3)
-            if op == "−":
-                op = "-"
-            tokens.append(("op", op, m.start(3)))
-        pos = m.end()
+            raise ParseError(f"unexpected character {junk!r}", m.start())
     tokens.append(("end", None, len(text)))
     return tokens
 
 
-def _parse(text: str, ring: PolyRing):
+def _parse(text: str, ring: PolyRing) -> "Poly":
+    # term ::= coeff | coeff '*' mono | mono  (no implicit multiplication);
+    # each term is added straight into one {packed key: coefficient} dict.
     tokens = _tokenize(text)
-    idx = 0
-
-    def peek():
-        return tokens[idx]
-
-    def advance():
-        nonlocal idx
-        tok = tokens[idx]
-        idx += 1
-        return tok
-
-    def resolve(name: str, position: int) -> str:
-        if name in ring._index:
-            return name
-        alias = VARIABLE_ALIASES.get(name)
-        if alias is not None and alias in ring._index:
-            return alias
-        raise ParseError(f"unknown variable {name!r}", position)
-
-    def parse_varpow():
-        kind, name, position = advance()
-        v = resolve(name, position)
-        exp = 1
-        if peek()[0] == "op" and peek()[1] == "^":
-            advance()
-            kind, value, position = advance()
-            if kind != "int":
-                raise ParseError("exponent must be a natural number", position)
-            exp = value
-        e = [0] * len(ring.variables)
-        e[ring._index[v]] = exp
-        return tuple(e)
-
-    def parse_term():
-        # coeff | coeff '*' mono | mono   (no implicit multiplication)
-        kind, value, position = peek()
-        coeff = None
-        exps = (0,) * len(ring.variables)
-        if kind == "int":
-            advance()
-            num = value
-            if peek()[0] == "op" and peek()[1] == "/":
-                advance()
-                kind2, den, pos2 = advance()
-                if kind2 != "int" or den == 0:
-                    raise ParseError("denominator must be a positive integer", pos2)
-                coeff = Fraction(num, den)
-            else:
-                coeff = num
-            if peek()[0] == "op" and peek()[1] == "*":
-                advance()
-                if peek()[0] != "name":
-                    raise ParseError("expected a variable after '*'", peek()[2])
-            else:
-                return ring.const(coeff)
-        elif kind != "name":
-            raise ParseError("expected a term", position)
-        # mono
-        e = parse_varpow()
-        exps = tuple(a + b for a, b in zip(exps, e))
-        while peek()[0] == "op" and peek()[1] == "*":
-            advance()
-            if peek()[0] != "name":
-                raise ParseError("expected a variable after '*'", peek()[2])
-            e = parse_varpow()
-            exps = tuple(a + b for a, b in zip(exps, e))
-        mono = ring.monomial(exps)
-        return mono if coeff is None else mono * ring.const(coeff)
-
-    result = ring.zero()
-    sign = 1
-    kind, value, position = peek()
-    if kind == "op" and value in "+-":
-        sign = -1 if value == "-" else 1
-        advance()
+    index, coerce, nvars = ring._index, ring.field.coerce, len(ring.variables)
+    terms: dict = {}
+    negative = tokens[0][0] == "-"
+    i = 1 if tokens[0][0] in ("+", "-") else 0
     while True:
-        term = parse_term()
-        result = result + (term if sign == 1 else -term)
-        kind, value, position = peek()
+        kind, value, position = tokens[i]
+        coeff, exps = 1, [0] * nvars
+        if kind == "int":
+            coeff = value
+            i += 1
+            if tokens[i][0] == "/":
+                kind, den, position = tokens[i + 1]
+                if kind != "int" or not den:
+                    raise ParseError("denominator must be a positive integer", position)
+                coeff = Fraction(value, den)
+                i += 2
+            more = tokens[i][0] == "*"
+            i += more
+        elif kind == "name":
+            more = True
+        else:
+            raise ParseError("expected a term", position)
+        while more:  # var ('^' nat)? ('*' var ('^' nat)?)*
+            kind, name, position = tokens[i]
+            if kind != "name":
+                raise ParseError("expected a variable after '*'", position)
+            v = index.get(name)
+            if v is None:
+                v = index.get(VARIABLE_ALIASES.get(name))
+                if v is None:
+                    raise ParseError(f"unknown variable {name!r}", position)
+            i, e = i + 1, 1
+            if tokens[i][0] == "^":
+                kind, e, position = tokens[i + 1]
+                if kind != "int":
+                    raise ParseError("exponent must be a natural number", position)
+                i += 2
+            exps[v] += e
+            more = tokens[i][0] == "*"
+            i += more
+        key = ring._pack(exps)  # the degree check comes before the coefficient's
+        c = coerce(coeff)
+        c = -c if negative else c
+        s = terms.get(key)
+        terms[key] = s + c if s else c  # a sum that cancelled restarts, as if absent
+        kind, value, position = tokens[i]
         if kind == "end":
-            return result
-        if kind == "op" and value in "+-":
-            sign = -1 if value == "-" else 1
-            advance()
-            continue
-        raise ParseError(f"expected '+' or '-', found {value!r}", position)
+            return Poly(ring, terms)
+        if kind not in ("+", "-"):
+            raise ParseError(f"expected '+' or '-', found {value!r}", position)
+        negative = kind == "-"
+        i += 1
 
 
 def parse_poly(text: str, variables: Sequence[str] = DEFAULT_VARIABLES, field=QQ) -> Poly:
@@ -809,7 +772,7 @@ def exact_div(f: Poly, g: Poly) -> Poly:
     if g.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
     ring = f.ring
-    if g.ring != ring:
+    if g.ring is not ring and g.ring != ring:
         raise DomainError("mismatched rings in exact_div")
     q = ring.zero()
     r = f
@@ -862,7 +825,7 @@ def determinant(rows: Sequence[Sequence[Poly]]) -> Poly:
     ring = rows[0][0].ring
     for row in rows:
         for entry in row:
-            if entry.ring != ring:
+            if entry.ring is not ring and entry.ring != ring:
                 raise DomainError("matrix entries in mismatched rings")
     if n <= 4:
         return _det_cofactor([list(row) for row in rows])
@@ -904,7 +867,7 @@ def resultant(f: Poly, g: Poly, var: str) -> Poly:
     """
     if f.is_zero or g.is_zero:
         raise DomainError("resultant of the zero polynomial")
-    if f.ring != g.ring:
+    if f.ring is not g.ring and f.ring != g.ring:
         raise DomainError("mismatched rings in resultant")
     df, dg = f.degree_in(var), g.degree_in(var)
     if df == 0 and dg == 0:

@@ -10,6 +10,7 @@ bit for bit.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
@@ -18,14 +19,20 @@ from .polyring import INFINITY, Poly, PolyRing, ProjPoint, factorial_scalar
 from .reporting import Check, FAIL, PASS
 
 
-def random_homogeneous(ring: PolyRing, degree: int, rng: random.Random, max_terms: int = 6) -> Poly:
-    """A nonzero homogeneous polynomial with small random coefficients."""
-    nvars = len(ring.variables)
-    monomials = [
+@functools.lru_cache(maxsize=64)
+def _monomials(nvars: int, degree: int) -> tuple:
+    """The exponent tuples of one degree, in ``itertools.product`` order:
+    seeded ``rng.sample`` draws depend on that order."""
+    return tuple(
         exps
         for exps in itertools.product(range(degree + 1), repeat=nvars)
         if sum(exps) == degree
-    ]
+    )
+
+
+def random_homogeneous(ring: PolyRing, degree: int, rng: random.Random, max_terms: int = 6) -> Poly:
+    """A nonzero homogeneous polynomial with small random coefficients."""
+    monomials = _monomials(len(ring.variables), degree)
     while True:
         chosen = rng.sample(monomials, min(max_terms, len(monomials)))
         out = ring.zero()

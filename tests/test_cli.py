@@ -254,6 +254,15 @@ class TestPolyCommand:
         assert err.startswith("error: ") and "UTF-8" in err
         assert "Traceback" not in err
 
+    def test_expr_and_surface_are_exclusive(self, capsys, tmp_path):
+        path = tmp_path / "surface.txt"
+        path.write_text("x^3 + y^3 + z^3 + w^3\n", encoding="utf-8")
+        for surface in (str(path), "/nonexistent"):
+            code, out, err = run(capsys, "poly", "hessian", "--expr", "x*y*z*w", "--surface", surface)
+            assert code == 2
+            assert out == ""
+            assert "not allowed with argument" in err
+
     def test_parse_error_exit(self, capsys):
         code, _, err = run(capsys, "poly", "hessian", "--expr", "x^3 +")
         assert code == 2

@@ -16,6 +16,7 @@ from polarcalc.polyring import (
     QQ,
     DomainError,
     ParseError,
+    Poly,
     PolyRing,
     PrimeField,
     coefficients_in,
@@ -53,16 +54,47 @@ class TestParser:
     def test_aliases_and_unicode_minus(self):
         assert R.parse("x0^2 − x1^2") == R.parse("x^2 - y^2")
 
-    def test_unknown_variable_position(self):
+    @pytest.mark.parametrize("text, message, position", [
+        pytest.param("x + $y", "unexpected character '$'", 3, id="character"),
+        pytest.param("x + " + "1" * 5000, "integer of 5000 digits is too long", 4, id="long-integer"),
+        pytest.param("x + q", "unknown variable 'q'", 4, id="variable"),
+        pytest.param("x^y", "exponent must be a natural number", 2, id="exponent"),
+        pytest.param("1/0 + x", "denominator must be a positive integer", 2, id="denominator"),
+        pytest.param("2*3", "expected a variable after '*'", 2, id="after-star"),
+        pytest.param("x^3 +", "expected a term", 5, id="term"),
+        # implicit multiplication is not in the grammar
+        pytest.param("3 x", "expected '+' or '-', found 'x'", 2, id="sign"),
+    ])
+    def test_error_messages_and_positions(self, text, message, position):
         with pytest.raises(ParseError) as err:
-            R.parse("x + q")
-        assert err.value.position == 4
+            R.parse(text)
+        assert str(err.value) == f"{message} (at position {position})"
+        assert err.value.position == position
 
-    def test_syntax_error(self):
-        with pytest.raises(ParseError):
-            R.parse("x^3 +")
-        with pytest.raises(ParseError):
-            R.parse("3 x")  # implicit multiplication is not in the grammar
+    def test_degree_error_before_coefficient_error(self):
+        ring = PolyRing(field=PrimeField(7))
+        with pytest.raises(DomainError, match="exceeds the limit"):
+            ring.parse("1/7*x^4294967296")
+        with pytest.raises(DomainError, match="denominator divisible by the modulus"):
+            ring.parse("x + 1/7*x^2")
+
+    def test_like_terms_combine(self):
+        assert R.parse("x*x + 2*y*x*y - y*x^0*y*x") == R.parse("x^2 + x*y^2")
+        assert str(R.parse("1/2*x - 1/2*x + 3")) == "3"
+        assert type(R.parse("1/2 - 1/2 + 3").constant_value()) is int
+
+    def test_one_poly_per_parse(self, monkeypatch):
+        built = []
+        init = Poly.__init__
+
+        def counting(self, ring, terms):
+            built.append(len(terms))
+            init(self, ring, terms)
+
+        monkeypatch.setattr(Poly, "__init__", counting)
+        F = R.parse("x^2 - 3/2*x*y + y^2 - x^2 + 7")
+        assert len(built) == 1
+        assert str(F) == "-3/2*x*y + y^2 + 7"
 
     def test_rational_coefficient(self):
         F = R.parse("2/4*x")
@@ -92,6 +124,42 @@ class TestParser:
                     F = F / rng.randint(2, 7)
                 assert ring.parse(str(F)) == F
 
+    PIECES = ["x", "y", "w", "x0", "x3", "q", "xy", "0", "1", "7", "12", "4294967296", "^", "*", "/",
+              "+", "-", "−", "(", " ", "\t", "$", ".", "é", "٣"]
+
+    def test_any_text_parses_or_raises_a_parse_or_domain_error(self):
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings, strategies as st
+
+        rings = (R, PolyRing(field=PrimeField(7)))
+
+        @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+        @given(st.lists(st.sampled_from(self.PIECES), max_size=14).map("".join))
+        def check(text):
+            for ring in rings:
+                try:
+                    assert isinstance(ring.parse(text), Poly)
+                except (ParseError, DomainError):
+                    pass
+
+        check()
+
+    def test_printed_forms_parse_back(self):
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings, strategies as st
+        from polarcalc.randomchecks import random_homogeneous
+
+        rings = (R, PolyRing(field=GF))
+
+        @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+        @given(st.integers(0, 2**32), st.integers(0, 6), st.integers(1, 20), st.integers(1, 9))
+        def check(seed, degree, terms, divisor):
+            for ring in rings:
+                F = random_homogeneous(ring, degree, random.Random(seed), terms) / divisor
+                assert ring.parse(str(F)) == F
+
+        check()
+
 
 class TestArithmetic:
     def test_product_difference_of_squares(self):
@@ -110,6 +178,20 @@ class TestArithmetic:
         other = PolyRing(("a", "b"))
         with pytest.raises(DomainError):
             R.gens()[0] + other.gens()[0]
+
+    def test_equal_but_distinct_rings_are_accepted(self):
+        twin = PolyRing()
+        assert twin is not R
+        F, G = R.parse("x^2 - y*z"), twin.parse("x - w")
+        assert F + G == G + F == R.parse("x^2 - y*z + x - w")
+        assert F - G == twin.parse("x^2 - y*z - x + w")
+        assert F * G == twin.parse("x^3 - x^2*w - x*y*z + y*z*w")
+        assert exact_div(F * G, G) == F
+        assert determinant([[F, G], [G, F]]) == F * F - G * G
+        assert resultant(F, G, "x") == twin.parse("w^2 - y*z")
+        line = PolyRing(("T",))
+        T, twin_line = line.var("T"), PolyRing(("T",))
+        assert F.substitute({"x": T, "y": twin_line.one(), "z": T, "w": T}) == twin_line.parse("T^2 - T")
 
     def test_negative_power(self):
         with pytest.raises(DomainError):
