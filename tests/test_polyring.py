@@ -88,7 +88,7 @@ class TestParser:
         init = Poly.__init__
 
         def counting(self, ring, terms):
-            built.append(len(terms))
+            built.append(terms)
             init(self, ring, terms)
 
         monkeypatch.setattr(Poly, "__init__", counting)
