@@ -17,8 +17,9 @@ depend on their size.
 Exit codes: 0 success, 1 a check failed, 2 usage or parse error,
 3 mathematical domain error (singular point, wrong homogeneity, ...),
 4 internal error: an internal cross-check between two routes disagreed,
-or a float reached the JSON document (a bug in polarcalc, reported as
-``internal error: ...`` on stderr).
+a float reached the JSON document, or any other exception escaped (a bug
+in polarcalc, reported as ``internal error: ...`` on stderr, with no
+traceback).
 
 ``--modp P`` switches the kernel to the prime field GF(P).  Commands that
 report values (everything under ``poly``) and the exact checks of
@@ -675,6 +676,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except RuntimeError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as exc:  # a bug: reported by type and message, never as a traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     print(text)
     return EXIT_CHECK_FAILED if result.failed else EXIT_OK

@@ -7,9 +7,14 @@ at a swaps the roles of point and variables: it is the degree-k form
 (x_0 d_0 + ... + x_N d_N)^k F evaluated at a.  The two are proportional
 (polar symmetry), and the proportionality is cross-checked in the test
 suite rather than assumed: the two constructions here are independent.
+A polar is k steps of ``Poly.directional_derivative``, each one pass over
+the terms; the polar k-ic goes through ``Poly.partial`` and ``evaluate``
+instead, never through the directional derivative.
 
 Contact of lines is decided both by the valuation of the restriction
-F(a + T b) and by polar memberships, which must agree; tangent cones are
+F(a + T b) (by substitution) and by polar memberships, which must agree;
+the membership ladder polar(F, b, 1), ..., polar(F, b, d - 1) is walked
+once, each rung one step from the one below.  Tangent cones are
 read off from the lowest stratum of the chart expansion after a recorded
 deterministic linear change of coordinates.
 """
@@ -48,12 +53,9 @@ def _check_point(F: Poly, a: ProjPoint):
 
 
 def directional_derivative(F: Poly, a: ProjPoint) -> Poly:
+    """(a_0 d_0 + ... + a_N d_N) F: one polar step, one pass over the terms of F."""
     _check_point(F, a)
-    out = F.ring.zero()
-    for coeff, name in zip(a.coords, F.ring.variables):
-        if coeff:
-            out = out + F.partial(name) * coeff
-    return out
+    return F.directional_derivative(a.coords)
 
 
 def polar(F: Poly, a: ProjPoint, k: int) -> Poly:
@@ -84,7 +86,7 @@ def polar_kic(F: Poly, a: ProjPoint, k: int) -> Poly:
         raise DomainError(f"polar k-ic order {k} outside [1, {d - 1}]")
     ring = F.ring
     nvars = len(ring.variables)
-    out = ring.zero()
+    terms = []
     coords = list(a.coords)
     for alpha in itertools.combinations_with_replacement(range(nvars), k):
         exps = [0] * nvars
@@ -98,10 +100,8 @@ def polar_kic(F: Poly, a: ProjPoint, k: int) -> Poly:
         for name, e in zip(ring.variables, exps):
             for _ in range(e):
                 G = G.partial(name)
-        value = G.evaluate(coords)
-        if value:
-            out = out + ring.monomial(exps, mult * value)
-    return out
+        terms.append((exps, mult * G.evaluate(coords)))
+    return ring.from_terms(terms)
 
 
 def gradient_at(F: Poly, q: ProjPoint) -> list:
@@ -179,9 +179,12 @@ def line_multiplicity(F: Poly, a: ProjPoint, b: ProjPoint) -> LineContactReport:
         raise DomainError("the two points must be distinct")
     restriction = restrict_to_line(F, a, b)
     mult = valuation(restriction, "T")
-    memberships = tuple(
-        not polar(F, b, k).evaluate(list(a.coords)) for k in range(1, d)
-    )
+    # One walk up the polar ladder: rung k is polar(F, b, k), one step from rung k - 1.
+    coords, rung, memberships = list(a.coords), F, []
+    for _ in range(d - 1):
+        rung = directional_derivative(rung, b)
+        memberships.append(not rung.evaluate(coords))
+    memberships = tuple(memberships)
     # Contact >= s+1 iff the first s memberships hold (given a on V(F));
     # coefficients above the valuation are unconstrained.
     if mult != 0:

@@ -12,7 +12,9 @@ field's ``coerce`` or ``div`` before it is compared or truth-tested.  Since
 point anywhere in this package.  The term dict is internal to this module:
 other modules read a polynomial only through ``Poly.coefficient``,
 ``coefficients_in``, ``Poly.homogeneous_components``, ``Poly.partial``,
-``Poly.evaluate`` and ``Poly.sorted_terms``, which speak in exponent tuples.
+``Poly.directional_derivative``, ``Poly.evaluate`` and ``Poly.sorted_terms``,
+and build one from terms only through ``PolyRing.monomial`` and
+``PolyRing.from_terms``, which speak in exponent tuples.
 
 A monomial x_1^e_1 ... x_n^e_n is packed into one int of n 32-bit fields
 that hold, from the bottom, the prefix sums e_1, e_1 + e_2, ...,
@@ -22,8 +24,8 @@ order, so sorting and the leading term need no key function.  Every field
 is at most the total degree, so a monomial's total degree is capped at
 ``MAX_DEGREE`` = 2^32 - 1: building a monomial or a product past it raises
 DomainError.  Exponent tuples are packed and unpacked only at the kernel's
-edges: ``monomial`` and ``coefficient`` in, ``sorted_terms`` (and so
-printing), ``evaluate`` and ``substitute`` out.
+edges: ``monomial``, ``from_terms`` and ``coefficient`` in,
+``sorted_terms`` (and so printing), ``evaluate`` and ``substitute`` out.
 
 The kernel provides, besides the ring operations:
 
@@ -247,6 +249,17 @@ _FIELD_MASK = (1 << _FIELD_BITS) - 1
 MAX_DEGREE = _FIELD_MASK
 
 
+def _decimal(n: int) -> str:
+    """n in decimal, or its digit count when n is past Python's int-to-str cap."""
+    try:
+        return str(n)
+    except ValueError:
+        digits = (n.bit_length() - 1) * 1233 >> 12  # 1233 / 4096 < log10(2): a lower bound
+        while 10 ** digits <= n:
+            digits += 1
+        return f"({digits} digits)"
+
+
 class PolyRing:
     """A polynomial ring: an ordered variable tuple over a coefficient field."""
 
@@ -275,7 +288,9 @@ class PolyRing:
             total += e
             key |= total << shift
         if total > MAX_DEGREE:
-            raise DomainError(f"monomial of total degree {total} exceeds the limit 2^32 - 1")
+            raise DomainError(
+                f"monomial of total degree {_decimal(total)} exceeds the limit 2^32 - 1"
+            )
         return key
 
     def _unpack(self, key: int) -> Exponents:
@@ -318,6 +333,25 @@ class PolyRing:
         c = self.field.coerce(coeff)
         return Poly(self, {key: c} if c else {})
 
+    def from_terms(self, pairs) -> "Poly":
+        """The sum of coeff * x^exps over (exponent tuple, coeff) pairs, built in one dict.
+
+        Like terms combine and a sum that cancels leaves the dict, so the
+        result equals, term order included, adding the ``monomial``s in turn.
+        """
+        pack, coerce, p = self._pack, self.field.coerce, self._modulus
+        out: dict = {}
+        for exps, c in pairs:
+            key, c = pack(exps), coerce(c)
+            s = out.get(key)
+            if s is not None:  # reduced over GF(p), so that a sum that cancels reads 0
+                c = s + c if p is None else (s + c) % p
+            if c:
+                out[key] = c
+            else:
+                out.pop(key, None)
+        return Poly(self, out)
+
     def point(self, coords: Sequence) -> "ProjPoint":
         return ProjPoint(coords, self.field)
 
@@ -347,8 +381,8 @@ class Poly:
     DomainError).  Every monomial has total degree at most ``MAX_DEGREE`` =
     2^32 - 1.  The dict is internal to the kernel: outside this module use
     ``coefficient``, ``coefficients_in``, ``homogeneous_components``,
-    ``partial``, ``evaluate`` and ``sorted_terms``, which speak in exponent
-    tuples.
+    ``partial``, ``directional_derivative``, ``evaluate`` and
+    ``sorted_terms``, which speak in exponent tuples.
     """
 
     __slots__ = ("ring", "terms")
@@ -525,6 +559,28 @@ class Poly:
             e = ring._exponent(k, i)
             if e:
                 out[k - step] = c * e
+        return Poly(ring, out)
+
+    def directional_derivative(self, coords: Sequence) -> "Poly":
+        """sum_i coords[i] * dF/dx_i in one pass over the terms and one dict."""
+        ring = self.ring
+        coords = [ring.field.coerce(a) for a in coords]
+        if len(coords) != len(ring.variables):
+            raise DomainError("wrong number of coordinates")
+        fields = list(zip(ring._shifts, ring._var_keys, coords))
+        out: dict = {}
+        get = out.get
+        for k, c in self.terms.items():
+            below = 0
+            for shift, step, a in fields:
+                total = k >> shift & _FIELD_MASK
+                e = total - below
+                below = total
+                if e and a:
+                    key = k - step
+                    s = get(key)
+                    out[key] = c * e * a if s is None else s + c * e * a
+        # Reduced once here over GF(p); cancelled terms are dropped.
         return Poly(ring, out)
 
     def evaluate(self, coords: Sequence):

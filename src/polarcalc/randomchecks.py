@@ -14,7 +14,7 @@ import functools
 import itertools
 import random
 
-from .polarity import line_multiplicity, polar, polar_kic
+from .polarity import directional_derivative, line_multiplicity, polar, polar_kic
 from .polyring import INFINITY, Poly, PolyRing, ProjPoint, factorial_scalar
 from .reporting import Check, FAIL, PASS
 
@@ -35,11 +35,7 @@ def random_homogeneous(ring: PolyRing, degree: int, rng: random.Random, max_term
     monomials = _monomials(len(ring.variables), degree)
     while True:
         chosen = rng.sample(monomials, min(max_terms, len(monomials)))
-        out = ring.zero()
-        for exps in chosen:
-            c = ring.field.random(rng)
-            if c:
-                out = out + ring.monomial(exps, c)
+        out = ring.from_terms([(exps, ring.field.random(rng)) for exps in chosen])
         if not out.is_zero:
             return out
 
@@ -84,14 +80,15 @@ def polar_symmetry_batch(ring: PolyRing, seed: int, trials: int) -> Check:
         a, b = random_point(ring, rng), random_point(ring, rng)
         k = rng.randint(1, d - 1)
         lhs = polar(F, b, k).evaluate(list(a.coords))
-        rhs = polar(F, a, d - k).evaluate(list(b.coords))
+        polar_a = polar(F, a, d - k)
+        rhs = polar_a.evaluate(list(b.coords))
         if (not lhs) != (not rhs):
             return _check("polar symmetry", False, f"vanishing mismatch at trial {t}")
         if field.coerce(factorial_scalar(field, d - k) * lhs - factorial_scalar(field, k) * rhs):
             return _check("polar symmetry", False, f"ratio mismatch at trial {t}")
         kic = polar_kic(F, a, k)
         ratio = field.div(factorial_scalar(field, k), factorial_scalar(field, d - k))
-        if kic != polar(F, a, d - k) * ratio:
+        if kic != polar_a * ratio:
             return _check("polar symmetry", False, f"polar k-ic mismatch at trial {t}")
     return _check(f"polar symmetry ({trials} trials, {field.name})", True)
 
@@ -122,11 +119,12 @@ def taylor_batch(ring: PolyRing, seed: int, trials: int) -> Check:
         d = rng.randint(1, 4)
         F = random_homogeneous(ring, d, rng)
         a, b = random_point(ring, rng), random_point(ring, rng)
-        total = field.zero
-        for k in range(d + 1):
-            total = total + field.div(
-                polar(F, b, k).evaluate(list(a.coords)), factorial_scalar(field, k)
-            )
+        # One walk up the polar ladder: rung k is polar(F, b, k).
+        coords, rung = list(a.coords), F
+        total = rung.evaluate(coords)
+        for k in range(1, d + 1):
+            rung = directional_derivative(rung, b)
+            total = total + field.div(rung.evaluate(coords), factorial_scalar(field, k))
         shifted = F.evaluate([x + y for x, y in zip(a.coords, b.coords)])
         if field.coerce(total - shifted):
             return _check("Taylor polar expansion", False, f"trial {t}")

@@ -375,6 +375,26 @@ class TestPolyCommand:
         assert out == ""
         assert err == "internal error: the two routes disagree\n"
 
+    @pytest.mark.parametrize(
+        "exc", [ValueError("bad value"), ZeroDivisionError("division by zero"), KeyError("x")]
+    )
+    def test_any_other_exception_is_an_internal_error(self, capsys, monkeypatch, exc):
+        def fail(F):
+            raise exc
+
+        monkeypatch.setattr(cli, "hessian_determinant", fail)
+        code, out, err = run(capsys, "poly", "hessian", "--expr", "x^3+y^3+z^3+w^3")
+        assert code == 4
+        assert out == ""
+        assert err == f"internal error: {type(exc).__name__}: {exc}\n"
+
+    def test_degree_too_long_to_print_is_a_domain_error(self, capsys):
+        n = "9" * 4300  # 2n has 4,301 digits: past the int-to-str cap
+        code, out, err = run(capsys, "poly", "hessian", "--expr", f"x^{n}*x^{n}")
+        assert code == 3
+        assert out == ""
+        assert err == "domain error: monomial of total degree (4301 digits) exceeds the limit 2^32 - 1\n"
+
     def test_non_homogeneous_is_domain_error(self, capsys):
         code, _, err = run(capsys, "poly", "hessian", "--expr", "x^2 + y")
         assert code == 3

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from polarcalc import polarity
 from polarcalc.polarity import (
     line_multiplicity,
     polar,
@@ -18,6 +19,7 @@ from polarcalc.polyring import (
     INFINITY,
     QQ,
     DomainError,
+    Poly,
     PolyRing,
     PrimeField,
     ProjPoint,
@@ -141,6 +143,66 @@ class TestLineMultiplicity:
         a = R.point([1, -1, 0, 0])
         with pytest.raises(DomainError):
             line_multiplicity(FERMAT, a, R.point([-2, 2, 0, 0]))
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_polar_ladder_is_walked_once(self, d, monkeypatch):
+        # One directional-derivative pass per rung: d - 1, not d(d - 1)/2.
+        passes = []
+        step = polarity.directional_derivative
+
+        def counted(F, a):
+            passes.append(F)
+            return step(F, a)
+
+        monkeypatch.setattr(polarity, "directional_derivative", counted)
+        rng = random.Random(d)
+        a = random_point(R, rng)
+        F = surface_through(R, a, d, rng)
+        report = line_multiplicity(F, a, random_point(R, rng))
+        assert len(passes) == d - 1
+        assert len(report.polar_memberships) == d - 1
+
+
+class TestIndependentRoutes:
+    """polar_kic and restrict_to_line never take a directional derivative, so
+    the polar-symmetry and contact cross-checks compare two different routes."""
+
+    CASES = [
+        (
+            QQ, "x^4 - 2*x*y^3 + 3/2*y^2*z*w - z^4 + 5*x*z*w^2", [Fraction(1, 2), 1, 0, -1],
+            [
+                "-3/2*x - 3*y + z",
+                "3*x^2 - 12*x*y - 6*y^2 + 10*x*z - 6*y*z - 7*z*w",
+                "12*x^3 - 36*x*y^2 - 6*y^3 - 9*y^2*z - 60*x*z*w + 18*y*z*w + 15*z*w^2",
+            ],
+            "17*T^4 + 53/2*T^3 - 57/2*T^2 - 5*T - 15/16",
+        ),
+        (
+            PrimeField(1048583), "x^4 - 2*x*y^3 + 3*y^2*z*w - z^4 + 5*x*z*w^2", [524292, 1, 0, -1],
+            [
+                "524290*x + 1048580*y + 524291*z",
+                "3*x^2 + 1048571*x*y + 1048577*y^2 + 10*x*z + 1048571*y*z + 1048579*z*w",
+                "12*x^3 + 1048547*x*y^2 + 1048577*y^3 + 1048565*y^2*z + 1048523*x*z*w"
+                " + 36*y*z*w + 15*z*w^2",
+            ],
+            "35*T^4 + 524330*T^3 + 1048553*T^2 + 524285*T + 589827",
+        ),
+    ]
+
+    @pytest.mark.parametrize("field, text, point, kics, restriction", CASES, ids=["QQ", "GFp"])
+    def test_values_without_the_directional_derivative(
+        self, field, text, point, kics, restriction, monkeypatch
+    ):
+        def refuse(*args):
+            raise AssertionError("the directional derivative was called")
+
+        monkeypatch.setattr(polarity, "directional_derivative", refuse)
+        monkeypatch.setattr(Poly, "directional_derivative", refuse)
+        ring = PolyRing(field=field)
+        F = ring.parse(text)
+        a = ring.point(point)
+        assert [str(polar_kic(F, a, k)) for k in (1, 2, 3)] == kics
+        assert str(restrict_to_line(F, a, ring.point([0, 2, 1, 3]))) == restriction
 
 
 class TestTaylorNewton:

@@ -293,12 +293,71 @@ class TestCalculus:
                 if not f.is_zero:
                     assert len(parts) == f.total_degree() + 1
 
+    @pytest.mark.parametrize("field", [QQ, GF, PrimeField(7)], ids=repr)
+    def test_directional_derivative_is_the_sum_of_scaled_partials(self, field):
+        ring = PolyRing(("x", "y", "z", "w"), field)
+        rng = random.Random(13)
+        for case in range(80):
+            # Exponents up to 8, so that over GF(7) some partials lose a term.
+            f = ring.from_terms(
+                ([rng.randint(0, 8) for _ in range(4)], field.random(rng))
+                for _ in range(rng.randint(0, 10))
+            )
+            if field == QQ and case % 2:
+                coords = [Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(4)]
+            else:
+                coords = [field.random(rng) for _ in range(4)]
+            for i in rng.sample(range(4), case % 4):
+                coords[i] = 0
+            expected = ring.zero()
+            for name, a in zip(ring.variables, coords):
+                expected = expected + f.partial(name) * a
+            assert f.directional_derivative(coords) == expected
+
+    def test_directional_derivative_needs_one_coordinate_per_variable(self):
+        with pytest.raises(DomainError, match="wrong number of coordinates"):
+            R.parse("x*y").directional_derivative([1, 2, 3])
+
+
+class TestFromTerms:
+    def test_like_terms_combine_and_cancelled_terms_drop(self):
+        f = R.from_terms([
+            ((1, 0, 0, 0), 2), ((0, 1, 0, 0), 3), ((1, 0, 0, 0), -2),
+            ((0, 0, 0, 0), Fraction(1, 2)), ((0, 1, 0, 0), 4), ((0, 0, 1, 0), 0),
+        ])
+        assert f == R.parse("7*y + 1/2")
+        assert len(f.terms) == 2
+        gf7 = PolyRing(field=PrimeField(7))
+        assert gf7.from_terms([((1, 0, 0, 0), 3), ((1, 0, 0, 0), 4)]).is_zero
+        assert R.from_terms([]).is_zero
+
+    @pytest.mark.parametrize("field", [QQ, GF, PrimeField(7)], ids=repr)
+    def test_equals_the_monomial_sum_down_to_term_order(self, field):
+        ring = PolyRing(("x", "y", "z", "w"), field)
+        rng = random.Random(29)
+        for _ in range(300):
+            # 16 monomials for up to 14 terms: like terms and cancellations are common.
+            pairs = [
+                ([rng.randint(0, 1) for _ in range(4)], Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 5))))
+                for _ in range(rng.randint(0, 14))
+            ]
+            summed = ring.zero()
+            for exps, c in pairs:
+                summed = summed + ring.monomial(exps, c)
+            built = ring.from_terms(pairs)
+            assert [(k, c, type(c)) for k, c in built.terms.items()] == [
+                (k, c, type(c)) for k, c in summed.terms.items()
+            ]
+
 
 def test_term_layout_stays_inside_the_kernel():
-    """Only polyring.py reads the term dict, the variable index or the cofactor helper."""
+    """Only polyring.py reads the term dict, the variable index, the packed
+    monomial layout or the cofactor helper."""
     paths = sorted(Path(polarcalc.__file__).parent.glob("*.py"))
     assert "polyring.py" in [path.name for path in paths]
-    pattern = re.compile(r"\.terms\b|\._index\b|_det_cofactor")
+    pattern = re.compile(
+        r"\.terms\b|\._index\b|_det_cofactor|\._pack\b|\._unpack\b|\._exponent\b|\._var_keys\b"
+    )
     offenders = [
         f"{path.name}:{number}"
         for path in paths
