@@ -8,20 +8,24 @@ at a swaps the roles of point and variables: it is the degree-k form
 (polar symmetry), and the proportionality is cross-checked in the test
 suite rather than assumed: the two constructions here are independent.
 A polar is k steps of ``Poly.directional_derivative``, each one pass over
-the terms; the polar k-ic goes through ``Poly.partial`` and ``evaluate``
-instead, never through the directional derivative.
+the terms.  The polar k-ic is k! times the degree-k part of F(a + x),
+read off the terms of F in one pass (``Poly.taylor_terms``) with no
+derivative and no division.
 
 Contact of lines is decided both by the valuation of the restriction
-F(a + T b) (by substitution) and by polar memberships, which must agree;
-the membership ladder polar(F, b, 1), ..., polar(F, b, d - 1) is walked
-once, each rung one step from the one below.  Tangent cones are
+F(a + T b) and by polar memberships, which must agree.  The restriction
+is one pass over the terms of F (``Poly.line_coefficients``), expanding
+each factor (a_i + b_i T)^e binomially; the membership ladder polar(F, b,
+1), ..., polar(F, b, d - 1) is walked once, each rung one step from the
+one below.  Neither the restriction nor the polar k-ic goes through the
+polar ladder or the directional derivative.  Tangent cones are
 read off from the lowest stratum of the chart expansion after a recorded
 deterministic linear change of coordinates.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -32,7 +36,6 @@ from .polyring import (
     PolyRing,
     ProjPoint,
     coefficients_in,
-    factorial_scalar,
     valuation,
 )
 
@@ -76,32 +79,17 @@ def polar(F: Poly, a: ProjPoint, k: int) -> Poly:
 def polar_kic(F: Poly, a: ProjPoint, k: int) -> Poly:
     """Polar k-ic of V(F) at a: degree k in the ambient variables.
 
-    Computed by full multinomial polarization (iterated partials evaluated
-    at a), independently of :func:`polar`, so the proportionality between
-    the two routes is a genuine consistency check.
+    It is k! times the degree-k part of F(a + x) in x, read off the terms
+    of F in one pass (``Poly.taylor_terms``), independently of :func:`polar`,
+    so the proportionality between the two routes is a genuine consistency
+    check.
     """
     d = _check_surface(F)
     _check_point(F, a)
     if k < 1 or k > d - 1:
         raise DomainError(f"polar k-ic order {k} outside [1, {d - 1}]")
-    ring = F.ring
-    nvars = len(ring.variables)
-    terms = []
-    coords = list(a.coords)
-    for alpha in itertools.combinations_with_replacement(range(nvars), k):
-        exps = [0] * nvars
-        for i in alpha:
-            exps[i] += 1
-        # multinomial coefficient k! / prod(exps!)
-        mult = factorial_scalar(ring.field, k)
-        for e in exps:
-            mult = ring.field.div(mult, factorial_scalar(ring.field, e))
-        G = F
-        for name, e in zip(ring.variables, exps):
-            for _ in range(e):
-                G = G.partial(name)
-        terms.append((exps, mult * G.evaluate(coords)))
-    return ring.from_terms(terms)
+    scale = math.factorial(k)
+    return F.ring.from_terms((alpha, scale * c) for alpha, c in F.taylor_terms(a.coords, k))
 
 
 def gradient_at(F: Poly, q: ProjPoint) -> list:
@@ -163,13 +151,8 @@ def restrict_to_line(F: Poly, a: ProjPoint, b: ProjPoint) -> Poly:
     """F(a + T b) as a univariate polynomial in T."""
     _check_point(F, a)
     _check_point(F, b)
-    line_ring = PolyRing(("T",), F.ring.field)
-    T = line_ring.var("T")
-    assignment = {
-        name: line_ring.const(ai) + T * bi
-        for name, ai, bi in zip(F.ring.variables, a.coords, b.coords)
-    }
-    return F.substitute(assignment, into=line_ring)
+    coefficients = F.line_coefficients(a.coords, b.coords)
+    return PolyRing(("T",), F.ring.field).from_terms(((j,), c) for j, c in enumerate(coefficients))
 
 
 def line_multiplicity(F: Poly, a: ProjPoint, b: ProjPoint) -> LineContactReport:

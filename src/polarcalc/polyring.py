@@ -12,7 +12,8 @@ field's ``coerce`` or ``div`` before it is compared or truth-tested.  Since
 point anywhere in this package.  The term dict is internal to this module:
 other modules read a polynomial only through ``Poly.coefficient``,
 ``coefficients_in``, ``Poly.homogeneous_components``, ``Poly.partial``,
-``Poly.directional_derivative``, ``Poly.evaluate`` and ``Poly.sorted_terms``,
+``Poly.directional_derivative``, ``Poly.evaluate``,
+``Poly.line_coefficients``, ``Poly.taylor_terms`` and ``Poly.sorted_terms``,
 and build one from terms only through ``PolyRing.monomial`` and
 ``PolyRing.from_terms``, which speak in exponent tuples.
 
@@ -25,7 +26,8 @@ is at most the total degree, so a monomial's total degree is capped at
 ``MAX_DEGREE`` = 2^32 - 1: building a monomial or a product past it raises
 DomainError.  Exponent tuples are packed and unpacked only at the kernel's
 edges: ``monomial``, ``from_terms`` and ``coefficient`` in,
-``sorted_terms`` (and so printing), ``evaluate`` and ``substitute`` out.
+``sorted_terms`` (and so printing), ``taylor_terms`` and ``substitute``
+out.
 
 The kernel provides, besides the ring operations:
 
@@ -249,6 +251,50 @@ _FIELD_MASK = (1 << _FIELD_BITS) - 1
 MAX_DEGREE = _FIELD_MASK
 
 
+def _check_product_degree(degree: int):
+    if degree > MAX_DEGREE:
+        raise DomainError(f"product of total degree {degree} exceeds the limit 2^32 - 1")
+
+
+def _product(left: dict, right: dict) -> dict:
+    """The product of two term dicts, unreduced, with cancelled sums left in.
+
+    Below the degree limit no field carries, so a product's key is the sum.
+    """
+    out: dict = {}
+    get = out.get
+    right = list(right.items())
+    for ka, ca in left.items():
+        for kb, cb in right:
+            k = ka + kb
+            s = get(k)
+            out[k] = ca * cb if s is None else s + ca * cb
+    return out
+
+
+def _binomial_row(x, y, e: int, p, stop: int) -> list:
+    """[C(e, j) x^(e - j) y^j for j < stop]: the leading coefficients of
+    (x + y T)^e, reduced over GF(p) (p not None)."""
+    row = [math.comb(e, j) * pow(x, e - j, p) * pow(y, j, p) for j in range(stop)]
+    return row if p is None else [v % p for v in row]
+
+
+def _power(powers: dict, e: int) -> "Poly":
+    """The e-th power (e >= 1) of powers[1], memoized in powers: one product
+    from the power below when it is known, else by squaring."""
+    out = powers.get(e)
+    if out is None:
+        if e - 1 in powers:
+            out = powers[e - 1] * powers[1]
+        else:
+            out = _power(powers, e // 2)
+            out = out * out
+            if e % 2:
+                out = out * powers[1]
+        powers[e] = out
+    return out
+
+
 def _decimal(n: int) -> str:
     """n in decimal, or its digit count when n is past Python's int-to-str cap."""
     try:
@@ -381,8 +427,9 @@ class Poly:
     DomainError).  Every monomial has total degree at most ``MAX_DEGREE`` =
     2^32 - 1.  The dict is internal to the kernel: outside this module use
     ``coefficient``, ``coefficients_in``, ``homogeneous_components``,
-    ``partial``, ``directional_derivative``, ``evaluate`` and
-    ``sorted_terms``, which speak in exponent tuples.
+    ``partial``, ``directional_derivative``, ``evaluate``,
+    ``line_coefficients``, ``taylor_terms`` and ``sorted_terms``, which
+    speak in exponent tuples.
     """
 
     __slots__ = ("ring", "terms")
@@ -497,20 +544,9 @@ class Poly:
             return NotImplemented
         if self.terms and other.terms:
             shift = self.ring._degree_shift
-            degree = (max(self.terms) >> shift) + (max(other.terms) >> shift)
-            if degree > MAX_DEGREE:
-                raise DomainError(f"product of total degree {degree} exceeds the limit 2^32 - 1")
-        # Below the degree limit no field carries, so a product's key is the sum.
-        out: dict = {}
-        get = out.get
-        right = list(other.terms.items())
-        for ka, ca in self.terms.items():
-            for kb, cb in right:
-                k = ka + kb
-                s = get(k)
-                out[k] = ca * cb if s is None else s + ca * cb
+            _check_product_degree((max(self.terms) >> shift) + (max(other.terms) >> shift))
         # Terms that cancelled to zero are dropped by the constructor.
-        return Poly(self.ring, out)
+        return Poly(self.ring, _product(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -529,14 +565,7 @@ class Poly:
             return NotImplemented
         if e < 0:
             raise DomainError("negative polynomial power")
-        result = self.ring.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+        return _power({0: self.ring.one(), 1: self}, e)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -585,26 +614,105 @@ class Poly:
 
     def evaluate(self, coords: Sequence):
         """Value at a scalar tuple (one entry per ring variable)."""
-        field = self.ring.field
+        ring = self.ring
+        field, p = ring.field, ring._modulus
         coords = [field.coerce(c) for c in coords]
-        if len(coords) != len(self.ring.variables):
+        if len(coords) != len(ring.variables):
             raise DomainError("wrong number of coordinates")
+        fields = list(zip(ring._shifts, coords))
         total = 0
-        unpack, p = self.ring._unpack, self.ring._modulus
-        for mono, c in self.terms.items():
-            v = c
-            for x, k in zip(coords, unpack(mono)):
-                if k:
-                    v = v * pow(x, k, p)  # x ** k over Q, reduced over GF(p)
-            total = total + v
+        for k, c in self.terms.items():
+            below = 0
+            for shift, x in fields:
+                e = (k >> shift & _FIELD_MASK) - below
+                if e:
+                    below += e
+                    c = c * pow(x, e, p)  # x ** e over Q, reduced over GF(p)
+            total = total + c
         return field.coerce(total)
+
+    def line_coefficients(self, a: Sequence, b: Sequence) -> list:
+        """[c_0, ..., c_d] with F(a + T b) = sum_j c_j T^j, d the total degree ([] for 0).
+
+        One pass over the terms: each term convolves the binomial rows of its
+        factors (a_i + b_i T)^e, one row per (variable, exponent), built once.
+        """
+        ring = self.ring
+        field, p = ring.field, ring._modulus
+        a = [field.coerce(x) for x in a]
+        b = [field.coerce(x) for x in b]
+        if len(a) != len(ring.variables) or len(b) != len(a):
+            raise DomainError("wrong number of coordinates")
+        fields = list(enumerate(ring._shifts))
+        rows: dict = {}
+        out = [0] * ((max(self.terms) >> ring._degree_shift) + 1 if self.terms else 0)
+        for k, c in self.terms.items():
+            series, below = [c], 0
+            for i, shift in fields:
+                e = (k >> shift & _FIELD_MASK) - below
+                if e:
+                    below += e
+                    row = rows.get((i, e))
+                    if row is None:
+                        row = rows[i, e] = _binomial_row(a[i], b[i], e, p, e + 1)
+                    longer = [0] * (len(series) + e)
+                    for s, u in enumerate(series):
+                        for j, v in enumerate(row, s):
+                            longer[j] += u * v
+                    series = longer
+            for j, v in enumerate(series):
+                out[j] += v
+        return [field.coerce(v) for v in out]
+
+    def taylor_terms(self, a: Sequence, k: int) -> list:
+        """The degree-k part of F(a + x) in x, as (exponent tuple, coefficient) pairs.
+
+        The coefficient of x^alpha, |alpha| = k, is the sum over the terms
+        c x^e of c prod_i C(e_i, alpha_i) a_i^(e_i - alpha_i): one pass over
+        the terms, each walking only its alpha <= e with |alpha| = k.  No
+        derivative is taken and nothing is divided.
+        """
+        ring = self.ring
+        field, p = ring.field, ring._modulus
+        a = [field.coerce(x) for x in a]
+        if len(a) != len(ring.variables):
+            raise DomainError("wrong number of coordinates")
+        fields = list(zip(range(len(a)), ring._shifts, ring._var_keys))
+        rows: dict = {}
+        out: dict = {}
+        get = out.get
+        for key, c in self.terms.items():
+            room = key >> ring._degree_shift  # the exponents not yet walked
+            if room < k:
+                continue
+            partial, below = [(0, c, k)], 0  # (packed alpha so far, value, degree left to place)
+            for i, shift, step in fields:
+                e = (key >> shift & _FIELD_MASK) - below
+                if e:
+                    below += e
+                    room -= e
+                    row = rows.get((i, e))
+                    if row is None:
+                        row = rows[i, e] = _binomial_row(a[i], 1, e, p, min(e, k) + 1)
+                    partial = [
+                        (m + j * step, v * row[j], r - j)
+                        for m, v, r in partial
+                        for j in range(max(0, r - room), min(e, r) + 1)
+                    ]
+            for m, v, _ in partial:
+                s = get(m)
+                out[m] = v if s is None else s + v
+        unpack = ring._unpack
+        return [(unpack(m), field.coerce(v)) for m, v in out.items()]
 
     def substitute(self, assignment: Mapping[str, object], into: PolyRing = None) -> "Poly":
         """Substitute a polynomial or scalar for every variable.
 
         Every variable actually occurring in self must be assigned; Poly
         values must share one target ring (``into`` may name it explicitly,
-        and is required when all assigned values are scalars).
+        and is required when all assigned values are scalars).  Each term is
+        multiplied out against one memoized power table per variable, each
+        power reduced once, and added into one dict.
         """
         target = into
         for v in assignment.values():
@@ -615,27 +723,32 @@ class Poly:
                     raise DomainError("substituted polynomials in mismatched rings")
         if target is None:
             raise DomainError("substitution needs a target ring (pass into=...)")
-        values = {}
         for name in self.variables_used():
             if name not in assignment:
                 raise DomainError(f"variable {name!r} is not assigned")
-        for name, v in assignment.items():
+        for name in assignment:
             if name not in self.ring._index:
                 raise DomainError(f"unknown variable {name!r}")
-            values[name] = v if isinstance(v, Poly) else target.const(v)
-        out = target.zero()
-        cache: dict = {}
+        shift, coerce = target._degree_shift, target.field.coerce
+        powers, degrees = [], []  # powers[i][e]: the e-th power of variable i's value
+        for name in self.ring.variables:
+            v = assignment.get(name, 0)  # an unassigned variable does not occur
+            v = v if isinstance(v, Poly) else target.const(v)
+            powers.append({1: v})
+            degrees.append(max(v.terms) >> shift if v.terms else 0)
+        out: dict = {}
+        get = out.get
         for mono, c in self.terms.items():
-            term = target.const(c)
-            for name, k in zip(self.ring.variables, self.ring._unpack(mono)):
-                if k == 0:
-                    continue
-                key = (name, k)
-                if key not in cache:
-                    cache[key] = values[name] ** k
-                term = term * cache[key]
-            out = out + term
-        return out
+            term, degree = {0: coerce(c)}, 0
+            for table, d, e in zip(powers, degrees, self.ring._unpack(mono)):
+                if e:
+                    degree += e * d
+                    _check_product_degree(degree)
+                    term = _product(term, _power(table, e).terms)
+            for k, v in term.items():
+                s = get(k)
+                out[k] = v if s is None else s + v
+        return Poly(target, out)
 
     # -- printing ----------------------------------------------------------
 
@@ -732,7 +845,7 @@ def _tokenize(text: str) -> list:
             op = "-" if op == "−" else op
             tokens.append((op, op, m.start(3)))
         else:
-            raise ParseError(f"unexpected character {junk!r}", m.start())
+            raise ParseError(f"unexpected character {junk!r}", m.start(4))
     tokens.append(("end", None, len(text)))
     return tokens
 

@@ -51,16 +51,17 @@ def random_point(ring: PolyRing, rng: random.Random) -> ProjPoint:
 def surface_through(ring: PolyRing, point: ProjPoint, degree: int, rng: random.Random) -> Poly:
     """A random degree-d form vanishing at the given point.
 
-    Built as G - G(a)/L(a)^d * L^d for a linear form L not vanishing at a,
+    Built as G - G(a)/a_i^d * x_i^d for the first nonzero coordinate a_i,
     so the output stays homogeneous with exact coefficients.
     """
     while True:
         G = random_homogeneous(ring, degree, rng)
         pivot = next(i for i, c in enumerate(point.coords) if c)
-        L = ring.var(ring.variables[pivot])
         value = G.evaluate(list(point.coords))
         scale = ring.field.div(value, point.coords[pivot] ** degree)
-        F = G - L ** degree * scale
+        exps = [0] * len(ring.variables)
+        exps[pivot] = degree
+        F = G - ring.monomial(exps, scale)
         if not F.is_zero:
             return F
 

@@ -4,16 +4,21 @@ Python's ``int / int`` is a float, so a division that bypasses the field's
 ``div`` would leave one in a polynomial.  Every golden command and every
 acceptance criterion runs here with a check on ``Poly.__init__`` that each
 coefficient is an ``int`` (not a ``bool``) or a ``Fraction``, and that over a
-prime field GF(p) each one is an ``int`` in 1 .. p - 1.
+prime field GF(p) each one is an ``int`` in 1 .. p - 1.  A line restriction
+over Q holds an ``int`` for each integral coefficient and a ``Fraction`` for
+each other one.
 """
 
+import random
 import shlex
 from fractions import Fraction
 
 import pytest
 
 from polarcalc.cli import main
-from polarcalc.polyring import Poly
+from polarcalc.polarity import restrict_to_line
+from polarcalc.polyring import Poly, PolyRing
+from polarcalc.randomchecks import random_homogeneous
 from test_acceptance import CRITERIA
 from test_golden import COMMANDS
 
@@ -48,3 +53,19 @@ def test_acceptance_criterion_builds_exact_coefficients(capsys, coefficient_type
     criterion()
     capsys.readouterr()
     assert coefficient_types <= EXACT_TYPES
+
+
+def test_line_restriction_over_q_is_int_when_integral():
+    ring = PolyRing()
+    rng = random.Random(53)
+    seen = set()
+    for case in range(60):
+        F = random_homogeneous(ring, 2 + case % 4, rng) * Fraction(1, rng.choice((1, 2, 3)))
+        a, b = (
+            ring.point([Fraction(rng.randint(-5, 5), rng.choice((1, 2))) for _ in range(3)] + [1])
+            for _ in range(2)
+        )
+        for _, c in restrict_to_line(F, a, b).sorted_terms():
+            assert type(c) is (int if c.denominator == 1 else Fraction)
+            seen.add(type(c))
+    assert seen == EXACT_TYPES

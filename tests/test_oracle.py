@@ -1,4 +1,5 @@
-"""Differential tests of the Poly kernel against sympy on seeded random inputs.
+"""Differential tests of the Poly kernel, the polar k-ic and the line
+restriction against sympy on seeded random inputs.
 
 sympy is a test-only oracle: the runtime stays standard-library only, and
 these tests are skipped when it is not installed.  Each Poly is handed to
@@ -16,7 +17,9 @@ import pytest
 from polarcalc.curvature import hessian_determinant
 from polarcalc.localmodels import tacnode_discriminant
 from polarcalc.plucker import dejonquieres_count, dejonquieres_problem
-from polarcalc.polyring import PolyRing, PrimeField, determinant, exact_div, resultant
+from polarcalc.polarity import polar_kic, restrict_to_line
+from polarcalc.polyring import QQ, PolyRing, PrimeField, determinant, exact_div, resultant
+from polarcalc.randomchecks import random_point, surface_through
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
@@ -201,3 +204,51 @@ def test_dejonquieres_count():
         expected = expr.subs(dict.fromkeys(t, 0)) / math.prod(math.factorial(k) for k in ms)
         assert dejonquieres_count(degree, genus, mult) == expected, (degree, genus, mult)
     assert negative
+
+
+def oracle_terms(expr, gens, p=None):
+    """{exponent tuple: coefficient} of a sympy expression, reduced mod p if given."""
+    out = {}
+    for monomial, c in sympy.Poly(expr, *gens).as_dict().items():
+        c = Fraction(int(c.p), int(c.q))
+        if p is not None:
+            c = c.numerator * pow(c.denominator, -1, p) % p
+        if c:
+            out[monomial] = c
+    return out
+
+
+def seeded_surfaces(field, seed, degrees):
+    """(F, a, b): a seeded form of each degree through a, and a second point b."""
+    ring = PolyRing(NAMES, field)
+    rng = random.Random(seed)
+    for degree in degrees:
+        a = random_point(ring, rng)
+        F = surface_through(ring, a, degree, rng)
+        yield F, a, random_point(ring, rng)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(P)], ids=repr)
+def test_polar_kic_against_iterated_derivatives(field):
+    # (x d/du0 + y d/du1 + z d/du2 + w d/du3)^k applied to F(u) by sympy, then put at u = a.
+    p = field.p
+    xs, us = sympy.symbols("x y z w"), sympy.symbols("u0:4")
+    gens, zero = [sympy.Poly(g, *xs, *us) for g in xs], sympy.Poly(0, *xs, *us)
+    for F, a, _ in seeded_surfaces(field, 17, (2, 3, 4, 5)):
+        G = sympy.Poly(sympy.sympify(str(F).replace("^", "**"), locals=dict(zip(NAMES, us))), *xs, *us)
+        point = [sympy.Rational(c.numerator, c.denominator) for c in map(Fraction, a.coords)]
+        for k in range(1, F.total_degree()):
+            G = sum((g * G.diff(u) for g, u in zip(gens, us)), zero)
+            at_a = G.as_expr().xreplace(dict(zip(us, point)))
+            assert dict(polar_kic(F, a, k).sorted_terms()) == oracle_terms(at_a, xs, p)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(P)], ids=repr)
+def test_restrict_to_line_against_expansion(field):
+    p = field.p
+    xs, T = sympy.symbols("x y z w"), sympy.Symbol("T")
+    for F, a, b in seeded_surfaces(field, 18, (2, 3, 4, 5) * 2):
+        G = sympy.sympify(str(F).replace("^", "**"), locals=dict(zip(NAMES, xs)))
+        line = {x: ai + T * bi for x, ai, bi in zip(xs, a.coords, b.coords)}
+        expected = oracle_terms(sympy.expand(G.xreplace(line)), [T], p)
+        assert dict(restrict_to_line(F, a, b).sorted_terms()) == expected

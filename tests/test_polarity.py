@@ -1,5 +1,7 @@
 """Polar calculus: polars, tangent planes, line contact, tangent cones."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -93,6 +95,37 @@ class TestPolarKic:
         with pytest.raises(DomainError):
             polar_kic(FERMAT, R.point([1, 0, 0, 0]), 3)
 
+    @staticmethod
+    def _kic_by_partials(F, a, k):
+        """The multinomial polarization: sum over |alpha| = k of
+        k!/alpha! * (d^alpha F)(a) * x^alpha, by iterated partials."""
+        ring = F.ring
+        pairs = []
+        for alpha in itertools.combinations_with_replacement(range(len(ring.variables)), k):
+            exps = [alpha.count(i) for i in range(len(ring.variables))]
+            G = F
+            for name, e in zip(ring.variables, exps):
+                for _ in range(e):
+                    G = G.partial(name)
+            multinomial = math.factorial(k) // math.prod(map(math.factorial, exps))
+            pairs.append((exps, multinomial * G.evaluate(list(a.coords))))
+        return ring.from_terms(pairs)
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(1048583), PrimeField(7), PrimeField(3)], ids=repr)
+    def test_matches_the_iterated_partials(self, field):
+        # Over GF(3) the orders k >= 3 have k! = 0, and the polar k-ic vanishes.
+        ring = PolyRing(field=field)
+        rng = random.Random(43)
+        for case in range(30):
+            d = 2 + case % 5
+            F = random_homogeneous(ring, d, rng)
+            if field == QQ and case % 2:
+                a = ring.point([Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(3)] + [1])
+            else:
+                a = random_point(ring, rng)
+            for k in range(1, d):
+                assert polar_kic(F, a, k) == self._kic_by_partials(F, a, k)
+
 
 class TestTangentHyperplane:
     def test_fermat(self):
@@ -162,10 +195,29 @@ class TestLineMultiplicity:
         assert len(passes) == d - 1
         assert len(report.polar_memberships) == d - 1
 
+    def test_a_planted_disagreement_raises(self, monkeypatch):
+        # The line through (3 : 4 : 5 : 0) towards (1 : 0 : 0 : 0) meets the
+        # cone transversally: F(a + T b) = 6 T + T^2.  Dropping c_1 from the
+        # restriction claims contact 2, which the polar ladder refutes.
+        F = R.parse("x^2 + y^2 - z^2")
+        a, b = R.point([3, 4, 5, 0]), R.point([1, 0, 0, 0])
+        assert line_multiplicity(F, a, b).multiplicity == 1
+        line_coefficients = Poly.line_coefficients
+
+        def drop_linear(self, *points):
+            coefficients = line_coefficients(self, *points)
+            coefficients[1] = 0
+            return coefficients
+
+        monkeypatch.setattr(Poly, "line_coefficients", drop_linear)
+        with pytest.raises(RuntimeError, match="polar membership disagrees"):
+            line_multiplicity(F, a, b)
+
 
 class TestIndependentRoutes:
-    """polar_kic and restrict_to_line never take a directional derivative, so
-    the polar-symmetry and contact cross-checks compare two different routes."""
+    """polar_kic and restrict_to_line never take a directional derivative or a
+    polar, never substitute generically and multiply no polynomials, so the
+    polar-symmetry and contact cross-checks compare two different routes."""
 
     CASES = [
         (
@@ -194,15 +246,37 @@ class TestIndependentRoutes:
         self, field, text, point, kics, restriction, monkeypatch
     ):
         def refuse(*args):
-            raise AssertionError("the directional derivative was called")
+            raise AssertionError("a polar or generic-substitution route was called")
 
-        monkeypatch.setattr(polarity, "directional_derivative", refuse)
-        monkeypatch.setattr(Poly, "directional_derivative", refuse)
         ring = PolyRing(field=field)
         F = ring.parse(text)
         a = ring.point(point)
+        b = ring.point([0, 2, 1, 3])
+        monkeypatch.setattr(polarity, "directional_derivative", refuse)
+        monkeypatch.setattr(Poly, "directional_derivative", refuse)
+        monkeypatch.setattr(polarity, "polar", refuse)
+        monkeypatch.setattr(Poly, "substitute", refuse)
         assert [str(polar_kic(F, a, k)) for k in (1, 2, 3)] == kics
-        assert str(restrict_to_line(F, a, ring.point([0, 2, 1, 3]))) == restriction
+        assert str(restrict_to_line(F, a, b)) == restriction
+
+    def test_no_polynomial_products(self, monkeypatch):
+        rng = random.Random(47)
+        cases = []
+        for field in (QQ, PrimeField(1048583)):
+            ring = PolyRing(field=field)
+            for d in (2, 3, 4, 5):
+                a = random_point(ring, rng)
+                cases.append((surface_through(ring, a, d, rng), a, random_point(ring, rng)))
+
+        def refuse(*args):
+            raise AssertionError("Poly.__mul__ was called")
+
+        monkeypatch.setattr(Poly, "__mul__", refuse)
+        monkeypatch.setattr(Poly, "__rmul__", refuse)
+        for F, a, b in cases:
+            restrict_to_line(F, a, b)
+            for k in range(1, F.total_degree()):
+                polar_kic(F, a, k)
 
 
 class TestTaylorNewton:

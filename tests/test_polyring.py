@@ -55,7 +55,7 @@ class TestParser:
         assert R.parse("x0^2 − x1^2") == R.parse("x^2 - y^2")
 
     @pytest.mark.parametrize("text, message, position", [
-        pytest.param("x + $y", "unexpected character '$'", 3, id="character"),
+        pytest.param("x + $y", "unexpected character '$'", 4, id="character"),
         pytest.param("x + " + "1" * 5000, "integer of 5000 digits is too long", 4, id="long-integer"),
         pytest.param("x + q", "unknown variable 'q'", 4, id="variable"),
         pytest.param("x^y", "exponent must be a natural number", 2, id="exponent"),
@@ -317,6 +317,94 @@ class TestCalculus:
     def test_directional_derivative_needs_one_coordinate_per_variable(self):
         with pytest.raises(DomainError, match="wrong number of coordinates"):
             R.parse("x*y").directional_derivative([1, 2, 3])
+
+    @staticmethod
+    def _random_case(ring, rng, case):
+        """A seeded polynomial, not homogeneous, and two points with some zero coordinates."""
+        field = ring.field
+        f = ring.from_terms(
+            ([rng.randint(0, 4) for _ in range(4)], field.random(rng))
+            for _ in range(rng.randint(0, 8))
+        )
+        points = []
+        for _ in range(2):
+            if field == QQ and case % 2:
+                coords = [Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(4)]
+            else:
+                coords = [field.random(rng) for _ in range(4)]
+            for i in rng.sample(range(4), case % 3):
+                coords[i] = 0
+            points.append(coords)
+        return f, points[0], points[1]
+
+    @pytest.mark.parametrize("field", [QQ, GF, PrimeField(7)], ids=repr)
+    def test_line_coefficients_match_the_generic_substitution(self, field):
+        ring, line = PolyRing(("x", "y", "z", "w"), field), PolyRing(("T",), field)
+        T = line.var("T")
+        rng = random.Random(31)
+        for case in range(60):
+            f, a, b = self._random_case(ring, rng, case)
+            got = f.line_coefficients(a, b)
+            assert len(got) == (0 if f.is_zero else f.total_degree() + 1)
+            expected = f.substitute(
+                {name: line.const(ai) + T * bi for name, ai, bi in zip(ring.variables, a, b)},
+                into=line,
+            )
+            assert line.from_terms(((j,), c) for j, c in enumerate(got)) == expected
+        assert ring.zero().line_coefficients(a, b) == []
+
+    @pytest.mark.parametrize("field", [QQ, GF, PrimeField(7)], ids=repr)
+    def test_taylor_terms_are_the_parts_of_the_shifted_polynomial(self, field):
+        ring = PolyRing(("x", "y", "z", "w"), field)
+        rng = random.Random(32)
+        for case in range(40):
+            f, a, _ = self._random_case(ring, rng, case)
+            shifted = f.substitute({name: g + c for name, g, c in zip(ring.variables, ring.gens(), a)})
+            parts = shifted.homogeneous_components()
+            for k in range(18):
+                expected = parts[k] if k < len(parts) else ring.zero()
+                assert ring.from_terms(f.taylor_terms(a, k)) == expected
+
+    def test_expansions_need_one_coordinate_per_variable(self):
+        F = R.parse("x*y")
+        for call in (lambda: F.line_coefficients([1, 2, 3], [1, 2, 3, 4]),
+                     lambda: F.line_coefficients([1, 2, 3, 4], [1, 2, 3]),
+                     lambda: F.taylor_terms([1, 2, 3], 1)):
+            with pytest.raises(DomainError, match="wrong number of coordinates"):
+                call()
+
+    @pytest.mark.parametrize("field", [QQ, GF], ids=repr)
+    def test_substitute_matches_the_product_expansion_without_adding_polys(self, field, monkeypatch):
+        ring, chart = PolyRing(("x", "y", "z", "w"), field), PolyRing(("s", "t"), field)
+        rng = random.Random(37)
+        cases = []
+        for _ in range(30):
+            f = ring.from_terms(
+                ([rng.randint(0, 3) for _ in range(4)], field.random(rng))
+                for _ in range(rng.randint(0, 8))
+            )
+            images = {
+                name: chart.from_terms(
+                    ([rng.randint(0, 2), rng.randint(0, 2)], field.random(rng))
+                    for _ in range(rng.randint(0, 3))
+                )
+                for name in ring.variables
+            }
+            expected = chart.zero()
+            for exps, c in f.sorted_terms():
+                term = chart.const(c)
+                for name, e in zip(ring.variables, exps):
+                    term = term * images[name] ** e
+                expected = expected + term
+            cases.append((f, images, expected))
+
+        def refuse(*args):
+            raise AssertionError("Poly.__add__ was called")
+
+        monkeypatch.setattr(Poly, "__add__", refuse)
+        monkeypatch.setattr(Poly, "__radd__", refuse)
+        for f, images, expected in cases:
+            assert f.substitute(images) == expected
 
 
 class TestFromTerms:
@@ -611,6 +699,12 @@ class TestPackedLayout:
         with pytest.raises(DomainError):
             R.parse("x^2147483647*y") * R.parse("z^2147483648 + 1")
         assert str(R.parse("x^2147483647") * half) == "x^4294967295"
+        with pytest.raises(DomainError, match="product of total degree 4294967296"):
+            half.substitute({"x": R.parse("y^2")})
+        # Each power is below the cap and their product is not.
+        with pytest.raises(DomainError, match="product of total degree 6442450942"):
+            R.parse("x^2147483648*y^2147483647").substitute({"x": R.parse("z"), "y": R.parse("y*z")})
+        assert half.substitute({"x": R.parse("y")}) == R.parse("y^2147483648")
         assert R.monomial((0, 0, 0, 4294967295)).total_degree() == 4294967295
 
 
