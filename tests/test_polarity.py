@@ -248,16 +248,15 @@ class TestIndependentRoutes:
         def refuse(*args):
             raise AssertionError("a polar or generic-substitution route was called")
 
-        ring = PolyRing(field=field)
-        F = ring.parse(text)
-        a = ring.point(point)
-        b = ring.point([0, 2, 1, 3])
         monkeypatch.setattr(polarity, "directional_derivative", refuse)
         monkeypatch.setattr(Poly, "directional_derivative", refuse)
         monkeypatch.setattr(polarity, "polar", refuse)
         monkeypatch.setattr(Poly, "substitute", refuse)
+        ring = PolyRing(field=field)
+        F = ring.parse(text)
+        a = ring.point(point)
         assert [str(polar_kic(F, a, k)) for k in (1, 2, 3)] == kics
-        assert str(restrict_to_line(F, a, b)) == restriction
+        assert str(restrict_to_line(F, a, ring.point([0, 2, 1, 3]))) == restriction
 
     def test_no_polynomial_products(self, monkeypatch):
         rng = random.Random(47)
