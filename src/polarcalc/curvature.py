@@ -35,9 +35,14 @@ from .polarity import (
 
 
 def hessian_matrix(F: Poly):
+    """The matrix of second partials; each mixed partial is taken once and mirrored."""
     names = F.ring.variables
-    firsts = [F.partial(v) for v in names]
-    return [[firsts[i].partial(names[j]) for j in range(len(names))] for i in range(len(names))]
+    H = [[None] * len(names) for _ in names]
+    for i, v in enumerate(names):
+        first = F.partial(v)
+        for j in range(i, len(names)):
+            H[i][j] = H[j][i] = first.partial(names[j])
+    return H
 
 
 def hessian_determinant(F: Poly) -> Poly:

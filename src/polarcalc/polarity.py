@@ -224,14 +224,12 @@ def chart_at_point(F: Poly, a: ProjPoint):
 
 def linear_change(F: Poly, matrix, chart: PolyRing) -> Poly:
     """F with its i-th variable replaced by sum_k matrix[i][k] * (k-th chart variable)."""
-    gens = chart.gens()
-    assignment = {}
-    for name, row in zip(F.ring.variables, matrix):
-        expr = chart.zero()
-        for g, c in zip(gens, row):
-            if c:
-                expr = expr + g * c
-        assignment[name] = expr
+    n = len(chart.variables)
+    units = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+    assignment = {
+        name: chart.from_terms(zip(units, row))
+        for name, row in zip(F.ring.variables, matrix)
+    }
     return F.substitute(assignment, into=chart)
 
 

@@ -1,15 +1,20 @@
 """Exact sparse multivariate polynomial arithmetic over Q and prime fields.
 
 A polynomial is a dict mapping packed monomials to nonzero coefficients.
-In the rational mode an integral coefficient is a plain ``int`` and any
-other is a ``fractions.Fraction``; over a prime field GF(p) every
-coefficient and scalar is a plain ``int`` in 0 .. p - 1.  The ring
-operations work on unreduced ints and ``Poly`` construction reduces each
-coefficient once; a scalar computed outside the kernel goes through the
-field's ``coerce`` or ``div`` before it is compared or truth-tested.  Since
-``int / int`` is a float, coefficients are divided only through the field's
-``div``, never with ``/``.  All arithmetic is exact; there is no floating
-point anywhere in this package.  The term dict is internal to this module:
+In the rational mode a non-integral coefficient is a ``fractions.Fraction``
+and an integral one is an ``int`` or a ``Fraction(n, 1)``: sums and
+products keep whatever type Python's arithmetic gives, and only the
+parser, ``from_terms`` and the field's ``coerce`` and ``div`` make it an
+``int``.  The two print, compare and hash alike, so no output depends on
+which one a term holds, and ``Poly`` construction does not normalize them.
+Over a prime field GF(p) every coefficient and scalar is a plain ``int``
+in 0 .. p - 1.  The ring operations work on unreduced ints and ``Poly``
+construction reduces each coefficient once; a scalar computed outside the
+kernel goes through the field's ``coerce`` or ``div`` before it is
+compared or truth-tested.  Since ``int / int`` is a float, coefficients are
+divided only through the field's ``div``, never with ``/``.  All arithmetic
+is exact; there is no floating point anywhere in this package.  The term
+dict is internal to this module:
 other modules read a polynomial only through ``Poly.coefficient``,
 ``coefficients_in``, ``Poly.homogeneous_components``, ``Poly.partial``,
 ``Poly.directional_derivative``, ``Poly.evaluate``,
@@ -39,8 +44,12 @@ The kernel provides, besides the ring operations:
   ``x0..x3``); one pass over the tokens adds each term's coefficient into a
   single dict under its packed monomial, so like terms combine and ``x*x``
   is ``x^2``, and builds one ``Poly`` at the end,
-* determinants of polynomial matrices (cofactor expansion for size <= 4,
-  fraction-free Bareiss elimination above that),
+* determinants of polynomial matrices: for size <= 4 a division-free
+  Laplace expansion whose minors are shared (the minors of the bottom k
+  rows are keyed by their column bitmask and built upward one row at a
+  time, each summed in place into one term dict, so no ``Poly`` product,
+  sum or negation runs), fraction-free Bareiss elimination above that,
+  with an ``exact_div`` that updates one remainder dict in place,
 * Sylvester resultants of polynomials taken univariately in one chosen
   variable, with the remaining variables as coefficient parameters,
 * valuations of univariate polynomials (order of vanishing at 0), with
@@ -256,12 +265,15 @@ def _check_product_degree(degree: int):
         raise DomainError(f"product of total degree {degree} exceeds the limit 2^32 - 1")
 
 
-def _product(left: dict, right: dict) -> dict:
+def _product(left: dict, right: dict, out: dict = None) -> dict:
     """The product of two term dicts, unreduced, with cancelled sums left in.
 
-    Below the degree limit no field carries, so a product's key is the sum.
+    Given ``out``, the product is summed into it in place and ``out`` is
+    returned.  Below the degree limit no field carries, so a product's key
+    is the sum.
     """
-    out: dict = {}
+    if out is None:
+        out = {}
     get = out.get
     right = list(right.items())
     for ka, ca in left.items():
@@ -919,42 +931,75 @@ def parse_poly(text: str, variables: Sequence[str] = DEFAULT_VARIABLES, field=QQ
 
 
 def _det_cofactor(rows):
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    """Laplace expansion along the top row with every minor computed once.
+
+    The minors of the last k rows are keyed by the bitmask of their
+    columns and built upward one row at a time: the minor on S + {j} gains
+    (-1)^c a_ij times the minor on S, where c counts all columns of S left
+    of j.  Zero entries and zero minors are skipped, the products of one
+    minor are summed in place into one term dict, and each nonzero minor
+    becomes one Poly, so a dense n x n matrix takes n 2^(n-1) - n products,
+    no division and no ``Poly`` arithmetic.
+    """
     ring = rows[0][0].ring
-    total = ring.zero()
-    for j in range(n):
-        entry = rows[0][j]
-        if entry.is_zero:
-            continue
-        minor = [[row[k] for k in range(n) if k != j] for row in rows[1:]]
-        cof = entry * _det_cofactor(minor)
-        total = total + (cof if j % 2 == 0 else -cof)
-    return total
+    shift = ring._degree_shift
+    minors = {1 << j: entry for j, entry in enumerate(rows[-1]) if entry.terms}
+    for row in reversed(rows[:-1]):
+        entries = [
+            (1 << j, e.terms, {k: -c for k, c in e.terms.items()}, max(e.terms) >> shift)
+            for j, e in enumerate(row)
+            if e.terms
+        ]
+        sums: dict = {}
+        for mask, minor in minors.items():
+            terms = minor.terms
+            degree = max(terms) >> shift
+            for bit, plus, minus, entry_degree in entries:
+                if mask & bit:
+                    continue
+                _check_product_degree(entry_degree + degree)
+                target = sums.get(mask | bit)
+                if target is None:
+                    target = sums[mask | bit] = {}
+                _product(minus if (mask & (bit - 1)).bit_count() & 1 else plus, terms, target)
+        minors = {mask: m for mask, out in sums.items() if (m := Poly(ring, out)).terms}
+    return minors.get((1 << len(rows)) - 1, ring.zero())
 
 
 def exact_div(f: Poly, g: Poly) -> Poly:
-    """Exact quotient f/g in the polynomial ring; raises if not divisible."""
+    """Exact quotient f/g in the polynomial ring; raises if not divisible.
+
+    One remainder dict is updated in place: each step pops its leading
+    term and subtracts that quotient term times the rest of g.  The
+    quotient is gathered in one dict and made one Poly at the end.
+    """
     if g.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
     ring = f.ring
     if g.ring is not ring and g.ring != ring:
         raise DomainError("mismatched rings in exact_div")
-    q = ring.zero()
-    r = f
+    div, p = ring.field.div, ring._modulus
     gk = max(g.terms)
     gc, ge = g.terms[gk], ring._unpack(gk)
-    while not r.is_zero:
-        rk = max(r.terms)
+    rest = [(k, c) for k, c in g.terms.items() if k != gk]
+    r = dict(f.terms)
+    q: dict = {}
+    while r:
+        rk = max(r)
         if any(a < b for a, b in zip(ring._unpack(rk), ge)):
             raise DomainError("inexact polynomial division")
-        t = Poly(ring, {rk - gk: ring.field.div(r.terms[rk], gc)})
-        q = q + t
-        r = r - t * g
-    return q
+        qk, t = rk - gk, div(r.pop(rk), gc)
+        q[qk] = t
+        for k, c in rest:
+            k += qk
+            s = r.get(k, 0) - t * c
+            if p is not None:
+                s %= p
+            if s:
+                r[k] = s
+            else:
+                r.pop(k, None)
+    return Poly(ring, q)
 
 
 def _det_bareiss(rows):
@@ -985,8 +1030,11 @@ def _det_bareiss(rows):
 def determinant(rows: Sequence[Sequence[Poly]]) -> Poly:
     """Exact determinant of a square matrix of polynomials.
 
-    Cofactor expansion for size <= 4; fraction-free Bareiss elimination
-    (valid over an integral domain) for larger matrices.
+    Size <= 4 takes a Laplace expansion that shares its minors: the minors
+    of the bottom rows, keyed by their column bitmask, are built upward one
+    row at a time and summed in place, with no division (a dense 4 x 4 is
+    28 products).  Larger matrices take fraction-free Bareiss elimination
+    (valid over an integral domain), one ``exact_div`` per entry per step.
     """
     n = len(rows)
     if n == 0 or any(len(row) != n for row in rows):

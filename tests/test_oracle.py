@@ -18,7 +18,9 @@ from polarcalc.curvature import hessian_determinant
 from polarcalc.localmodels import tacnode_discriminant
 from polarcalc.plucker import dejonquieres_count, dejonquieres_problem
 from polarcalc.polarity import polar_kic, restrict_to_line
-from polarcalc.polyring import QQ, PolyRing, PrimeField, determinant, exact_div, resultant
+from polarcalc.polyring import (
+    QQ, PolyRing, PrimeField, determinant, exact_div, resultant, sylvester_rows,
+)
 from polarcalc.randomchecks import random_point, surface_through
 
 sympy = pytest.importorskip("sympy")
@@ -40,8 +42,8 @@ def to_oracle(f, oracle=QQ_ORACLE):
     return oracle(eval(text, {"__builtins__": {}}, scope))
 
 
-def oracle_det(rows):
-    return DomainMatrix(rows, (len(rows), len(rows)), QQ_ORACLE.to_domain()).det()
+def oracle_det(rows, oracle=QQ_ORACLE):
+    return DomainMatrix(rows, (len(rows), len(rows)), oracle.to_domain()).det()
 
 
 def random_terms(rng, nterms, max_exp=3, nvars=4):
@@ -114,19 +116,38 @@ def test_product_over_a_prime_field():
         assert to_oracle(f * g, GF_ORACLE) == to_oracle(f, GF_ORACLE) * to_oracle(g, GF_ORACLE)
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(P)], ids=repr)
 @pytest.mark.parametrize("size", [2, 3, 4, 5, 6])
-def test_determinant_cofactor_and_bareiss(size):
-    # Sizes up to 4 take the cofactor path, 5 and 6 the Bareiss path; a
-    # first column that is zero above its last row forces a pivot swap.
+def test_determinant_cofactor_and_bareiss(size, field):
+    # Sizes up to 4 take the shared-minor expansion, 5 and 6 the Bareiss
+    # path; a first column that is zero above its last row forces a pivot
+    # swap.  Then a sparse Sylvester layout, and a matrix whose first pivot
+    # is zero and whose second is zero after the swap.
+    ring, oracle = (R, QQ_ORACLE) if field is QQ else (PolyRing(NAMES, field), GF_ORACLE)
     rng = random.Random(100 + size)
+
+    def entry():
+        return random_poly(rng, rng.randint(0, 2), 1, ring=ring, used=2)
+
+    cases = []
     for trial in range(3):
-        rows = [[random_poly(rng, rng.randint(0, 2), 1, used=2) for _ in range(size)]
-                for _ in range(size)]
+        rows = [[entry() for _ in range(size)] for _ in range(size)]
         if trial:
             for row in rows[:-1]:
-                row[0] = R.zero()
-        expected = oracle_det([[to_oracle(e) for e in row] for row in rows])
-        assert to_oracle(determinant(rows)) == expected
+                row[0] = ring.zero()
+        cases.append(rows)
+    fc = [entry() for _ in range(size // 2 + 1)]
+    gc = [entry() for _ in range(size - size // 2 + 1)]
+    cases.append(sylvester_rows(fc, gc, ring.zero()))
+    x, one, zero = ring.var("x"), ring.one(), ring.zero()
+    cases.append([
+        [(x if i != j else zero) if i < 2 and j < 2 else one if (i < 2) != (j < 2) else
+         (x if i == j else zero) for j in range(size)]
+        for i in range(size)
+    ])
+    for rows in cases:
+        expected = oracle_det([[to_oracle(e, oracle) for e in row] for row in rows], oracle)
+        assert to_oracle(determinant(rows), oracle) == expected
 
 
 def test_resultant():

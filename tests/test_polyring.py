@@ -1,5 +1,6 @@
 """Kernel tests: parser, exact arithmetic, determinants, resultants."""
 
+import itertools
 import math
 import random
 import re
@@ -473,18 +474,48 @@ class TestDeterminant:
         x, y, *_ = R.gens()
         assert determinant([[x, y], [x, y]]).is_zero
 
-    def test_bareiss_matches_cofactor(self):
-        rng = random.Random(7)
-        from polarcalc.randomchecks import random_homogeneous
+    @staticmethod
+    def _leibniz(m):
+        """The determinant as a signed sum over permutations, with Poly arithmetic."""
+        total = m[0][0].ring.zero()
+        for perm in itertools.permutations(range(len(m))):
+            inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+            term = m[0][0].ring.one()
+            for i, j in enumerate(perm):
+                term = term * m[i][j]
+            total = total + (-term if inversions % 2 else term)
+        return total
 
-        ring = PolyRing(("x", "y"))
-        for size in (2, 3, 4):
-            for _ in range(5):
-                m = [
-                    [random_homogeneous(ring, rng.randint(0, 2), rng, 3) for _ in range(size)]
-                    for _ in range(size)
-                ]
-                assert _det_bareiss(m) == _det_cofactor(m)
+    @pytest.mark.parametrize("field", [QQ, GF, PrimeField(7)], ids=repr)
+    def test_bareiss_matches_cofactor(self, field):
+        # Sizes 1-6, non-homogeneous entries with Fraction coefficients over
+        # QQ, a zero row, and a row whose zero entries sit left of its
+        # nonzero ones, against both routes and the permutation sum.
+        rng = random.Random(7)
+        ring = PolyRing(("x", "y"), field)
+
+        def entry():
+            coeff = Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3])) if field is QQ else rng.randint(-9, 9)
+            return ring.from_terms(
+                ([rng.randint(0, 2), rng.randint(0, 1)], coeff) for _ in range(rng.randint(0, 3))
+            )
+
+        for size in range(1, 7):
+            for trial in range(4):
+                m = [[entry() for _ in range(size)] for _ in range(size)]
+                if trial == 1:
+                    m[rng.randrange(size)] = [ring.zero()] * size
+                if trial >= 2 and size > 1:
+                    # Row 0 (and row 1 on the last trial) is zero left of column
+                    # size // 2, so the expansion's sign must count the zero
+                    # columns of the minor below too.
+                    for row in m[: trial - 1]:
+                        for j in range(size):
+                            row[j] = ring.zero() if j < size // 2 else (ring.one() if row[j].is_zero else row[j])
+                expected = self._leibniz(m)
+                assert _det_cofactor(m) == expected
+                assert _det_bareiss(m) == expected
+                assert determinant(m) == expected
 
     def test_bareiss_with_zero_pivot(self):
         ring = PolyRing(("x",))
@@ -498,6 +529,51 @@ class TestDeterminant:
             [one, one, zero, zero, x],
         ]
         assert _det_bareiss(m) == _det_cofactor(m)
+
+    @staticmethod
+    def _refuse(monkeypatch, names):
+        def refuse(*args):
+            raise AssertionError("Poly arithmetic was called")
+
+        for name in names:
+            monkeypatch.setattr(Poly, name, refuse)
+
+    @pytest.mark.parametrize("field", [QQ, GF], ids=repr)
+    def test_dense_four_by_four_without_poly_arithmetic(self, field, monkeypatch):
+        from polarcalc.randomchecks import random_homogeneous
+
+        rng = random.Random(11)
+        ring = PolyRing(("x", "y", "z", "w"), field)
+        m = [[random_homogeneous(ring, 2, rng, 10) for _ in range(4)] for _ in range(4)]
+        expected = self._leibniz(m)
+        self._refuse(monkeypatch, ("__mul__", "__rmul__", "__add__", "__radd__",
+                                   "__neg__", "__sub__", "__rsub__"))
+        assert determinant(m).terms == expected.terms
+
+    @pytest.mark.parametrize("field", [QQ, GF], ids=repr)
+    def test_exact_div_without_poly_arithmetic(self, field, monkeypatch):
+        rng = random.Random(12)
+        ring = PolyRing(("x", "y", "z"), field)
+
+        def poly(nterms):
+            return ring.from_terms(
+                ([rng.randint(0, 3) for _ in range(3)], Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+                for _ in range(nterms)
+            )
+
+        cases = []
+        for _ in range(20):
+            f, g = poly(rng.randint(0, 5)), poly(rng.randint(2, 4))
+            if len(g.terms) < 2:
+                continue
+            # g is not a unit, so it does not divide f g + 1.
+            cases.append((f * g, g, f, f * g + 1))
+        self._refuse(monkeypatch, ("__mul__", "__rmul__", "__add__", "__radd__",
+                                   "__neg__", "__sub__", "__rsub__"))
+        for product, g, f, inexact in cases:
+            assert exact_div(product, g) == f
+            with pytest.raises(DomainError, match="inexact"):
+                exact_div(inexact, g)
 
     def test_exact_div(self):
         x, y, z, w = R.gens()
