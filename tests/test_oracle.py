@@ -122,7 +122,7 @@ def test_determinant_cofactor_and_bareiss(size, field):
     # Sizes up to 4 take the shared-minor expansion, 5 and 6 the Bareiss
     # path; a first column that is zero above its last row forces a pivot
     # swap.  Then a sparse Sylvester layout, and a matrix whose first pivot
-    # is zero and whose second is zero after the swap.
+    # is zero with a nonzero entry right below it.
     ring, oracle = (R, QQ_ORACLE) if field is QQ else (PolyRing(NAMES, field), GF_ORACLE)
     rng = random.Random(100 + size)
 
