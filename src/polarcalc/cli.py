@@ -19,7 +19,10 @@ Exit codes: 0 success, 1 a check failed, 2 usage or parse error,
 4 internal error: an internal cross-check between two routes disagreed,
 a float reached the JSON document, or any other exception escaped (a bug
 in polarcalc, reported as ``internal error: ...`` on stderr, with no
-traceback).
+traceback).  Output that cannot be written, as when a reader such as
+``head`` closes the pipe early, is an I/O error like an unreadable
+``--surface`` file: exit 2, ``error: [Errno 32] Broken pipe`` on stderr,
+and no traceback at exit.
 
 ``--modp P`` switches the kernel to the prime field GF(P).  Commands that
 report values (everything under ``poly``) and the exact checks of
@@ -33,6 +36,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 from dataclasses import fields
 from fractions import Fraction
@@ -662,6 +666,7 @@ def main(argv=None) -> int:
             raise UsageError(f"unknown command {args.command!r}")
         with _all_digits():
             text = result.render(args.json)
+        print(text, flush=True)  # so a closed pipe raises here, inside the handlers
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -672,6 +677,13 @@ def main(argv=None) -> int:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except OSError as exc:
+        if isinstance(exc, BrokenPipeError):
+            # The unsent output stays buffered: point stdout's descriptor at
+            # the null device, so the interpreter's flush at exit cannot raise.
+            with contextlib.suppress(AttributeError, OSError, ValueError):
+                fd, devnull = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, fd)
+                os.close(devnull)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RuntimeError as exc:
@@ -680,7 +692,6 @@ def main(argv=None) -> int:
     except Exception as exc:  # a bug: reported by type and message, never as a traceback
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    print(text)
     return EXIT_CHECK_FAILED if result.failed else EXIT_OK
 
 

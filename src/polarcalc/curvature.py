@@ -84,8 +84,6 @@ def second_fundamental_form(F: Poly, p: ProjPoint) -> FundamentalForm:
         raise DomainError("second fundamental form needs degree at least 2")
     _check_point(F, p)
     coords = list(p.coords)
-    if F.evaluate(coords):
-        raise DomainError("point does not lie on the surface")
     field = F.ring.field
     n = len(coords) - 1
     # The frame pivots on the first nonzero coordinate of p, then on the

@@ -29,6 +29,7 @@ from .polarity import (
     _check_point,
     _check_surface,
     gradient_at,
+    local_parts,
     tangent_directions,
 )
 from .polyring import (
@@ -133,6 +134,12 @@ class ContactReport:
     zero), and INFINITE when an explicit rational line inside the surface
     through the point certifies unbounded contact.  ``line_direction``
     carries that certificate when present.
+
+    Over GF(p) a line whose direction is found only among the roots of a
+    stratum of degree 3 or more (II identically zero) is missed, since no
+    root search runs there: ``z*w^2 + x^3 - x*y^2`` at (0 : 0 : 0 : 1) is
+    INFINITE over Q, with the line towards (0 : 1 : 0 : 0), but GE4 over
+    GF(1048583).
     """
 
     order: ContactOrder
@@ -150,19 +157,6 @@ def _tangent_frame(grads, q: ProjPoint):
     ell = next(j for j in others if q.coords[j])
     picked = tangent_directions(grads, pivot, [j for j in others if j != ell], q.field)
     return ProjPoint(picked[0], q.field), ProjPoint(picked[1], q.field)
-
-
-def _restriction_strata(F: Poly, q: ProjPoint, t1: ProjPoint, t2: ProjPoint):
-    """Binary forms c_k(u, v) with F(q + T(u t1 + v t2)) = sum c_k T^k."""
-    # Setting T = 1 leaves c_k as the degree-k part of F(q + u t1 + v t2).
-    duo = PolyRing(("u", "v"), F.ring.field)
-    u, v = duo.gens()
-    assignment = {}
-    for name, qi, a1, a2 in zip(F.ring.variables, q.coords, t1.coords, t2.coords):
-        assignment[name] = duo.const(qi) + u * a1 + v * a2
-    strata = F.substitute(assignment, into=duo).homogeneous_components()
-    strata += [duo.zero()] * (F.total_degree() + 1 - len(strata))
-    return strata, duo
 
 
 def _binary_coeff_list(form: Poly, degree: int):
@@ -276,14 +270,16 @@ def max_contact_order(F: Poly, q: ProjPoint) -> ContactReport:
     if not any(grads):
         raise DomainError("singular point")
     t1, t2 = _tangent_frame(grads, q)
-    strata, duo = _restriction_strata(F, q, t1, t2)
+    # F(q + T(u t1 + v t2)) = sum c_k(u, v) T^k, and setting T = 1 leaves
+    # c_k as the degree-k part of F(q + u t1 + v t2).  c_0 = F(q) = 0 and
+    # c_1 is zero on the tangent plane, so a common root of c_2..c_d is a
+    # line of the surface through q (q is off the span of t1, t2: q_ell != 0).
+    duo = PolyRing(("u", "v"), F.ring.field)
+    strata = local_parts(F, q, {"u": t1.coords, "v": t2.coords}, duo)
     ii = strata[2] if d >= 2 else duo.zero()
     iii = strata[3] if d >= 3 else duo.zero()
     tail = strata[2:]
 
-    # F(q + T(u t1 + v t2)) = sum c_k(u, v) T^k with c_0 = F(q) = 0 and c_1
-    # zero on the tangent plane, so a common root of c_2..c_d is a line of
-    # the surface through q (q is off the span of t1, t2: q_ell != 0).
     common = _common_projective_roots(tail, duo)
     line_dir = None
     if common is None:

@@ -18,16 +18,20 @@ is one pass over the terms of F (``Poly.line_coefficients``), expanding
 each factor (a_i + b_i T)^e binomially; the membership ladder polar(F, b,
 1), ..., polar(F, b, d - 1) is walked once, each rung one step from the
 one below.  Neither the restriction nor the polar k-ic goes through the
-polar ladder or the directional derivative.  Tangent cones are
-read off from the lowest stratum of the chart expansion after a recorded
-deterministic linear change of coordinates.
+polar ladder or the directional derivative.
+
+Tangent cones, like the contact strata of ``flecnodal``, are read from one
+local expansion, ``local_parts``: the homogeneous parts P_k of
+F(a + sum_j v_j b_j), from one ``substitute``.  With the axes off a pivot
+coordinate of a as the b_j, F(a v0 + w) = sum_k v0^(d - k) P_k(w), so the
+cone is the lowest nonzero P_k.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Mapping, Sequence, Tuple
 
 from .polyring import (
     INFINITY,
@@ -35,7 +39,6 @@ from .polyring import (
     Poly,
     PolyRing,
     ProjPoint,
-    coefficients_in,
     valuation,
 )
 
@@ -125,10 +128,6 @@ def tangent_hyperplane(F: Poly, q: ProjPoint) -> Poly:
     return out
 
 
-def is_smooth_point(F: Poly, q: ProjPoint) -> bool:
-    return any(gradient_at(F, q))
-
-
 @dataclass(frozen=True)
 class LineContactReport:
     """Contact of the line through base_point and direction_point.
@@ -182,6 +181,23 @@ def line_multiplicity(F: Poly, a: ProjPoint, b: ProjPoint) -> LineContactReport:
     return LineContactReport(a, b, mult, memberships, restriction)
 
 
+def local_parts(F: Poly, a: ProjPoint, directions: Mapping[str, Sequence], ring: PolyRing) -> list:
+    """Homogeneous parts [P_0, ..., P_d] of F(a + sum_j v_j b_j) in ring's variables, d = deg F.
+
+    ``directions`` maps variables v_j of ``ring`` to coordinate vectors b_j.
+    Each variable's image is one ``from_terms`` pass and the expansion one
+    ``substitute``; P_0 is F(a).
+    """
+    origin = tuple(0 for _ in ring.variables)
+    units = {v: tuple(int(name == v) for name in ring.variables) for v in directions}
+    assignment = {
+        name: ring.from_terms([(origin, ai)] + [(units[v], b[i]) for v, b in directions.items()])
+        for i, (name, ai) in enumerate(zip(F.ring.variables, a.coords))
+    }
+    parts = F.substitute(assignment, into=ring).homogeneous_components()
+    return parts + [ring.zero()] * (F.total_degree() + 1 - len(parts))
+
+
 @dataclass(frozen=True)
 class TangentConeReport:
     """Multiplicity and tangent cone at a point, in a recorded chart.
@@ -198,48 +214,23 @@ class TangentConeReport:
     matrix: tuple
 
 
-def chart_at_point(F: Poly, a: ProjPoint):
-    """Linear change moving a to the base point (1 : 0 : ... : 0).
-
-    The change pivots on the first nonzero coordinate of a and keeps the
-    remaining standard basis vectors, so it is deterministic; the chart
-    ring reuses the original variable names with the pivot name first.
-    """
-    _check_point(F, a)
-    ring = F.ring
-    field = ring.field
-    n = len(ring.variables)
-    pivot = next(i for i, c in enumerate(a.coords) if c)
-    others = [i for i in range(n) if i != pivot]
-    names = (ring.variables[pivot],) + tuple(ring.variables[i] for i in others)
-    chart = PolyRing(names, field)
-    # original coordinate i = a_i * v0 + (v_{j+1} if i is the j-th non-pivot)
-    matrix = [[field.zero] * n for _ in range(n)]
-    for i in range(n):
-        matrix[i][0] = a.coords[i]
-    for j, i in enumerate(others):
-        matrix[i][j + 1] = field.one
-    return linear_change(F, matrix, chart), chart, tuple(tuple(row) for row in matrix)
-
-
-def linear_change(F: Poly, matrix, chart: PolyRing) -> Poly:
-    """F with its i-th variable replaced by sum_k matrix[i][k] * (k-th chart variable)."""
-    n = len(chart.variables)
-    units = [tuple(int(i == k) for i in range(n)) for k in range(n)]
-    assignment = {
-        name: chart.from_terms(zip(units, row))
-        for name, row in zip(F.ring.variables, matrix)
-    }
-    return F.substitute(assignment, into=chart)
-
-
 def tangent_cone(F: Poly, a: ProjPoint) -> TangentConeReport:
-    """Multiplicity of V(F) at a and the tangent cone there."""
-    d = _check_surface(F)
-    if F.evaluate(list(a.coords)):
+    """Multiplicity of V(F) at a and the tangent cone there.
+
+    The chart pivots on the first nonzero coordinate of a and keeps the
+    other basis vectors; its ring reuses the variable names, pivot first.
+    """
+    _check_surface(F)
+    _check_point(F, a)
+    ring, field = F.ring, F.ring.field
+    pivot = next(i for i, c in enumerate(a.coords) if c)
+    others = [i for i in range(len(ring.variables)) if i != pivot]
+    chart = PolyRing((ring.variables[pivot],) + tuple(ring.variables[i] for i in others), field)
+    axes = [[field.one if k == i else field.zero for k in range(len(a))] for i in others]
+    parts = local_parts(F, a, dict(zip(chart.variables[1:], axes)), chart)
+    if not parts[0].is_zero:
         raise DomainError("point does not lie on the hypersurface")
-    transformed, chart, matrix = chart_at_point(F, a)
-    # F(a) = 0 removes the v0^d term, so the top coefficient in v0 is the
-    # lowest nonzero stratum in the other chart variables.
-    strata = coefficients_in(transformed, chart.variables[0])
-    return TangentConeReport(d - (len(strata) - 1), strata[-1], chart, matrix)
+    multiplicity = next(k for k, part in enumerate(parts) if not part.is_zero)
+    # original coordinate i = a_i * v0 + (v_{j+1} if i is the j-th non-pivot)
+    matrix = tuple((c,) + tuple(row[i] for row in axes) for i, c in enumerate(a.coords))
+    return TangentConeReport(multiplicity, parts[multiplicity], chart, matrix)

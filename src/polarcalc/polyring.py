@@ -16,11 +16,12 @@ divided only through the field's ``div``, never with ``/``.  All arithmetic
 is exact; there is no floating point anywhere in this package.  The term
 dict is internal to this module:
 other modules read a polynomial only through ``Poly.coefficient``,
-``coefficients_in``, ``Poly.homogeneous_components``, ``Poly.partial``,
+``Poly.homogeneous_components``, ``Poly.partial``,
 ``Poly.directional_derivative``, ``Poly.evaluate``,
-``Poly.line_coefficients``, ``Poly.taylor_terms`` and ``Poly.sorted_terms``,
-and build one from terms only through ``PolyRing.monomial`` and
-``PolyRing.from_terms``, which speak in exponent tuples.
+``Poly.line_coefficients``, ``Poly.taylor_terms``, ``Poly.substitute`` and
+``Poly.sorted_terms``, and build one from terms only through
+``PolyRing.monomial`` and ``PolyRing.from_terms``, which speak in exponent
+tuples.  ``coefficients_in`` serves ``resultant`` here.
 
 A monomial x_1^e_1 ... x_n^e_n is packed into one int of n 32-bit fields
 that hold, from the bottom, the prefix sums e_1, e_1 + e_2, ...,
@@ -438,10 +439,10 @@ class Poly:
     is the empty dict (it is a legal value, but degree queries on it raise
     DomainError).  Every monomial has total degree at most ``MAX_DEGREE`` =
     2^32 - 1.  The dict is internal to the kernel: outside this module use
-    ``coefficient``, ``coefficients_in``, ``homogeneous_components``,
-    ``partial``, ``directional_derivative``, ``evaluate``,
-    ``line_coefficients``, ``taylor_terms`` and ``sorted_terms``, which
-    speak in exponent tuples.
+    ``coefficient``, ``homogeneous_components``, ``partial``,
+    ``directional_derivative``, ``evaluate``, ``line_coefficients``,
+    ``taylor_terms``, ``substitute`` and ``sorted_terms``, which speak in
+    exponent tuples.
     """
 
     __slots__ = ("ring", "terms")

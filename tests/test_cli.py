@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: output schema, exit codes, round-trips."""
 
+import io
 import json
 import os
 import signal
@@ -423,6 +424,14 @@ class TestPolyCommand:
         assert doc["results"]["rank"] == 1
         assert doc["results"]["matrix"] == [["1", "0"], ["0", "0"]]
 
+    def test_second_form_off_the_surface_is_a_domain_error(self, capsys):
+        code, out, err = run(
+            capsys, "poly", "second-form", "--expr", "x*w-y*z", "--point", "1,0,0,1",
+        )
+        assert code == 3
+        assert out == ""
+        assert err == "domain error: point does not lie on the hypersurface\n"
+
     def test_contact_order(self, capsys):
         code, doc, _ = run_json(
             capsys, "poly", "contact",
@@ -441,6 +450,43 @@ class TestPolyCommand:
         assert R.parse(doc["results"]["theta"]) == R.parse(
             "1944*x*y*z*w"
         ) * R.parse("x^3+y^3+z^3+w^3")
+
+
+class _ClosedPipe(io.TextIOBase):
+    """A stdout whose reader has gone: every write raises, and it has no descriptor."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+class TestClosedOutputPipe:
+    ARGV = ["poly", "covariants", "--expr", "x*y*z+x^3+y^3+z^3+w^3", "--json"]
+
+    def test_write_to_a_closed_pipe_is_an_io_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+        code = main(self.ARGV)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: [Errno 32] Broken pipe\n"
+
+    def test_process_exit_stays_quiet(self, tmp_path):
+        # The reader closes at once, so the write usually finds the pipe
+        # closed (exit 2); if the output got into the pipe first, exit 0.
+        # Either way the flush of buffered stdout at interpreter exit must
+        # not raise again (that would print to stderr and exit 120).
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        env.pop("PYTHONUNBUFFERED", None)
+        with open(tmp_path / "stderr.txt", "w+b") as stderr:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "polarcalc.cli", *self.ARGV],
+                stdout=subprocess.PIPE, stderr=stderr, env=env,
+            )
+            proc.stdout.close()
+            code = proc.wait(timeout=60)
+            stderr.seek(0)
+            err = stderr.read().decode()
+        assert code in (0, 2)
+        assert err == ("" if code == 0 else "error: [Errno 32] Broken pipe\n")
 
 
 class TestParserBuiltOnce:

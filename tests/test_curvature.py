@@ -12,7 +12,7 @@ from polarcalc.curvature import (
     second_fundamental_form,
 )
 from polarcalc.linalg import scalar_determinant
-from polarcalc.polarity import is_smooth_point, linear_change, polar_kic
+from polarcalc.polarity import gradient_at, polar_kic
 from polarcalc.polyring import (
     INFINITY,
     QQ,
@@ -205,7 +205,7 @@ class TestSecondFundamentalForm:
                         continue
                     p = ring.point(coords)
                     F = surface_through(ring, p, d, rng)
-                if not is_smooth_point(F, p):
+                if not any(gradient_at(F, p)):
                     continue
                 form = second_fundamental_form(F, p)
                 strata = coefficients_in(chart_equation(F, form), "x")
@@ -224,7 +224,10 @@ class TestSecondFundamentalForm:
 
 def chart_equation(F, form):
     """F in the chart x = frame . v of the form, written in F's own variables."""
-    return linear_change(F, form.frame, F.ring)
+    names = F.ring.variables
+    units = [tuple(int(i == k) for i in range(len(names))) for k in range(len(names))]
+    images = {name: F.ring.from_terms(zip(units, row)) for name, row in zip(names, form.frame)}
+    return F.substitute(images, into=F.ring)
 
 
 def gens_at(ring, i):
@@ -270,14 +273,14 @@ def _random_smooth_point(F, rng, attempts=60):
         sign = rng.choice([1, -1])
         coords = [Fraction(sign * v) for v in rng.choice(known)]
         point = ring.point(coords)
-        if is_smooth_point(F, point):
+        if any(gradient_at(F, point)):
             return point
     for _ in range(attempts):
         coords = [Fraction(rng.randint(-6, 6)) for _ in range(4)]
         if not any(coords) or F.evaluate(coords):
             continue
         point = ring.point(coords)
-        if is_smooth_point(F, point):
+        if any(gradient_at(F, point)):
             return point
     if known:
         return ring.point([Fraction(v) for v in rng.choice(known)])
@@ -352,7 +355,7 @@ class TestClassification:
         for _ in range(20):
             p = random_point(ring, rng)
             F = surface_through(ring, p, 3, rng)
-            if not is_smooth_point(F, p):
+            if not any(gradient_at(F, p)):
                 continue
             frame = second_fundamental_form(F, p).frame
             assert all(0 <= x < field.p for row in frame for x in row)

@@ -13,7 +13,7 @@ from polarcalc.flecnodal import (
     max_contact_order,
 )
 from polarcalc.polarity import line_multiplicity, tangent_hyperplane
-from polarcalc.polyring import INFINITY, QQ, DomainError, PolyRing, exact_div
+from polarcalc.polyring import INFINITY, QQ, DomainError, PolyRing, PrimeField, exact_div
 
 R = PolyRing()
 FERMAT = R.parse("x^3 + y^3 + z^3 + w^3")
@@ -148,6 +148,30 @@ class TestMaxContactOrder:
     def test_singular_point_rejected(self):
         with pytest.raises(DomainError):
             max_contact_order(R.parse("y^2*w - x^3"), R.point([0, 0, 0, 1]))
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            QQ,
+            pytest.param(
+                PrimeField(1048583),
+                marks=pytest.mark.xfail(
+                    strict=True, reason="no root search for degree >= 3 over GF(p)"
+                ),
+            ),
+        ],
+        ids=repr,
+    )
+    def test_line_from_the_cubic_stratum(self, field):
+        # II vanishes, so the line must come from the roots of the cubic
+        # III = u^3 - u v^2.  Over Q the rational root search finds (0 : 1),
+        # the line towards (0 : 1 : 0 : 0); over GF(p) nothing is searched
+        # and the report is GE4.
+        ring = PolyRing(("x", "y", "z", "w"), field)
+        report = max_contact_order(ring.parse("z*w^2 + x^3 - x*y^2"), ring.point([0, 0, 0, 1]))
+        assert report.ii.is_zero
+        assert report.order is ContactOrder.INFINITE
+        assert report.line_direction == ring.point([0, 1, 0, 0])
 
     def test_direct_line_search_agrees(self):
         # Independent route: scan rational tangent directions; any contact

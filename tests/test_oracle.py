@@ -1,5 +1,6 @@
-"""Differential tests of the Poly kernel, the polar k-ic and the line
-restriction against sympy on seeded random inputs.
+"""Differential tests of the Poly kernel, the polar k-ic, the line
+restriction, the tangent cone and the contact strata against sympy on
+seeded random inputs.
 
 sympy is a test-only oracle: the runtime stays standard-library only, and
 these tests are skipped when it is not installed.  Each Poly is handed to
@@ -15,13 +16,14 @@ from fractions import Fraction
 import pytest
 
 from polarcalc.curvature import hessian_determinant
+from polarcalc.flecnodal import ContactOrder, max_contact_order
 from polarcalc.localmodels import tacnode_discriminant
 from polarcalc.plucker import dejonquieres_count, dejonquieres_problem
-from polarcalc.polarity import polar_kic, restrict_to_line
+from polarcalc.polarity import polar_kic, restrict_to_line, tangent_cone
 from polarcalc.polyring import (
-    QQ, PolyRing, PrimeField, determinant, exact_div, resultant, sylvester_rows,
+    QQ, PolyRing, PrimeField, coefficients_in, determinant, exact_div, resultant, sylvester_rows,
 )
-from polarcalc.randomchecks import random_point, surface_through
+from polarcalc.randomchecks import random_homogeneous, random_point, surface_through
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
@@ -36,10 +38,14 @@ GF_ORACLE = ring(",".join(NAMES), sympy.GF(P))[0]
 
 def to_oracle(f, oracle=QQ_ORACLE):
     """The printed form of f, evaluated in a sympy ring over the same field."""
-    # Integer literals become field elements, so 1/2 stays exact; exponents stay ints.
+    return oracle(evaluate_printed(f, oracle.gens, oracle.domain))
+
+
+def evaluate_printed(f, images, domain):
+    """The printed form of f evaluated with x, y, z, w bound to the images."""
+    # Integer literals become domain elements, so 1/2 stays exact; exponents stay ints.
     text = re.sub(r"(?<![\^\d])(\d+)", r"c(\1)", str(f)).replace("^", "**")
-    scope = dict(zip(NAMES, oracle.gens), c=oracle.domain)
-    return oracle(eval(text, {"__builtins__": {}}, scope))
+    return eval(text, {"__builtins__": {}}, dict(zip(NAMES, images), c=domain))
 
 
 def oracle_det(rows, oracle=QQ_ORACLE):
@@ -273,3 +279,149 @@ def test_restrict_to_line_against_expansion(field):
         line = {x: ai + T * bi for x, ai, bi in zip(xs, a.coords, b.coords)}
         expected = oracle_terms(sympy.expand(G.xreplace(line)), [T], p)
         assert dict(restrict_to_line(F, a, b).sorted_terms()) == expected
+
+
+def singular_through(ring, a, degree, mult, rng):
+    """A seeded form with multiplicity mult at a: sum over k >= mult of l^(degree - k) G_k(u).
+
+    l = x_pivot / a_pivot is 1 at a, and u_i = x_i - a_i l for the other
+    indices vanish there, so the lowest part G_mult (nonzero) is the cone.
+    """
+    field = ring.field
+    pivot = next(i for i, c in enumerate(a.coords) if c)
+    ell = ring.var(NAMES[pivot]) * field.div(field.one, a.coords[pivot])
+    others = [i for i in range(4) if i != pivot]
+    small = PolyRing(NAMES[:3], field)
+    us = {NAMES[j]: ring.var(NAMES[i]) - ell * a.coords[i] for j, i in enumerate(others)}
+    F = ring.zero()
+    for k in range(mult, degree + 1):
+        if k == mult or rng.random() < 0.5:
+            G = random_homogeneous(small, k, rng).substitute(us, into=ring)
+            F = F + ell ** (degree - k) * G
+    return F
+
+
+def seeded_points(field, seed):
+    """(F, a): seeded forms of degree 2-5 with a point of every multiplicity 1 .. degree."""
+    ring = PolyRing(NAMES, field)
+    rng = random.Random(seed)
+    for degree in (2, 3, 4, 5):
+        for mult in range(1, degree + 1):
+            a = random_point(ring, rng)
+            if rng.random() < 0.5:  # zero coordinates move the chart's pivot
+                coords = list(a.coords)
+                for i in rng.sample(range(4), rng.randint(1, 3)):
+                    coords[i] = field.zero
+                a = ring.point(coords if any(coords) else [0, 0, 0, 1])
+            if mult == 1 and rng.random() < 0.5:
+                yield surface_through(ring, a, degree, rng), a
+            else:
+                yield singular_through(ring, a, degree, mult, rng), a
+
+
+def sympy_parts(F, names, images, p):
+    """{degree: {exponents: coefficient}} of F at images(gens) in sympy's Q[names], mod p if given."""
+    oracle = ring(",".join(names), sympy.QQ)[0]
+    parts = {}
+    for exps, c in evaluate_printed(F, images(oracle.gens), sympy.QQ).terms():
+        c = Fraction(int(c.numerator), int(c.denominator))
+        if p is not None:
+            c = c.numerator * pow(c.denominator, -1, p) % p
+        if c:
+            parts.setdefault(sum(exps), {})[exps] = c
+    return parts
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(P)], ids=repr)
+def test_tangent_cone_against_expansion(field):
+    # The cone is the lowest-degree part of F(a + w) with w_pivot = 0, in
+    # the chart variables (pivot first, so its exponent reads 0).
+    mults = set()
+    for F, a in seeded_points(field, 19):
+        report = tangent_cone(F, a)
+        pivot = next(i for i, c in enumerate(a.coords) if c)
+
+        def images(ws):
+            chart_of = dict(zip(report.chart.variables, ws))
+            return [c if i == pivot else c + chart_of[NAMES[i]] for i, c in enumerate(a.coords)]
+
+        parts = sympy_parts(F, report.chart.variables, images, field.p)
+        assert report.multiplicity == min(parts)
+        assert dict(report.cone.sorted_terms()) == parts[min(parts)]
+        mults.add(report.multiplicity)
+    assert mults == {1, 2, 3, 4, 5}
+
+
+def line_surfaces(field, seed):
+    """(F, q): seeded forms through the line {x = w, y = z} at a point of it, and generic ones."""
+    ring = PolyRing(NAMES, field)
+    rng = random.Random(seed)
+    x, y, z, w = ring.gens()
+    for degree in (2, 3, 4, 5, 3, 4):
+        A, B = (random_homogeneous(ring, degree - 1, rng) for _ in range(2))
+        s, t = field.random(rng) or field.one, field.random(rng)
+        yield (x - w) * A + (y - z) * B, ring.point([s, t, t, s])
+        a = random_point(ring, rng)
+        yield surface_through(ring, a, degree, rng), a
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(P)], ids=repr)
+def test_contact_strata_against_expansion(field):
+    # II and III are the degree-2 and -3 parts of F(q + u t1 + v t2) in
+    # (u, v); the resultant is sympy's in u at v = 1 when both leading
+    # coefficients survive; a certified line lies in the surface.
+    u, v = sympy.symbols("u v")
+    orders = set()
+    for F, q in line_surfaces(field, 20):
+        if not any(F.partial(name).evaluate(list(q.coords)) for name in NAMES):
+            continue
+        report = max_contact_order(F, q)
+        t1, t2 = (b.coords for b in report.tangent_basis)
+
+        def plane(uv):
+            return [c + uv[0] * b1 + uv[1] * b2 for c, b1, b2 in zip(q.coords, t1, t2)]
+
+        parts = sympy_parts(F, "uv", plane, field.p)
+        assert dict(report.ii.sorted_terms()) == parts.get(2, {})
+        assert dict(report.iii.sorted_terms()) == parts.get(3, {})
+        if report.ii.coefficient((2, 0)) and report.iii.coefficient((3, 0)):
+            ii, iii = (sympy.Poly(str(f).replace("^", "**"), u, v).as_expr().subs(v, 1)
+                       for f in (report.ii, report.iii))
+            expected = sympy.resultant(ii, iii, u)
+            if field.p is not None:
+                expected = expected % field.p
+            assert report.resultant == expected
+        if report.line_direction is not None:
+            line = report.line_direction.coords
+
+            def on_line(T):
+                return [c + T[0] * b for c, b in zip(q.coords, line)]
+
+            assert sympy_parts(F, "T", on_line, field.p) == {}
+        orders.add(report.order)
+    assert orders == {ContactOrder.THREE, ContactOrder.INFINITE}
+
+
+def chart_route(F, a):
+    """The tangent cone by the earlier chart route: a linear change moving
+    a to (1 : 0 : ... : 0), then the top coefficient in the pivot variable."""
+    field = F.ring.field
+    pivot = next(i for i, c in enumerate(a.coords) if c)
+    others = [i for i in range(4) if i != pivot]
+    chart = PolyRing((NAMES[pivot],) + tuple(NAMES[i] for i in others), field)
+    matrix = [[field.zero] * 4 for _ in range(4)]
+    for i in range(4):
+        matrix[i][0] = a.coords[i]
+    for j, i in enumerate(others):
+        matrix[i][j + 1] = field.one
+    units = [tuple(int(i == k) for i in range(4)) for k in range(4)]
+    images = {name: chart.from_terms(zip(units, row)) for name, row in zip(NAMES, matrix)}
+    strata = coefficients_in(F.substitute(images, into=chart), chart.variables[0])
+    return F.total_degree() - (len(strata) - 1), strata[-1], chart, tuple(map(tuple, matrix))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(P), PrimeField(7)], ids=repr)
+def test_tangent_cone_matches_the_chart_route(field):
+    for F, a in seeded_points(field, 21):
+        report = tangent_cone(F, a)
+        assert (report.multiplicity, report.cone, report.chart, report.matrix) == chart_route(F, a)

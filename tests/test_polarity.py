@@ -312,6 +312,30 @@ class TestTangentCone:
         with pytest.raises(DomainError):
             tangent_cone(FERMAT, R.point([1, 1, 1, 1]))
 
+    def test_one_expansion_per_call(self, monkeypatch):
+        # The cone and the contact strata each come from one substitute;
+        # F(a) is the cone's P_0, so no separate evaluation runs.
+        from polarcalc.flecnodal import max_contact_order
+
+        calls = {"substitute": 0, "evaluate": 0}
+
+        def counted(name):
+            original = getattr(Poly, name)
+
+            def wrapper(self, *args, **kwargs):
+                calls[name] += 1
+                return original(self, *args, **kwargs)
+
+            monkeypatch.setattr(Poly, name, wrapper)
+
+        counted("substitute")
+        counted("evaluate")
+        tangent_cone(R.parse("y^2*w - x^3"), R.point([0, 0, 0, 1]))
+        assert calls == {"substitute": 1, "evaluate": 0}
+        calls["substitute"] = 0
+        max_contact_order(FERMAT, R.point([1, -1, 1, -1]))
+        assert calls["substitute"] == 1
+
 
 class TestPolarsAtSingularities:
     """Polars of a point of multiplicity m drop multiplicity one per order."""
