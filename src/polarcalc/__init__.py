@@ -63,8 +63,6 @@ from .invariants import (
     ProjectedSurfaceTable,
     branch_curve_characters,
     dual_surface_table,
-    hessian_developable_characters,
-    nodecouple_characters,
     projected_surface_table,
     symbolic_degree,
     verify_dual_relations,

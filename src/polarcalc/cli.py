@@ -338,14 +338,13 @@ def cmd_invariants(args) -> CommandResult:
         table = _record(invariants.dual_surface_table(args.degree))
         result.results = {k: v for k, v in table.items() if isinstance(v, dict)}
         return result
-    if sub == "projected":
-        inputs = {"n": args.n, "pi": args.pi, "pa": args.pa, "ksq": args.ksq}
-        result = CommandResult("invariants projected", inputs)
-        table = invariants.projected_surface_table(args.n, args.pi, args.pa, args.ksq)
-        result.results = _record(table)
-        result.add_checks(table.checks)
-        return result
-    raise UsageError(f"unknown invariants table {sub!r}")
+    # projected: argparse admits no other table
+    inputs = {"n": args.n, "pi": args.pi, "pa": args.pa, "ksq": args.ksq}
+    result = CommandResult("invariants projected", inputs)
+    table = invariants.projected_surface_table(args.n, args.pi, args.pa, args.ksq)
+    result.results = _record(table)
+    result.add_checks(table.checks)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -399,32 +398,31 @@ def cmd_verify(args) -> CommandResult:
         result = CommandResult("verify plucker", chars_map)
         result.add_checks(verify_plucker_relations(chars))
         return result
-    if sub == "all":
-        field = _field_from_args(args)
-        inputs = {"seed": args.seed, "trials": args.trials}
-        if args.degree_range:
-            inputs["degree_range"] = args.degree_range
-        else:
-            inputs["mode"] = "symbolic"
-        if args.modp:
-            inputs["modp"] = args.modp
-        result = CommandResult("verify all", inputs)
-        result.add_checks(_models_checks())
-        result.add_checks(generator_identities_symbolic())
-        if args.degree_range:
-            lo, hi = args.degree_range
-            for n in range(lo, hi + 1):
-                for check in invariants.verify_dual_relations(n):
-                    result.add_checks(
-                        [Check(f"{check.name} [n={n}]", check.lhs, check.rhs, check.status)]
-                    )
-        else:
-            sym = invariants.symbolic_degree()
-            result.add_checks(invariants.verify_dual_relations(sym))
-        result.add_checks(invariants.verify_projection_pipelines())
-        result.add_checks(randomchecks.property_suite(field, args.seed, args.trials))
-        return result
-    raise UsageError(f"unknown verify suite {sub!r}")
+    # all: argparse admits no other suite
+    field = _field_from_args(args)
+    inputs = {"seed": args.seed, "trials": args.trials}
+    if args.degree_range:
+        inputs["degree_range"] = args.degree_range
+    else:
+        inputs["mode"] = "symbolic"
+    if args.modp:
+        inputs["modp"] = args.modp
+    result = CommandResult("verify all", inputs)
+    result.add_checks(_models_checks())
+    result.add_checks(generator_identities_symbolic())
+    if args.degree_range:
+        lo, hi = args.degree_range
+        for n in range(lo, hi + 1):
+            for check in invariants.verify_dual_relations(n):
+                result.add_checks(
+                    [Check(f"{check.name} [n={n}]", check.lhs, check.rhs, check.status)]
+                )
+    else:
+        sym = invariants.symbolic_degree()
+        result.add_checks(invariants.verify_dual_relations(sym))
+    result.add_checks(invariants.verify_projection_pipelines())
+    result.add_checks(randomchecks.property_suite(field, args.seed, args.trials))
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -542,18 +540,17 @@ def cmd_poly(args) -> CommandResult:
     if sub == "flecnodal":
         result.results = {"flecnodal": flecnodal_member(F, point)}
         return result
-    if sub == "line-mult":
-        if not args.dir:
-            raise UsageError("line-mult needs --dir")
-        direction = _parse_point(args.dir, ring)
-        report = line_multiplicity(F, point, direction)
-        result.results = {
-            "multiplicity": _contact_str(report.multiplicity),
-            "polar_memberships": list(report.polar_memberships),
-            "restriction": str(report.restriction),
-        }
-        return result
-    raise UsageError(f"unknown poly operation {sub!r}")
+    # line-mult: argparse admits no other operation
+    if not args.dir:
+        raise UsageError("line-mult needs --dir")
+    direction = _parse_point(args.dir, ring)
+    report = line_multiplicity(F, point, direction)
+    result.results = {
+        "multiplicity": _contact_str(report.multiplicity),
+        "polar_memberships": list(report.polar_memberships),
+        "restriction": str(report.restriction),
+    }
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -660,10 +657,8 @@ def main(argv=None) -> int:
             if args.suite == "all" and args.symbolic and args.degree_range:
                 raise UsageError("--symbolic and --degree-range are exclusive")
             result = cmd_verify(args)
-        elif args.command == "poly":
+        else:  # poly: argparse admits no other command
             result = cmd_poly(args)
-        else:  # pragma: no cover
-            raise UsageError(f"unknown command {args.command!r}")
         with _all_digits():
             text = result.render(args.json)
         print(text, flush=True)  # so a closed pipe raises here, inside the handlers

@@ -262,7 +262,7 @@ def _common_projective_roots(forms, duo: PolyRing):
 
 def max_contact_order(F: Poly, q: ProjPoint) -> ContactReport:
     """Largest intersection multiplicity of a line with V(F) at q."""
-    d = _check_surface(F)
+    _check_surface(F)
     _check_point(F, q)
     if len(F.ring.variables) != 4:
         raise DomainError("contact-order analysis needs a surface in P^3")
@@ -274,13 +274,13 @@ def max_contact_order(F: Poly, q: ProjPoint) -> ContactReport:
     # c_k as the degree-k part of F(q + u t1 + v t2).  c_0 = F(q) = 0 and
     # c_1 is zero on the tangent plane, so a common root of c_2..c_d is a
     # line of the surface through q (q is off the span of t1, t2: q_ell != 0).
+    # The strata come lowest first, which fixes the order of the candidates.
     duo = PolyRing(("u", "v"), F.ring.field)
     strata = local_parts(F, q, {"u": t1.coords, "v": t2.coords}, duo)
-    ii = strata[2] if d >= 2 else duo.zero()
-    iii = strata[3] if d >= 3 else duo.zero()
-    tail = strata[2:]
+    zero = duo.zero()
+    ii, iii = strata.get(2, zero), strata.get(3, zero)
 
-    common = _common_projective_roots(tail, duo)
+    common = _common_projective_roots(list(strata.values()), duo)
     line_dir = None
     if common is None:
         # The whole tangent plane lies inside the surface.

@@ -111,7 +111,11 @@ class DualSurfaceTable:
     and ordinary edge counts of the cone, the swallowtail / mixed / triple
     point counts, bitangent edges, apparent double points of the double
     curves, plus the full character systems of the two associated
-    developables and the two flecnodal-curve point counts.
+    developables and the two flecnodal-curve point counts.  ``hessian`` is
+    the developable enveloped by the parabolic tangent planes and
+    ``node_couple`` the node-couple developable; the closed forms of the
+    parabolic developable's solved characters are proved as polynomial
+    identities in n by the test suite, not per call.
     """
 
     degree: object
@@ -143,18 +147,6 @@ def _degree_value(n):
         if v.denominator != 1 or v < 3:
             raise DomainError("surface degree must be an integer >= 3")
     return v
-
-
-def hessian_developable_characters(n) -> DevelopableCharacters:
-    """Characters of the developable enveloped by parabolic tangent planes.
-
-    Rank and stationary planes have closed forms, and the class (parabolic
-    tangent planes through a point) is the branch curve's flex count; the
-    developable relation system gives the rest.  The closed forms of the
-    solved order, stationary points and apparent double points are proved
-    as polynomial identities in n by the test suite, not per call.
-    """
-    return dual_surface_table(n).hessian
 
 
 def dual_surface_table(n) -> DualSurfaceTable:
@@ -300,10 +292,6 @@ def dual_surface_table(n) -> DualSurfaceTable:
         warnings=tuple(warnings),
         checks=checks,
     )
-
-
-def nodecouple_characters(n) -> NodeCoupleCharacters:
-    return dual_surface_table(n).node_couple
 
 
 def verify_dual_relations(n) -> list:

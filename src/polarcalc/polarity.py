@@ -9,8 +9,8 @@ at a swaps the roles of point and variables: it is the degree-k form
 suite rather than assumed: the two constructions here are independent.
 A polar is k steps of ``Poly.directional_derivative``, each one pass over
 the terms.  The polar k-ic is k! times the degree-k part of F(a + x),
-read off the terms of F in one pass (``Poly.taylor_terms``) with no
-derivative and no division.
+read off the terms of F in one pass (``Poly.taylor_part``, with the k!
+folded in) with no derivative, no division and no ``Poly`` product.
 
 Contact of lines is decided both by the valuation of the restriction
 F(a + T b) and by polar memberships, which must agree.  The restriction
@@ -21,10 +21,11 @@ one below.  Neither the restriction nor the polar k-ic goes through the
 polar ladder or the directional derivative.
 
 Tangent cones, like the contact strata of ``flecnodal``, are read from one
-local expansion, ``local_parts``: the homogeneous parts P_k of
-F(a + sum_j v_j b_j), from one ``substitute``.  With the axes off a pivot
-coordinate of a as the b_j, F(a v0 + w) = sum_k v0^(d - k) P_k(w), so the
-cone is the lowest nonzero P_k.
+local expansion, ``local_parts``: the nonzero homogeneous parts P_k of
+F(a + sum_j v_j b_j) as ``{k: P_k}`` in ascending k, from one
+``substitute``.  With the axes off a pivot coordinate of a as the b_j,
+F(a v0 + w) = sum_k v0^(d - k) P_k(w), so the cone is P_k for the least k
+present, and a present P_0 = F(a) puts a off the surface.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ def polar_kic(F: Poly, a: ProjPoint, k: int) -> Poly:
     """Polar k-ic of V(F) at a: degree k in the ambient variables.
 
     It is k! times the degree-k part of F(a + x) in x, read off the terms
-    of F in one pass (``Poly.taylor_terms``), independently of :func:`polar`,
+    of F in one pass (``Poly.taylor_part``), independently of :func:`polar`,
     so the proportionality between the two routes is a genuine consistency
     check.
     """
@@ -91,8 +92,7 @@ def polar_kic(F: Poly, a: ProjPoint, k: int) -> Poly:
     _check_point(F, a)
     if k < 1 or k > d - 1:
         raise DomainError(f"polar k-ic order {k} outside [1, {d - 1}]")
-    scale = math.factorial(k)
-    return F.ring.from_terms((alpha, scale * c) for alpha, c in F.taylor_terms(a.coords, k))
+    return F.taylor_part(a.coords, k, math.factorial(k))
 
 
 def gradient_at(F: Poly, q: ProjPoint) -> list:
@@ -181,12 +181,12 @@ def line_multiplicity(F: Poly, a: ProjPoint, b: ProjPoint) -> LineContactReport:
     return LineContactReport(a, b, mult, memberships, restriction)
 
 
-def local_parts(F: Poly, a: ProjPoint, directions: Mapping[str, Sequence], ring: PolyRing) -> list:
-    """Homogeneous parts [P_0, ..., P_d] of F(a + sum_j v_j b_j) in ring's variables, d = deg F.
+def local_parts(F: Poly, a: ProjPoint, directions: Mapping[str, Sequence], ring: PolyRing) -> dict:
+    """{k: P_k} for the nonzero homogeneous parts of F(a + sum_j v_j b_j) in ring's variables.
 
     ``directions`` maps variables v_j of ``ring`` to coordinate vectors b_j.
     Each variable's image is one ``from_terms`` pass and the expansion one
-    ``substitute``; P_0 is F(a).
+    ``substitute``; the parts come in ascending k, and P_0 is F(a).
     """
     origin = tuple(0 for _ in ring.variables)
     units = {v: tuple(int(name == v) for name in ring.variables) for v in directions}
@@ -194,8 +194,7 @@ def local_parts(F: Poly, a: ProjPoint, directions: Mapping[str, Sequence], ring:
         name: ring.from_terms([(origin, ai)] + [(units[v], b[i]) for v, b in directions.items()])
         for i, (name, ai) in enumerate(zip(F.ring.variables, a.coords))
     }
-    parts = F.substitute(assignment, into=ring).homogeneous_components()
-    return parts + [ring.zero()] * (F.total_degree() + 1 - len(parts))
+    return F.substitute(assignment, into=ring).homogeneous_components()
 
 
 @dataclass(frozen=True)
@@ -228,9 +227,9 @@ def tangent_cone(F: Poly, a: ProjPoint) -> TangentConeReport:
     chart = PolyRing((ring.variables[pivot],) + tuple(ring.variables[i] for i in others), field)
     axes = [[field.one if k == i else field.zero for k in range(len(a))] for i in others]
     parts = local_parts(F, a, dict(zip(chart.variables[1:], axes)), chart)
-    if not parts[0].is_zero:
+    if 0 in parts:
         raise DomainError("point does not lie on the hypersurface")
-    multiplicity = next(k for k, part in enumerate(parts) if not part.is_zero)
+    multiplicity = min(parts)
     # original coordinate i = a_i * v0 + (v_{j+1} if i is the j-th non-pivot)
     matrix = tuple((c,) + tuple(row[i] for row in axes) for i, c in enumerate(a.coords))
     return TangentConeReport(multiplicity, parts[multiplicity], chart, matrix)

@@ -18,10 +18,16 @@ dict is internal to this module:
 other modules read a polynomial only through ``Poly.coefficient``,
 ``Poly.homogeneous_components``, ``Poly.partial``,
 ``Poly.directional_derivative``, ``Poly.evaluate``,
-``Poly.line_coefficients``, ``Poly.taylor_terms``, ``Poly.substitute`` and
+``Poly.line_coefficients``, ``Poly.taylor_part``, ``Poly.substitute`` and
 ``Poly.sorted_terms``, and build one from terms only through
 ``PolyRing.monomial`` and ``PolyRing.from_terms``, which speak in exponent
 tuples.  ``coefficients_in`` serves ``resultant`` here.
+
+Graded pieces come in one format: ``homogeneous_components`` and
+``coefficients_in`` return ``{degree: Poly}`` holding the nonzero parts
+only, in ascending degree, built in one pass over the terms, so their cost
+follows the number of terms and not the degree; ``taylor_part`` returns
+its one part as a ``Poly``.
 
 A monomial x_1^e_1 ... x_n^e_n is packed into one int of n 32-bit fields
 that hold, from the bottom, the prefix sums e_1, e_1 + e_2, ...,
@@ -32,8 +38,7 @@ is at most the total degree, so a monomial's total degree is capped at
 ``MAX_DEGREE`` = 2^32 - 1: building a monomial or a product past it raises
 DomainError.  Exponent tuples are packed and unpacked only at the kernel's
 edges: ``monomial``, ``from_terms`` and ``coefficient`` in,
-``sorted_terms`` (and so printing), ``taylor_terms`` and ``substitute``
-out.
+``sorted_terms`` (and so printing) and ``substitute`` out.
 
 The kernel provides, besides the ring operations:
 
@@ -441,8 +446,8 @@ class Poly:
     2^32 - 1.  The dict is internal to the kernel: outside this module use
     ``coefficient``, ``homogeneous_components``, ``partial``,
     ``directional_derivative``, ``evaluate``, ``line_coefficients``,
-    ``taylor_terms``, ``substitute`` and ``sorted_terms``, which speak in
-    exponent tuples.
+    ``taylor_part``, ``substitute`` and ``sorted_terms``; of these,
+    ``coefficient`` and ``sorted_terms`` speak in exponent tuples.
     """
 
     __slots__ = ("ring", "terms")
@@ -472,15 +477,13 @@ class Poly:
         shift = self.ring._degree_shift
         return len({k >> shift for k in self.terms}) == 1
 
-    def homogeneous_components(self) -> list:
-        """Parts of degree 0 .. total_degree(), each zero or of that degree; [] for 0."""
-        if self.is_zero:
-            return []
+    def homogeneous_components(self) -> dict:
+        """{k: part of degree k} for the nonzero parts, in ascending k; {} for 0."""
         shift = self.ring._degree_shift
-        parts: list = [dict() for _ in range(self.total_degree() + 1)]
+        parts: dict = {}
         for k, c in self.terms.items():
-            parts[k >> shift][k] = c
-        return [Poly(self.ring, part) for part in parts]
+            parts.setdefault(k >> shift, {})[k] = c
+        return {d: Poly(self.ring, parts[d]) for d in sorted(parts)}
 
     def degree_in(self, var: str) -> int:
         i = self.ring._index[var]
@@ -677,17 +680,18 @@ class Poly:
                 out[j] += v
         return [field.coerce(v) for v in out]
 
-    def taylor_terms(self, a: Sequence, k: int) -> list:
-        """The degree-k part of F(a + x) in x, as (exponent tuple, coefficient) pairs.
+    def taylor_part(self, a: Sequence, k: int, scale=1) -> "Poly":
+        """scale times the degree-k part of F(a + x) in x.
 
         The coefficient of x^alpha, |alpha| = k, is the sum over the terms
         c x^e of c prod_i C(e_i, alpha_i) a_i^(e_i - alpha_i): one pass over
-        the terms, each walking only its alpha <= e with |alpha| = k.  No
-        derivative is taken and nothing is divided.
+        the terms, each walking only its alpha <= e with |alpha| = k, summed
+        into one dict under the packed alpha.  No derivative is taken and
+        nothing is divided.
         """
         ring = self.ring
         field, p = ring.field, ring._modulus
-        a = [field.coerce(x) for x in a]
+        a, scale = [field.coerce(x) for x in a], field.coerce(scale)
         if len(a) != len(ring.variables):
             raise DomainError("wrong number of coordinates")
         fields = list(zip(range(len(a)), ring._shifts, ring._var_keys))
@@ -698,7 +702,8 @@ class Poly:
             room = key >> ring._degree_shift  # the exponents not yet walked
             if room < k:
                 continue
-            partial, below = [(0, c, k)], 0  # (packed alpha so far, value, degree left to place)
+            # (packed alpha so far, value, degree left to place)
+            partial, below = [(0, c * scale, k)], 0
             for i, shift, step in fields:
                 e = (key >> shift & _FIELD_MASK) - below
                 if e:
@@ -715,8 +720,8 @@ class Poly:
             for m, v, _ in partial:
                 s = get(m)
                 out[m] = v if s is None else s + v
-        unpack = ring._unpack
-        return [(unpack(m), field.coerce(v)) for m, v in out.items()]
+        # Reduced once here over GF(p); cancelled sums are dropped.
+        return Poly(ring, out)
 
     def substitute(self, assignment: Mapping[str, object], into: PolyRing = None) -> "Poly":
         """Substitute a polynomial or scalar for every variable.
@@ -1050,21 +1055,20 @@ def determinant(rows: Sequence[Sequence[Poly]]) -> Poly:
     return _det_bareiss(rows)
 
 
-def coefficients_in(f: Poly, var: str) -> list:
-    """Coefficients of f as a polynomial in var (degree 0 upward).
+def coefficients_in(f: Poly, var: str) -> dict:
+    """{e: coefficient of var^e} of f for the nonzero coefficients, in ascending e.
 
-    Entries are polynomials in the same ring, not involving var.
+    Each coefficient is a polynomial in the same ring, not involving var;
+    the zero polynomial gives {}.
     """
-    i = f.ring._index[var]
-    if f.is_zero:
-        return [f.ring.zero()]
     ring = f.ring
+    i = ring._index[var]
     step = ring._var_keys[i]
-    buckets: list = [dict() for _ in range(f.degree_in(var) + 1)]
+    buckets: dict = {}
     for k, c in f.terms.items():
         e = ring._exponent(k, i)
-        buckets[e][k - e * step] = c
-    return [Poly(ring, b) for b in buckets]
+        buckets.setdefault(e, {})[k - e * step] = c
+    return {e: Poly(ring, buckets[e]) for e in sorted(buckets)}
 
 
 def sylvester_rows(fc: Sequence, gc: Sequence, zero) -> list:
@@ -1087,16 +1091,20 @@ def resultant(f: Poly, g: Poly, var: str) -> Poly:
         raise DomainError("resultant of the zero polynomial")
     if f.ring is not g.ring and f.ring != g.ring:
         raise DomainError("mismatched rings in resultant")
-    df, dg = f.degree_in(var), g.degree_in(var)
+    fc, gc = coefficients_in(f, var), coefficients_in(g, var)
+    df, dg = max(fc), max(gc)
     if df == 0 and dg == 0:
         raise DomainError(f"neither argument involves {var!r}")
     if df == 0:
         return f ** dg
     if dg == 0:
         return g ** df
-    fc = coefficients_in(f, var)[::-1]
-    gc = coefficients_in(g, var)[::-1]
-    return determinant(sylvester_rows(fc, gc, f.ring.zero()))
+    zero = f.ring.zero()
+    return determinant(sylvester_rows(
+        [fc.get(e, zero) for e in range(df, -1, -1)],
+        [gc.get(e, zero) for e in range(dg, -1, -1)],
+        zero,
+    ))
 
 
 def valuation(f: Poly, var: str = None):

@@ -13,8 +13,6 @@ from polarcalc.invariants import (
     PROJECTED_RING,
     branch_curve_characters,
     dual_surface_table,
-    hessian_developable_characters,
-    nodecouple_characters,
     projected_surface_table,
     symbolic_degree,
     verify_dual_relations,
@@ -71,13 +69,13 @@ def test_criterion_03_node_couple_chain():
     for n in (3, 4):
         named = {c.name: c for c in verify_dual_relations(n)}
         assert named["node-curve apparent points re-derived"].ok
-    assert nodecouple_characters(3).rank == 0
-    assert nodecouple_characters(4).rank == 160
+    assert dual_surface_table(3).node_couple.rank == 0
+    assert dual_surface_table(4).node_couple.rank == 160
     _report(3, "apparent double points 216 / 102400 and node-couple rank 0 / 160")
 
 
 def test_criterion_04_hessian_developable_closure():
-    sym = hessian_developable_characters(symbolic_degree())
+    sym = dual_surface_table(symbolic_degree()).hessian
     n = symbolic_degree()
     assert sym.m == 4 * n * (n - 2) * (7 * n - 15)
     assert sym.beta == 10 * n * (n - 2) * (7 * n - 16)
@@ -85,9 +83,9 @@ def test_criterion_04_hessian_developable_closure():
     assert sym.h == 2 * n * (n - 2) * (
         196 * n ** 4 - 1232 * n ** 3 + 2580 * n ** 2 - 1861 * n + 137
     )
-    h3 = hessian_developable_characters(3)
+    h3 = dual_surface_table(3).hessian
     assert (h3.m, h3.beta, h3.g, h3.h) == (72, 150, 180, 2316)
-    h4 = hessian_developable_characters(4)
+    h4 = dual_surface_table(4).hessian
     assert (h4.m, h4.beta, h4.g, h4.h) == (416, 960, 4016, 84816)
     _report(4, "hessian developable closure: symbolic zero residuals and spot values")
 

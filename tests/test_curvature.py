@@ -209,9 +209,9 @@ class TestSecondFundamentalForm:
                     continue
                 form = second_fundamental_form(F, p)
                 strata = coefficients_in(chart_equation(F, form), "x")
-                assert len(strata) == d
+                assert max(strata) == d - 1
                 assert strata[d - 1] == w
-                small = strata[d - 2]
+                small = strata.get(d - 2, ring.zero())
                 quad = tuple(
                     tuple(field.div(small.partial(a).partial(b).constant_value(), 2)
                           for b in "yzw")

@@ -6,8 +6,6 @@ from polarcalc.invariants import (
     PROJECTED_RING,
     branch_curve_characters,
     dual_surface_table,
-    hessian_developable_characters,
-    nodecouple_characters,
     projected_surface_table,
     symbolic_degree,
     verify_dual_relations,
@@ -140,19 +138,19 @@ class TestDualRelations:
 
 class TestHessianDevelopable:
     def test_cubic_closure(self):
-        h = hessian_developable_characters(3)
+        h = dual_surface_table(3).hessian
         assert (h.m, h.n, h.r, h.alpha, h.beta, h.g, h.h) == (
             72, 24, 30, 54, 150, 180, 2316,
         )
 
     def test_quartic_closure(self):
-        h = hessian_developable_characters(4)
+        h = dual_surface_table(4).hessian
         assert (h.m, h.n, h.r, h.alpha, h.beta, h.g, h.h) == (
             416, 96, 128, 320, 960, 4016, 84816,
         )
 
     def test_symbolic_closure(self):
-        h = hessian_developable_characters(symbolic_degree())
+        h = dual_surface_table(symbolic_degree()).hessian
         n = symbolic_degree()
         assert h.m == 4 * n * (n - 2) * (7 * n - 15)
         assert h.beta == 10 * n * (n - 2) * (7 * n - 16)
@@ -160,11 +158,11 @@ class TestHessianDevelopable:
 
 class TestNodeCouple:
     def test_rank_routes(self):
-        assert nodecouple_characters(3).rank == 0
-        assert nodecouple_characters(4).rank == 160
+        assert dual_surface_table(3).node_couple.rank == 0
+        assert dual_surface_table(4).node_couple.rank == 160
 
     def test_symbolic_rank(self):
-        couple = nodecouple_characters(symbolic_degree())
+        couple = dual_surface_table(symbolic_degree()).node_couple
         n = symbolic_degree()
         assert couple.rank == n * (n - 2) * (n - 3) * (n ** 2 + 2 * n - 4)
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from polarcalc.curvature import hessian_determinant
+from polarcalc.curvature import SurfacePointKind, classify_surface_point, hessian_determinant
 from polarcalc.flecnodal import ContactOrder, max_contact_order
 from polarcalc.localmodels import tacnode_discriminant
 from polarcalc.plucker import dejonquieres_count, dejonquieres_problem
@@ -193,9 +193,9 @@ def test_homogeneous_components():
             k = sum(monomial)
             by_degree[k] = by_degree.get(k, QQ_ORACLE.zero) + QQ_ORACLE({monomial: coeff})
         parts = f.homogeneous_components()
-        assert len(parts) == (max(by_degree) + 1 if by_degree else 0)
-        for k, part in enumerate(parts):
-            assert to_oracle(part) == by_degree.get(k, QQ_ORACLE.zero)
+        assert list(parts) == sorted(by_degree)
+        for k, part in parts.items():
+            assert to_oracle(part) == by_degree[k]
 
 
 def test_tacnode_discriminant():
@@ -281,24 +281,34 @@ def test_restrict_to_line_against_expansion(field):
         assert dict(restrict_to_line(F, a, b).sorted_terms()) == expected
 
 
-def singular_through(ring, a, degree, mult, rng):
-    """A seeded form with multiplicity mult at a: sum over k >= mult of l^(degree - k) G_k(u).
+SMALL = {field: PolyRing(NAMES[:3], field) for field in (QQ, PrimeField(P), PrimeField(7))}
+
+
+def form_at(ring, a, degree, parts):
+    """sum_k l^(degree - k) G_k(u) for parts {k: G_k}, each G_k a form in three variables.
 
     l = x_pivot / a_pivot is 1 at a, and u_i = x_i - a_i l for the other
-    indices vanish there, so the lowest part G_mult (nonzero) is the cone.
+    indices vanish there, so the parts are the graded pieces of F near a.
     """
     field = ring.field
     pivot = next(i for i, c in enumerate(a.coords) if c)
     ell = ring.var(NAMES[pivot]) * field.div(field.one, a.coords[pivot])
     others = [i for i in range(4) if i != pivot]
-    small = PolyRing(NAMES[:3], field)
     us = {NAMES[j]: ring.var(NAMES[i]) - ell * a.coords[i] for j, i in enumerate(others)}
     F = ring.zero()
+    for k, G in parts.items():
+        F = F + ell ** (degree - k) * G.substitute(us, into=ring)
+    return F
+
+
+def singular_through(ring, a, degree, mult, rng):
+    """A seeded form with multiplicity mult at a: its lowest part G_mult (nonzero) is the cone."""
+    small = SMALL[ring.field]
+    parts = {}
     for k in range(mult, degree + 1):
         if k == mult or rng.random() < 0.5:
-            G = random_homogeneous(small, k, rng).substitute(us, into=ring)
-            F = F + ell ** (degree - k) * G
-    return F
+            parts[k] = random_homogeneous(small, k, rng)
+    return form_at(ring, a, degree, parts)
 
 
 def seeded_points(field, seed):
@@ -402,6 +412,181 @@ def test_contact_strata_against_expansion(field):
     assert orders == {ContactOrder.THREE, ContactOrder.INFINITE}
 
 
+def prescribed_points(field, seed, degrees):
+    """(F, a): seeded forms smooth at a, with tangent plane u_2 = 0 and the
+    second fundamental form G_2(u_0, u_1, 0) prescribed.
+
+    The frame's tangent basis is then the u_0 and u_1 axes.  For each
+    degree, G_2 restricted to the plane is random, a product l1 l2 of two
+    lines with l2 = c u_1 (so the basis vector u_0 is asymptotic, and III
+    vanishing along it makes it a flecnodal direction), a square l1^2 or
+    l2^2 (parabolic), zero (planar), or irreducible over the field (with III a
+    multiple of it, so its two conjugate directions have contact at least
+    4).  The remaining parts are random.
+    """
+    ring, small = PolyRing(NAMES, field), SMALL[field]
+    rng = random.Random(seed)
+    x, y, z = small.gens()
+    nonsquare = 2 if field is QQ else next(n for n in range(2, 99) if not field.is_square(n))
+    for degree in degrees:
+        for kind in ("random", "split", "square", "zero", "irreducible"):
+            a = random_point(ring, rng)
+            if rng.random() < 0.5:  # zero coordinates move the frame's pivots
+                coords = list(a.coords)
+                for i in rng.sample(range(4), rng.randint(1, 3)):
+                    coords[i] = field.zero
+                a = ring.point(coords if any(coords) else [0, 0, 0, 1])
+            l1 = x * (field.random(rng) or 1) + y * field.random(rng)
+            l2 = y * (field.random(rng) or 1)
+            bend = z * random_homogeneous(small, 1, rng)  # vanishes on the tangent plane
+            parts = {1: z}
+            if kind == "random":
+                parts[2] = random_homogeneous(small, 2, rng)
+            elif kind == "split":
+                parts[2], parts[3] = l1 * l2 + bend, l2 * random_homogeneous(small, 2, rng)
+            elif kind == "square":
+                line = l1 if degree % 2 else l2  # u_0 is the one asymptotic direction for l2^2
+                parts[2] = line * line + bend
+            elif kind == "zero":
+                parts[2] = bend
+            else:
+                q = x * x - y * y * nonsquare
+                parts[2], parts[3] = q + bend, q * random_homogeneous(small, 1, rng)
+            for k in range(3, degree + 1):
+                parts.setdefault(k, random_homogeneous(small, k, rng))
+            yield form_at(ring, a, degree, {k: g for k, g in parts.items() if k <= degree}), a
+
+
+def sympy_hessian_at(F, a, p):
+    """sympy's gradient and Hessian matrix of F at a, reduced mod p if given."""
+    at = [sympy.QQ(c.numerator, c.denominator) for c in map(Fraction, a.coords)]
+
+    def value(f):
+        v = f(*at)
+        v = Fraction(int(v.numerator), int(v.denominator))
+        return v if p is None else v.numerator * pow(v.denominator, -1, p) % p
+
+    first = [to_oracle(F).diff(g) for g in QQ_ORACLE.gens]
+    return [value(d) for d in first], [[value(d.diff(g)) for g in QQ_ORACLE.gens] for d in first]
+
+
+def oracle_rank(rows, p):
+    domain = sympy.QQ if p is None else sympy.GF(p)
+    entries = [[domain(v.numerator, v.denominator) if p is None else domain(v) for v in row]
+               for row in rows]
+    return DomainMatrix(entries, (len(rows), len(rows[0])), domain).rank()
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(P)], ids=repr)
+def test_second_form_and_classification_against_the_hessian(field):
+    # The recorded basis spans the tangent plane with p; the form is sympy's
+    # Hessian at p restricted to that basis, halved; rank, kind, the
+    # discriminant r^2 - ab, its squareness and the number of rational
+    # asymptotic directions all follow from that 2 x 2 matrix.
+    p, u = field.p, sympy.Symbol("u")
+    domain = sympy.QQ if p is None else sympy.GF(p)
+    kinds, squares = set(), set()
+    for F, a in prescribed_points(field, 22, (2, 3, 4, 5)):
+        grad, hess = sympy_hessian_at(F, a, p)
+        report = classify_surface_point(F, a)
+        basis = [list(t.coords) for t in report.form.tangent_basis]
+
+        def pair(v1, v2):
+            total = sum(x * h * y for x, row in zip(v1, hess) for h, y in zip(row, v2))
+            return total if p is None else total % p
+
+        assert all(not field.coerce(sum(g * c for g, c in zip(grad, v))) for v in basis)
+        assert oracle_rank([list(a.coords)] + basis, p) == 3
+        matrix = [[field.div(pair(v1, v2), 2) for v2 in basis] for v1 in basis]
+        assert [list(row) for row in report.form.matrix] == matrix
+        rank = oracle_rank(matrix, p)
+        assert report.form.rank == rank
+        assert report.kind == [SurfacePointKind.PLANAR_II_ZERO, SurfacePointKind.PARABOLIC_RANK1,
+                               SurfacePointKind.NON_PARABOLIC][rank]
+        (ia, ir), (_, ib) = matrix
+        disc = field.coerce(ir * ir - ia * ib)
+        assert report.asymptotic.discriminant == disc
+        if p is None:
+            square = sympy.sqrt(sympy.Rational(disc.numerator, disc.denominator)).is_Rational
+        else:
+            square = not disc or sympy.ntheory.is_quad_residue(disc, p)
+        assert field.is_square(disc) == square
+        directions = report.asymptotic.directions
+        assert report.asymptotic.all_tangent_directions == (rank == 0)
+        if rank:
+            # Projective roots of a u^2 + 2 r u v + b v^2: those with v = 1, and (1 : 0) when a = 0.
+            finite = sympy.Poly([ia, 2 * ir, ib], u, domain=domain)
+            assert len(directions) == len(finite.ground_roots()) + (not ia)
+            if ia:
+                squares.add(square)
+        for direction in directions:
+            v = list(direction.coords)
+            assert not pair(v, v) and not field.coerce(sum(g * c for g, c in zip(grad, v)))
+        kinds.add(report.kind)
+    assert kinds == set(SurfacePointKind)
+    assert squares == {True, False}
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(P)], ids=repr)
+def test_contact_order_against_the_valuation_along_asymptotic_directions(field):
+    # The asymptotic directions are sympy's roots of II, grouped by its
+    # irreducible factors f over the field (with (1 : 0) when II has no u^2
+    # term).  F(q + T v) = sum_k c_k(v) T^k, and c_k vanishes at the roots of
+    # f exactly when f divides c_k, so the T-adic valuation along them is the
+    # least k with f not dividing c_k.  A rational direction of infinite
+    # valuation is a line (INFINITE); otherwise a valuation of 4 or more is
+    # GE4 and the rest is THREE.
+    p, u = field.p, sympy.Symbol("u")
+    domain = sympy.QQ if p is None else sympy.GF(p)
+    cases = list(prescribed_points(field, 23, (3, 4, 5))) + list(line_surfaces(field, 24))
+    orders = set()
+    for F, q in cases:
+        if not any(F.partial(name).evaluate(list(q.coords)) for name in NAMES):
+            continue
+        report = max_contact_order(F, q)
+        t1, t2 = (b.coords for b in report.tangent_basis)
+
+        def plane(uv):
+            return [c + uv[0] * b1 + uv[1] * b2 for c, b1, b2 in zip(q.coords, t1, t2)]
+
+        parts = sympy_parts(F, "uv", plane, p)
+        at_v1 = {
+            k: sympy.Poly.from_dict(
+                {(e[0],): sympy.Rational(c.numerator, c.denominator) if p is None else c
+                 for e, c in part.items()}, u, domain=domain)
+            for k, part in parts.items()
+        }
+        if 2 not in parts:
+            assert report.order is not ContactOrder.THREE
+            orders.add(report.order)
+            continue
+        roots = [f for f, _ in at_v1[2].factor_list()[1]]
+        if (2, 0) not in parts[2]:
+            roots.append(None)  # (1 : 0), where c_k vanishes when it has no u^k term
+
+        def divides(f, k):
+            if k not in parts:
+                return True
+            return (k, 0) not in parts[k] if f is None else at_v1[k].rem(f).is_zero
+
+        degree = F.total_degree()
+        valuations = [
+            (f is None or f.degree() == 1,
+             next((k for k in range(2, degree + 1) if not divides(f, k)), math.inf))
+            for f in roots
+        ]
+        assert all(valuation >= 3 for _, valuation in valuations)
+        if any(rational and valuation == math.inf for rational, valuation in valuations):
+            expected = ContactOrder.INFINITE
+        elif max(valuation for _, valuation in valuations) >= 4:
+            expected = ContactOrder.GE4
+        else:
+            expected = ContactOrder.THREE
+        assert report.order is expected
+        orders.add(report.order)
+    assert orders == set(ContactOrder)
+
+
 def chart_route(F, a):
     """The tangent cone by the earlier chart route: a linear change moving
     a to (1 : 0 : ... : 0), then the top coefficient in the pivot variable."""
@@ -417,7 +602,8 @@ def chart_route(F, a):
     units = [tuple(int(i == k) for i in range(4)) for k in range(4)]
     images = {name: chart.from_terms(zip(units, row)) for name, row in zip(NAMES, matrix)}
     strata = coefficients_in(F.substitute(images, into=chart), chart.variables[0])
-    return F.total_degree() - (len(strata) - 1), strata[-1], chart, tuple(map(tuple, matrix))
+    top = max(strata)
+    return F.total_degree() - top, strata[top], chart, tuple(map(tuple, matrix))
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(P), PrimeField(7)], ids=repr)

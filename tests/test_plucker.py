@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from polarcalc import plucker
-from polarcalc.invariants import hessian_developable_characters
+from polarcalc.invariants import dual_surface_table
 from polarcalc.plucker import (
     _FIELDS,
     _SYSTEM,
@@ -41,7 +41,7 @@ def _space_curve_system(m, genus):
 
 # Consistent systems whose subsets of 2..5 characters make the solver grid.
 # A cubic of genus 2 or 3 would have h = (m^2 - 3m + 2 - 2g)/2 < 0.
-GRID_SYSTEMS = [hessian_developable_characters(d) for d in range(3, 9)] + [
+GRID_SYSTEMS = [dual_surface_table(d).hessian for d in range(3, 9)] + [
     _space_curve_system(m, genus)
     for m in range(3, 16)
     for genus in range(4)

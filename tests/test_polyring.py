@@ -1,9 +1,12 @@
 """Kernel tests: parser, exact arithmetic, determinants, resultants."""
 
+import contextlib
 import itertools
 import math
 import random
 import re
+import resource
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -229,6 +232,19 @@ class TestArithmetic:
             assert total == d * F
 
 
+@contextlib.contextmanager
+def _address_space_headroom(extra: int):
+    """Cap this process's address space at its present size plus extra bytes."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    size = int(Path("/proc/self/statm").read_text().split()[0]) * resource.getpagesize()
+    cap = size + extra if hard == resource.RLIM_INFINITY else min(size + extra, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
 class TestCalculus:
     def test_partial(self):
         assert R.parse("x^3 + y^3").partial("x") == R.parse("3*x^2")
@@ -272,11 +288,14 @@ class TestCalculus:
             R.parse("x + y").substitute({"x": R.var("x")})
 
     def test_homogeneous_components_of_zero(self):
-        assert R.zero().homogeneous_components() == []
+        assert R.zero().homogeneous_components() == {}
 
     def test_homogeneous_components_split(self):
         parts = R.parse("3 + x*y - z^3 + 2*x*w^2 + y").homogeneous_components()
-        assert parts == [R.const(3), R.parse("y"), R.parse("x*y"), R.parse("-z^3 + 2*x*w^2")]
+        assert parts == {0: R.const(3), 1: R.parse("y"), 2: R.parse("x*y"), 3: R.parse("-z^3 + 2*x*w^2")}
+        # Only the nonzero parts, in ascending degree, whatever the term order.
+        parts = R.parse("x^7*y - 4 + z^3*w").homogeneous_components()
+        assert list(parts.items()) == [(0, R.const(-4)), (4, R.parse("z^3*w")), (8, R.parse("x^7*y"))]
 
     def test_homogeneous_components_random(self):
         rng = random.Random(5)
@@ -288,11 +307,28 @@ class TestCalculus:
                     exps = [rng.randint(0, 3) for _ in range(4)]
                     f = f + ring.monomial(exps, field.random(rng))
                 parts = f.homogeneous_components()
-                assert sum(parts, ring.zero()) == f
-                for k, part in enumerate(parts):
-                    assert part.is_zero or (part.is_homogeneous() and part.total_degree() == k)
+                assert sum(parts.values(), ring.zero()) == f
+                assert list(parts) == sorted(parts)
+                for k, part in parts.items():
+                    assert not part.is_zero and part.is_homogeneous() and part.total_degree() == k
                 if not f.is_zero:
-                    assert len(parts) == f.total_degree() + 1
+                    assert max(parts) == f.total_degree()
+
+    def test_parts_cost_the_terms_not_the_degree(self):
+        # Total degree 2^31 + 1.  A list of parts as long as the degree would
+        # not fit in memory, so the address space is capped while they are built.
+        f = R.parse("x^2147483648*y + 3*x^2 + y^7*z - w + 5")
+        start = time.perf_counter()
+        with _address_space_headroom(256 << 20):
+            parts = f.homogeneous_components()
+            by_variable = {v: coefficients_in(f, v) for v in R.variables}
+        assert time.perf_counter() - start < 0.5
+        assert list(parts) == [0, 1, 2, 8, 2 ** 31 + 1]
+        assert parts[2 ** 31 + 1] == R.parse("x^2147483648*y")
+        assert {v: list(c) for v, c in by_variable.items()} == {
+            "x": [0, 2, 2 ** 31], "y": [0, 1, 7], "z": [0, 1], "w": [0, 1],
+        }
+        assert by_variable["x"][2 ** 31] == R.parse("y")
 
     @pytest.mark.parametrize("field", [QQ, GF, PrimeField(7)], ids=repr)
     def test_directional_derivative_is_the_sum_of_scaled_partials(self, field):
@@ -355,22 +391,23 @@ class TestCalculus:
         assert ring.zero().line_coefficients(a, b) == []
 
     @pytest.mark.parametrize("field", [QQ, GF, PrimeField(7)], ids=repr)
-    def test_taylor_terms_are_the_parts_of_the_shifted_polynomial(self, field):
+    def test_taylor_part_is_the_part_of_the_shifted_polynomial(self, field):
         ring = PolyRing(("x", "y", "z", "w"), field)
         rng = random.Random(32)
         for case in range(40):
             f, a, _ = self._random_case(ring, rng, case)
             shifted = f.substitute({name: g + c for name, g, c in zip(ring.variables, ring.gens(), a)})
             parts = shifted.homogeneous_components()
+            scale = rng.choice((1, 6, 24, Fraction(-2, 3)))
             for k in range(18):
-                expected = parts[k] if k < len(parts) else ring.zero()
-                assert ring.from_terms(f.taylor_terms(a, k)) == expected
+                assert f.taylor_part(a, k) == parts.get(k, ring.zero())
+                assert f.taylor_part(a, k, scale) == parts.get(k, ring.zero()) * scale
 
     def test_expansions_need_one_coordinate_per_variable(self):
         F = R.parse("x*y")
         for call in (lambda: F.line_coefficients([1, 2, 3], [1, 2, 3, 4]),
                      lambda: F.line_coefficients([1, 2, 3, 4], [1, 2, 3]),
-                     lambda: F.taylor_terms([1, 2, 3], 1)):
+                     lambda: F.taylor_part([1, 2, 3], 1)):
             with pytest.raises(DomainError, match="wrong number of coordinates"):
                 call()
 
@@ -838,13 +875,12 @@ class TestPackedDifferential:
 
     @classmethod
     def _check_parts(cls, parts, ref, index):
-        """Nonzero parts sit at the indices the reference gives, with its terms."""
+        """The parts are the reference's nonzero buckets, in ascending order, with its terms."""
         buckets = {}
         for e, c in ref.items():
             k, rest = index(e)
             buckets.setdefault(k, {})[rest] = c
-        assert len(parts) == max(buckets) + 1
-        assert [k for k, part in enumerate(parts) if not part.is_zero] == sorted(buckets)
+        assert list(parts) == sorted(buckets)
         for k, bucket in buckets.items():
             cls._check(parts[k], bucket)
 
@@ -863,14 +899,13 @@ class TestPackedDifferential:
                 self._check(a.partial(var), {
                     e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in a_ref.items() if e[i]
                 })
-            # A part list is as long as the degree, so only the first trial's are checked.
             if trial == 0:
                 assert max(map(sum, a_ref)) > 1 << 16
-                for i, var in enumerate(ring.variables):
-                    self._check_parts(
-                        coefficients_in(a, var), a_ref, lambda e: (e[i], e[:i] + (0,) + e[i + 1:])
-                    )
-                self._check_parts(a.homogeneous_components(), a_ref, lambda e: (sum(e), e))
+            for i, var in enumerate(ring.variables):
+                self._check_parts(
+                    coefficients_in(a, var), a_ref, lambda e: (e[i], e[:i] + (0,) + e[i + 1:])
+                )
+            self._check_parts(a.homogeneous_components(), a_ref, lambda e: (sum(e), e))
             coords = [rng.choice((-1, 0, 1, 2)) for _ in range(n)]
             assert a.evaluate(coords) == sum(
                 c * math.prod(x ** k for x, k in zip(coords, e)) for e, c in a_ref.items()
