@@ -9,7 +9,7 @@ at a swaps the roles of point and variables: it is the degree-k form
 suite rather than assumed: the two constructions here are independent.
 A polar is k steps of ``Poly.directional_derivative``, each one pass over
 the terms.  The polar k-ic is k! times the degree-k part of F(a + x),
-read off the terms of F in one pass (``Poly.taylor_part``, with the k!
+read off the terms of F in one pass (``Poly.polar_part``, with the k!
 folded in) with no derivative, no division and no ``Poly`` product.
 
 Contact of lines is decided both by the valuation of the restriction
@@ -30,7 +30,6 @@ present, and a present P_0 = F(a) puts a off the surface.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Tuple
 
@@ -84,7 +83,7 @@ def polar_kic(F: Poly, a: ProjPoint, k: int) -> Poly:
     """Polar k-ic of V(F) at a: degree k in the ambient variables.
 
     It is k! times the degree-k part of F(a + x) in x, read off the terms
-    of F in one pass (``Poly.taylor_part``), independently of :func:`polar`,
+    of F in one pass (``Poly.polar_part``), independently of :func:`polar`,
     so the proportionality between the two routes is a genuine consistency
     check.
     """
@@ -92,7 +91,7 @@ def polar_kic(F: Poly, a: ProjPoint, k: int) -> Poly:
     _check_point(F, a)
     if k < 1 or k > d - 1:
         raise DomainError(f"polar k-ic order {k} outside [1, {d - 1}]")
-    return F.taylor_part(a.coords, k, math.factorial(k))
+    return F.polar_part(a.coords, k)
 
 
 def gradient_at(F: Poly, q: ProjPoint) -> list:

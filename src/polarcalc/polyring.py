@@ -18,7 +18,7 @@ dict is internal to this module:
 other modules read a polynomial only through ``Poly.coefficient``,
 ``Poly.homogeneous_components``, ``Poly.partial``,
 ``Poly.directional_derivative``, ``Poly.evaluate``,
-``Poly.line_coefficients``, ``Poly.taylor_part``, ``Poly.substitute`` and
+``Poly.line_coefficients``, ``Poly.polar_part``, ``Poly.substitute`` and
 ``Poly.sorted_terms``, and build one from terms only through
 ``PolyRing.monomial`` and ``PolyRing.from_terms``, which speak in exponent
 tuples.  ``coefficients_in`` serves ``resultant`` here.
@@ -26,8 +26,8 @@ tuples.  ``coefficients_in`` serves ``resultant`` here.
 Graded pieces come in one format: ``homogeneous_components`` and
 ``coefficients_in`` return ``{degree: Poly}`` holding the nonzero parts
 only, in ascending degree, built in one pass over the terms, so their cost
-follows the number of terms and not the degree; ``taylor_part`` returns
-its one part as a ``Poly``.
+follows the number of terms and not the degree; ``polar_part`` returns
+its one part, k! times the degree-k part of F(a + x), as a ``Poly``.
 
 A monomial x_1^e_1 ... x_n^e_n is packed into one int of n 32-bit fields
 that hold, from the bottom, the prefix sums e_1, e_1 + e_2, ...,
@@ -446,7 +446,7 @@ class Poly:
     2^32 - 1.  The dict is internal to the kernel: outside this module use
     ``coefficient``, ``homogeneous_components``, ``partial``,
     ``directional_derivative``, ``evaluate``, ``line_coefficients``,
-    ``taylor_part``, ``substitute`` and ``sorted_terms``; of these,
+    ``polar_part``, ``substitute`` and ``sorted_terms``; of these,
     ``coefficient`` and ``sorted_terms`` speak in exponent tuples.
     """
 
@@ -680,18 +680,18 @@ class Poly:
                 out[j] += v
         return [field.coerce(v) for v in out]
 
-    def taylor_part(self, a: Sequence, k: int, scale=1) -> "Poly":
-        """scale times the degree-k part of F(a + x) in x.
+    def polar_part(self, a: Sequence, k: int) -> "Poly":
+        """k! times the degree-k part of F(a + x) in x: the polar k-ic at a.
 
-        The coefficient of x^alpha, |alpha| = k, is the sum over the terms
-        c x^e of c prod_i C(e_i, alpha_i) a_i^(e_i - alpha_i): one pass over
+        The coefficient of x^alpha, |alpha| = k, is k! times the sum over the
+        terms c x^e of c prod_i C(e_i, alpha_i) a_i^(e_i - alpha_i): one pass over
         the terms, each walking only its alpha <= e with |alpha| = k, summed
         into one dict under the packed alpha.  No derivative is taken and
         nothing is divided.
         """
         ring = self.ring
         field, p = ring.field, ring._modulus
-        a, scale = [field.coerce(x) for x in a], field.coerce(scale)
+        a, scale = [field.coerce(x) for x in a], field.coerce(math.factorial(k))
         if len(a) != len(ring.variables):
             raise DomainError("wrong number of coordinates")
         fields = list(zip(range(len(a)), ring._shifts, ring._var_keys))
