@@ -10,7 +10,6 @@ from .polyring import (
     PrimeField,
     ProjPoint,
     determinant,
-    parse_poly,
     resultant,
     valuation,
 )

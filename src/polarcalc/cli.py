@@ -24,11 +24,11 @@ traceback).  Output that cannot be written, as when a reader such as
 ``--surface`` file: exit 2, ``error: [Errno 32] Broken pipe`` on stderr,
 and no traceback at exit.
 
-``--modp P`` switches the kernel to the prime field GF(P).  Commands that
-report values (everything under ``poly``) and the exact checks of
-``verify models`` and ``verify plucker`` refuse modular mode, since they
-are exact rational statements; ``verify all`` accepts it as a fast
-identity-check mode for its property batches.
+Each leaf command (``poly hessian``, ...) takes only the options its handler
+reads, declared once in ``_OPTIONS`` and ``_COMMANDS``; any other is a usage
+error.  So ``--modp P`` (the property batches over GF(P)) is taken by
+``verify all`` only: ``poly``, ``verify models`` and ``verify plucker``
+report exact rational statements.
 """
 
 from __future__ import annotations
@@ -185,26 +185,14 @@ class CommandResult:
 # ---------------------------------------------------------------------------
 
 
-def _field_from_args(args):
-    p = getattr(args, "modp", None)
-    if p is None:
-        return QQ
-    if p < 5:
-        raise DomainError(f"--modp {p}: the property batches divide by k! for k <= 4, so p must be a prime >= 5")
-    return PrimeField(p)
-
-
 def _load_surface(args, ring: PolyRing) -> Poly:
-    if getattr(args, "expr", None):
-        text = args.expr
-    elif getattr(args, "surface", None):
+    text = args.expr
+    if text is None:
         try:
             with open(args.surface, "r", encoding="utf-8") as handle:
                 text = handle.read().strip()
         except UnicodeDecodeError as exc:
             raise UsageError(f"{args.surface}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
-    else:
-        raise UsageError("one of --expr or --surface is required")
     return ring.parse(text)
 
 
@@ -382,8 +370,6 @@ def _models_checks() -> list:
 
 def cmd_verify(args) -> CommandResult:
     sub = args.suite
-    if sub != "all" and args.modp is not None:
-        raise UsageError(f"verify {sub} checks exact values and refuses modular mode")
     if sub == "models":
         result = CommandResult("verify models", {})
         result.add_checks(_models_checks())
@@ -399,14 +385,17 @@ def cmd_verify(args) -> CommandResult:
         result.add_checks(verify_plucker_relations(chars))
         return result
     # all: argparse admits no other suite
-    field = _field_from_args(args)
+    p = args.modp
+    if p is not None and p < 5:
+        raise DomainError(f"--modp {p}: the property batches divide by k! for k <= 4, so p must be a prime >= 5")
+    field = QQ if p is None else PrimeField(p)
     inputs = {"seed": args.seed, "trials": args.trials}
     if args.degree_range:
         inputs["degree_range"] = args.degree_range
     else:
         inputs["mode"] = "symbolic"
-    if args.modp:
-        inputs["modp"] = args.modp
+    if p:
+        inputs["modp"] = p
     result = CommandResult("verify all", inputs)
     result.add_checks(_models_checks())
     result.add_checks(generator_identities_symbolic())
@@ -435,10 +424,6 @@ def _contact_str(value):
 
 
 def cmd_poly(args) -> CommandResult:
-    if getattr(args, "modp", None) is not None:
-        raise UsageError(
-            "poly subcommands report exact values and refuse modular mode"
-        )
     ring = PolyRing()
     sub = args.operation
     inputs = {
@@ -447,14 +432,10 @@ def cmd_poly(args) -> CommandResult:
     result = CommandResult(f"poly {sub}", inputs)
 
     if sub == "dejonquieres":
-        if args.m is None or args.genus is None or not args.mult:
-            raise UsageError("dejonquieres needs --m, --genus, and --mult")
         count = dejonquieres_count(args.m, args.genus, _parse_mults(args.mult))
         result.results = {"count": _count_str(count)}
         return result
     if sub == "rank-profile":
-        if args.m is None or args.genus is None or args.k is None:
-            raise UsageError("rank-profile needs --m, --genus, and --k")
         dim = 3 if args.dim is None else args.dim
         ks = [_integer(x) for x in args.k.split(",")]
         profile = rank_profile(dim, args.m, args.genus, ks)
@@ -466,8 +447,6 @@ def cmd_poly(args) -> CommandResult:
         }
         return result
     if sub == "developable":
-        if not args.chars:
-            raise UsageError("developable needs --chars name=value,...")
         names = [f.name for f in fields(DevelopableCharacters)]
         chars, checks = complete_developable(**_parse_chars(args.chars, names))
         result.results = _record(chars)
@@ -488,8 +467,6 @@ def cmd_poly(args) -> CommandResult:
         }
         return result
 
-    if not args.point:
-        raise UsageError(f"poly {sub} needs --point")
     point = _parse_point(args.point, ring)
     if sub == "polar":
         order = args.order if args.order is not None else 1
@@ -541,8 +518,6 @@ def cmd_poly(args) -> CommandResult:
         result.results = {"flecnodal": flecnodal_member(F, point)}
         return result
     # line-mult: argparse admits no other operation
-    if not args.dir:
-        raise UsageError("line-mult needs --dir")
     direction = _parse_point(args.dir, ring)
     report = line_multiplicity(F, point, direction)
     result.results = {
@@ -569,14 +544,87 @@ def _degree_range(text: str):
     return (lo_i, hi_i)
 
 
-def _trial_count(text: str) -> int:
-    try:
-        trials = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from exc
-    if trials < 1:
-        raise argparse.ArgumentTypeError("must be at least 1")
-    return trials
+def _at_least(minimum: int):
+    """The argparse type of an integer option with a least value."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from exc
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}")
+        return value
+    return parse
+
+
+def _nonempty(text: str) -> str:
+    # A required list option given as "--mult=" would otherwise read as an empty list.
+    if not text:
+        raise argparse.ArgumentTypeError("expected a non-empty value")
+    return text
+
+
+# Every option of every leaf command: key -> (flag, add_argument keywords).
+_OPTIONS = {
+    "degree": ("--degree", dict(type=_at_least(3), required=True, help="surface degree")),
+    "branch_degree": ("--degree", dict(type=_at_least(2), required=True, help="surface degree")),
+    "n": ("--n", dict(type=int, required=True, help="section degree C^2")),
+    "pi": ("--pi", dict(type=int, required=True, help="section genus")),
+    "pa": ("--pa", dict(type=int, required=True, help="arithmetic genus of the normalization")),
+    "ksq": ("--ksq", dict(type=int, required=True, help="canonical self-intersection K^2")),
+    "symbolic": ("--symbolic", dict(action="store_true", help="polynomial-identity mode (default)")),
+    "degree_range": ("--degree-range", dict(type=_degree_range, help="integer sweep A..B")),
+    "seed": ("--seed", dict(type=int, default=20240913, help="seed for the property batches")),
+    "trials": ("--trials", dict(type=_at_least(1), default=25, help="trials per property batch")),
+    "modp": ("--modp", dict(type=int, help="run the property batches over GF(p)")),
+    "expr": ("--expr", dict(help="surface equation in the expression grammar")),
+    "surface": ("--surface", dict(help="file holding one expression")),
+    "point": ("--point", dict(required=True, help="projective point a,b,c,d (rationals allowed)")),
+    "dir": ("--dir", dict(required=True, help="second projective point for line contact")),
+    "order": ("--order", dict(type=int, help="polar order k (default 1)")),
+    "m": ("--m", dict(type=int, required=True, help="series degree / curve degree")),
+    "genus": ("--genus", dict(type=int, required=True, help="curve genus")),
+    "mult": ("--mult", dict(type=_nonempty, required=True, help="multiplicity pattern s:m_s,...")),
+    "dim": ("--dim", dict(type=int, help="ambient dimension (default 3)")),
+    "k": ("--k", dict(required=True, help="hyperosculation totals k_1,...,k_N")),
+    "chars": ("--chars", dict(type=_nonempty, required=True, help="known characters name=value,...")),
+}
+
+# A tuple (required, key, key, ...) is a mutually exclusive group.
+_SURFACE = (True, "expr", "surface")
+_AT_POINT = (_SURFACE, "point")
+
+# command -> (handler, leaf dest, help, {leaf: the options its handler reads}).
+# A poly leaf's options are declared in the order its JSON inputs list them.
+_COMMANDS = {
+    "invariants": (cmd_invariants, "table", "closed-form invariant tables", {
+        "surface": ("degree",),
+        "branch": ("branch_degree",),
+        "developable": ("degree",),
+        "projected": ("n", "pi", "pa", "ksq"),
+    }),
+    "verify": (cmd_verify, "suite", "identity suites", {
+        "all": ((False, "symbolic", "degree_range"), "seed", "trials", "modp"),
+        "models": (),
+        "plucker": ("chars",),
+    }),
+    "poly": (cmd_poly, "operation", "exact kernel on explicit data", {
+        "polar": (*_AT_POINT, "order"),
+        "polar-kic": (*_AT_POINT, "order"),
+        "tangent-plane": _AT_POINT,
+        "line-mult": (*_AT_POINT, "dir"),
+        "tangent-cone": _AT_POINT,
+        "hessian": (_SURFACE,),
+        "second-form": _AT_POINT,
+        "classify": _AT_POINT,
+        "covariants": (_SURFACE,),
+        "contact": _AT_POINT,
+        "flecnodal": _AT_POINT,
+        "dejonquieres": ("m", "genus", "mult"),
+        "rank-profile": ("m", "genus", "dim", "k"),
+        "developable": ("chars",),
+    }),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -584,50 +632,25 @@ def build_parser() -> argparse.ArgumentParser:
         prog="polarcalc",
         description="Exact enumerative invariants and polar calculus in P^3.",
     )
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--json", action="store_true", help="emit a JSON document")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    inv = sub.add_parser("invariants", parents=[shared], help="closed-form invariant tables")
-    inv.add_argument("table", choices=("surface", "branch", "developable", "projected"))
-    inv.add_argument("--degree", type=int, help="surface degree (>= 3 for surface tables)")
-    inv.add_argument("--n", type=int, help="section degree C^2")
-    inv.add_argument("--pi", type=int, help="section genus")
-    inv.add_argument("--pa", type=int, help="arithmetic genus of the normalization")
-    inv.add_argument("--ksq", type=int, help="canonical self-intersection K^2")
-
-    ver = sub.add_parser("verify", parents=[shared], help="identity suites")
-    ver.add_argument("suite", choices=("all", "models", "plucker"))
-    ver.add_argument("--symbolic", action="store_true", help="polynomial-identity mode (default)")
-    ver.add_argument("--degree-range", type=_degree_range, help="integer sweep A..B")
-    ver.add_argument("--chars", help=",".join(f"{key}=.." for _, key in _PLUCKER_CHARS))
-    ver.add_argument("--seed", type=int, default=20240913, help="seed for the property batches")
-    ver.add_argument("--trials", type=_trial_count, default=25, help="trials per property batch")
-    ver.add_argument("--modp", type=int, help="verify all: run the property batches over GF(p)")
-
-    pol = sub.add_parser("poly", parents=[shared], help="exact kernel on explicit data")
-    pol.add_argument(
-        "operation",
-        choices=(
-            "polar", "polar-kic", "tangent-plane", "line-mult", "tangent-cone",
-            "hessian", "second-form", "classify", "covariants", "contact",
-            "flecnodal", "dejonquieres", "rank-profile", "developable",
-        ),
-    )
-    source = pol.add_mutually_exclusive_group()
-    source.add_argument("--expr", help="surface equation in the expression grammar")
-    source.add_argument("--surface", help="file holding one expression")
-    pol.add_argument("--point", help="projective point a,b,c,d (rationals allowed)")
-    pol.add_argument("--dir", help="second projective point for line contact")
-    pol.add_argument("--order", type=int, help="polar order k")
-    pol.add_argument("--m", type=int, help="series degree / curve degree")
-    pol.add_argument("--genus", type=int, help="curve genus")
-    pol.add_argument("--mult", help="multiplicity pattern s:m_s,...")
-    pol.add_argument("--dim", type=int, help="ambient dimension for rank profiles")
-    pol.add_argument("--k", help="hyperosculation totals k_1,...,k_N")
-    pol.add_argument("--chars", help="known developable characters name=value,...")
-    pol.add_argument("--modp", type=int, help="(refused: poly reports exact values)")
-
+    commands = parser.add_subparsers(dest="command", required=True)
+    json_help = "emit a JSON document"
+    for command, (_, dest, command_help, leaves) in _COMMANDS.items():
+        group = commands.add_parser(command, help=command_help)
+        group.add_argument("--json", action="store_true", help=json_help)
+        subs = group.add_subparsers(dest=dest, required=True)
+        for name, options in leaves.items():
+            leaf = subs.add_parser(name)
+            # unset, the leaf's --json must not overwrite one given before the leaf name
+            leaf.add_argument("--json", action="store_true", default=argparse.SUPPRESS, help=json_help)
+            for option in options:
+                if isinstance(option, tuple):
+                    required, *keys = option
+                    target = leaf.add_mutually_exclusive_group(required=required)
+                else:
+                    target, keys = leaf, [option]
+                for key in keys:
+                    flag, kwargs = _OPTIONS[key]
+                    target.add_argument(flag, **kwargs)
     return parser
 
 
@@ -641,24 +664,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        if args.command == "invariants":
-            if args.table in ("surface", "branch", "developable"):
-                if args.degree is None:
-                    raise UsageError(f"invariants {args.table} needs --degree")
-                minimum = 2 if args.table == "branch" else 3
-                if args.degree < minimum:
-                    raise UsageError(f"--degree must be at least {minimum}")
-            if args.table == "projected" and None in (args.n, args.pi, args.pa, args.ksq):
-                raise UsageError("invariants projected needs --n --pi --pa --ksq")
-            result = cmd_invariants(args)
-        elif args.command == "verify":
-            if args.suite == "plucker" and not args.chars:
-                raise UsageError("verify plucker needs --chars")
-            if args.suite == "all" and args.symbolic and args.degree_range:
-                raise UsageError("--symbolic and --degree-range are exclusive")
-            result = cmd_verify(args)
-        else:  # poly: argparse admits no other command
-            result = cmd_poly(args)
+        result = _COMMANDS[args.command][0](args)
         with _all_digits():
             text = result.render(args.json)
         print(text, flush=True)  # so a closed pipe raises here, inside the handlers

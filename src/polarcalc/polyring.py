@@ -926,11 +926,6 @@ def _parse(text: str, ring: PolyRing) -> "Poly":
         i += 1
 
 
-def parse_poly(text: str, variables: Sequence[str] = DEFAULT_VARIABLES, field=QQ) -> Poly:
-    """Parse an expression in the standard grammar into canonical form."""
-    return PolyRing(variables, field).parse(text)
-
-
 # ---------------------------------------------------------------------------
 # determinants, resultants, valuations
 # ---------------------------------------------------------------------------
@@ -1107,21 +1102,15 @@ def resultant(f: Poly, g: Poly, var: str) -> Poly:
     ))
 
 
-def valuation(f: Poly, var: str = None):
+def valuation(f: Poly, var: str):
     """Least exponent of var with a nonzero coefficient; INFINITY for 0.
 
-    f must be univariate in var (which defaults to the only variable used).
+    f must be univariate in var.
     """
     if f.is_zero:
         return INFINITY
-    used = f.variables_used()
-    if var is None:
-        if len(used) > 1:
-            raise DomainError("polynomial is not univariate; name the variable")
-        var = used[0] if used else f.ring.variables[0]
-    else:
-        if any(u != var for u in used):
-            raise DomainError(f"polynomial involves more than {var!r}")
+    if any(u != var for u in f.variables_used()):
+        raise DomainError(f"polynomial involves more than {var!r}")
     i = f.ring._index[var]
     return min(f.ring._exponent(k, i) for k in f.terms)
 

@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import shlex
+
 import pytest
 
 from polarcalc import cli
@@ -145,7 +147,7 @@ class TestVerifyCommand:
         code, out, err = run(capsys, *argv.split())
         assert code == 2
         assert out == ""
-        assert "refuse" in err
+        assert "unrecognized arguments: --modp" in err
 
 
 class TestPolyCommand:
@@ -317,6 +319,11 @@ class TestPolyCommand:
             ("verify all --trials=-3", 2),
             ("poly dejonquieres --m=4 --genus=0 --mult=2:1,2:2", 2),
             ("verify all --modp=3", 3),
+            ("invariants branch --degree=1", 2),
+            ("poly dejonquieres --m=4 --genus=0 --mult=", 2),
+            ("verify plucker --chars=", 2),
+            ("poly developable --chars=", 2),
+            ("verify all --symbolic --degree-range=3..4", 2),
         ],
     )
     def test_out_of_range_option_is_refused(self, capsys, argv, expected):
@@ -401,11 +408,12 @@ class TestPolyCommand:
         assert code == 3
 
     def test_modp_refused_for_reports(self, capsys):
-        code, _, err = run(
+        code, out, err = run(
             capsys, "poly", "hessian", "--expr", "x^3+y^3+z^3+w^3", "--modp", "101",
         )
         assert code == 2
-        assert "refuse" in err
+        assert out == ""
+        assert "unrecognized arguments: --modp" in err
 
     def test_classification(self, capsys):
         code, doc, _ = run_json(
@@ -523,3 +531,74 @@ class TestParserBuiltOnce:
         assert code == 2 and "must be at least 1" in err
         assert run(capsys, *self.ARGVS[0]) == first
         assert cli._PARSER.format_help() == help_text
+
+
+class TestOptionsPerCommand:
+    """Each leaf command takes only the options its handler reads."""
+
+    CUBIC = "--expr x^3+y^3+z^3+w^3"
+    # (a valid argv, an option that command does not read)
+    FOREIGN = [
+        ("invariants surface --degree 4", "--n 4"),
+        ("invariants branch --degree 3", "--ksq 9"),
+        ("invariants developable --degree 4", "--pi 0"),
+        ("invariants projected --n 4 --pi 0 --pa 0 --ksq 9", "--degree 4"),
+        ("verify all --trials 1", "--chars degree=4"),
+        ("verify models", "--seed 5"),
+        ("verify plucker --chars degree=4,class=12,nodes=0,cusps=0,bitangents=28,flexes=24",
+         "--trials 3"),
+        (f"poly polar {CUBIC} --point 1,1,1,1", "--dir 0,0,1,0"),
+        (f"poly polar-kic {CUBIC} --point 1,1,1,1", "--dim 3"),
+        (f"poly tangent-plane {CUBIC} --point 1,-1,0,0", "--order 1"),
+        (f"poly line-mult {CUBIC} --point 1,-1,0,0 --dir 0,0,1,0", "--order 2"),
+        ("poly tangent-cone --expr y^2*w-x^3 --point 0,0,0,1", "--dir 1,0,0,0"),
+        (f"poly hessian {CUBIC}", "--point 1,0,0,0"),
+        ("poly second-form --expr x*w-y*z --point 1,0,0,0", "--order 1"),
+        ("poly classify --expr x*w-y*z --point 1,0,0,0", "--dir 0,1,0,0"),
+        (f"poly covariants {CUBIC}", "--point 1,-1,0,0"),
+        ("poly contact --expr x*w-y*z --point 1,0,0,0", "--k 3"),
+        (f"poly flecnodal {CUBIC} --point 1,-1,1,-1", "--modp 101"),
+        ("poly dejonquieres --m 4 --genus 0 --mult 2:1", "--dim 3"),
+        ("poly rank-profile --m 3 --genus 0 --k 0,0,0", "--mult 2:1"),
+        ("poly developable --chars m=3,genus=0,alpha=0,beta=0", "--expr x"),
+    ]
+
+    @pytest.mark.parametrize("argv, foreign", FOREIGN, ids=[a.split(" -")[0] for a, _ in FOREIGN])
+    def test_an_option_the_command_does_not_read_is_a_usage_error(self, capsys, argv, foreign):
+        assert run(capsys, *argv.split())[0] == 0
+        code, out, err = run(capsys, *argv.split(), *foreign.split())
+        assert code == 2
+        assert out == ""
+        assert f"unrecognized arguments: {foreign}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "head, tail",
+        [
+            ("invariants branch", "--degree 3"),
+            ("verify plucker", "--chars degree=3,class=6,nodes=0,cusps=0,bitangents=0,flexes=9"),
+            ("poly hessian", CUBIC),
+        ],
+    )
+    def test_json_before_or_after_the_leaf_name(self, capsys, head, tail):
+        group, leaf = head.split()
+        text = run(capsys, group, leaf, *tail.split())
+        before = run(capsys, group, "--json", leaf, *tail.split())
+        assert before[0] == 0
+        assert json.loads(before[1])["command"] == head
+        assert text[1] != before[1]
+        assert run(capsys, group, leaf, "--json", *tail.split()) == before
+        assert run(capsys, group, leaf, *tail.split(), "--json") == before
+
+    def test_readme_examples_parse(self, capsys):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        fenced = readme.read_text(encoding="utf-8").split("```")[1::2]
+        examples = [
+            line for block in fenced for line in block.splitlines() if line.startswith("polarcalc ")
+        ]
+        assert len(examples) >= 19
+        for line in examples:
+            try:
+                cli._PARSER.parse_args(shlex.split(line, comments=True)[1:])
+            except SystemExit:
+                pytest.fail(f"README example does not parse: {line}\n{capsys.readouterr().err}")

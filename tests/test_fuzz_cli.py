@@ -115,14 +115,19 @@ POLY_DEVELOPABLE = argv(
     ["poly", "developable"],
     option("chars", assignments(DEVELOPABLE, DEVELOPABLE_EXAMPLES)),
 )
-INVARIANTS = argv(
-    ["invariants"],
-    st.sampled_from(["surface", "branch", "developable", "projected"]).map(lambda t: [t]),
-    option("degree", number(st.integers(-2, 40))),
-    option("n", number(st.integers(-2, 40))),
-    option("pi", number(st.integers(-2, 20))),
-    option("pa", number(st.integers(-2, 10))),
-    option("ksq", number(st.integers(-20, 60))),
+INVARIANTS = st.one_of(
+    argv(
+        ["invariants"],
+        st.sampled_from(["surface", "branch", "developable"]).map(lambda t: [t]),
+        option("degree", number(st.integers(-2, 40))),
+    ),
+    argv(
+        ["invariants", "projected"],
+        option("n", number(st.integers(-2, 40))),
+        option("pi", number(st.integers(-2, 20))),
+        option("pa", number(st.integers(-2, 10))),
+        option("ksq", number(st.integers(-20, 60))),
+    ),
 )
 VERIFY_PLUCKER = argv(
     ["verify", "plucker"],

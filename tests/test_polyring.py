@@ -683,9 +683,9 @@ class TestValuation:
     def test_examples(self):
         line = PolyRing(("T",))
         T = line.var("T")
-        assert valuation(T ** 3 + 2 * T ** 4) == 3
-        assert valuation(line.zero()) == INFINITY
-        assert valuation(6 * T ** 2) == 2
+        assert valuation(T ** 3 + 2 * T ** 4, "T") == 3
+        assert valuation(line.zero(), "T") == INFINITY
+        assert valuation(6 * T ** 2, "T") == 2
 
     def test_additive_random(self):
         rng = random.Random(17)
@@ -703,12 +703,12 @@ class TestValuation:
 
         for _ in range(50):
             f, g = rand_series(), rand_series()
-            assert valuation(f * g) == valuation(f) + valuation(g)
+            assert valuation(f * g, "T") == valuation(f, "T") + valuation(g, "T")
 
     def test_univariate_enforced(self):
         x, y, *_ = R.gens()
         with pytest.raises(DomainError):
-            valuation(x + y)
+            valuation(x + y, "x")
 
 
 class TestProjPoint:
