@@ -572,8 +572,7 @@ _OPTIONS = {
     "pi": ("--pi", dict(type=int, required=True, help="section genus")),
     "pa": ("--pa", dict(type=int, required=True, help="arithmetic genus of the normalization")),
     "ksq": ("--ksq", dict(type=int, required=True, help="canonical self-intersection K^2")),
-    "symbolic": ("--symbolic", dict(action="store_true", help="polynomial-identity mode (default)")),
-    "degree_range": ("--degree-range", dict(type=_degree_range, help="integer sweep A..B")),
+    "degree_range": ("--degree-range", dict(type=_degree_range, help="integer sweep A..B (default: symbolic)")),
     "seed": ("--seed", dict(type=int, default=20240913, help="seed for the property batches")),
     "trials": ("--trials", dict(type=_at_least(1), default=25, help="trials per property batch")),
     "modp": ("--modp", dict(type=int, help="run the property batches over GF(p)")),
@@ -604,7 +603,7 @@ _COMMANDS = {
         "projected": ("n", "pi", "pa", "ksq"),
     }),
     "verify": (cmd_verify, "suite", "identity suites", {
-        "all": ((False, "symbolic", "degree_range"), "seed", "trials", "modp"),
+        "all": ("degree_range", "seed", "trials", "modp"),
         "models": (),
         "plucker": ("chars",),
     }),
@@ -627,7 +626,9 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(leaf_parsers=None) -> argparse.ArgumentParser:
+    """The command-line parser; ``leaf_parsers``, if given, receives each
+    leaf's parser under its key (command, leaf name)."""
     parser = argparse.ArgumentParser(
         prog="polarcalc",
         description="Exact enumerative invariants and polar calculus in P^3.",
@@ -640,6 +641,8 @@ def build_parser() -> argparse.ArgumentParser:
         subs = group.add_subparsers(dest=dest, required=True)
         for name, options in leaves.items():
             leaf = subs.add_parser(name)
+            if leaf_parsers is not None:
+                leaf_parsers[command, name] = leaf
             # unset, the leaf's --json must not overwrite one given before the leaf name
             leaf.add_argument("--json", action="store_true", default=argparse.SUPPRESS, help=json_help)
             for option in options:
@@ -654,13 +657,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Built once: parse_args leaves a parser unchanged, and nothing here mutates it.
-_PARSER = build_parser()
+# Built once: parsing leaves a parser unchanged, and nothing here mutates it.
+_LEAVES: dict = {}
+_PARSER = build_parser(_LEAVES)
 
 
 def main(argv=None) -> int:
     try:
-        args = _PARSER.parse_args(argv)
+        args, extras = _PARSER.parse_known_args(argv)
+        if extras:
+            # refused by the leaf, so the usage line shows the options it does take
+            leaf = _LEAVES[args.command, getattr(args, _COMMANDS[args.command][1])]
+            leaf.error(f"unrecognized arguments: {' '.join(extras)}")
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:

@@ -27,8 +27,10 @@ formula.  Its seven relations are proved as polynomial identities in all
 four invariants.  Its branch-curve block is a second route to the branch
 curve of a smooth surface, and the two are proved equal as polynomials in n.
 
-Everything is pure arithmetic over exact rationals; nothing here touches
-the polynomial-geometry kernel except through shared value types.
+Everything is exact arithmetic: a numeric count is an ``int``, and every
+quotient goes through ``plucker._div``, which divides exactly (a
+``Fraction`` only for a quotient that is not integral); nothing here
+touches the polynomial-geometry kernel except through shared value types.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .plucker import (
     PlaneCurveCharacters,
     complete_developable,
     solve_from_genus,
+    _div,
     _require_count,
     _value,
 )
@@ -81,9 +84,11 @@ def branch_curve_characters(n) -> PlaneCurveCharacters:
     rest.  ``verify_projection_pipelines`` checks the projected-table route.
     """
     v = _value(n)
-    if isinstance(v, Fraction) and v < 2:
+    if not isinstance(v, Poly) and v < 2:
         raise DomainError("branch curve needs surface degree at least 2")
-    return solve_from_genus(v * (v - 1), v * (v - 1) ** 2, v * (v - 1) * (2 * v - 5) / 2 + 1)
+    return solve_from_genus(
+        v * (v - 1), v * (v - 1) ** 2, _div(v * (v - 1) * (2 * v - 5), 2) + 1
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +148,7 @@ class DualSurfaceTable:
 
 def _degree_value(n):
     v = _value(n)
-    if isinstance(v, Fraction):
+    if not isinstance(v, Poly):
         if v.denominator != 1 or v < 3:
             raise DomainError("surface degree must be an integer >= 3")
     return v
@@ -161,7 +166,7 @@ def dual_surface_table(n) -> DualSurfaceTable:
     divided by the counts' coefficients.
     """
     v = _degree_value(n)
-    numeric = isinstance(v, Fraction)
+    numeric = not isinstance(v, Poly)
     # The circumscribed cone is the cone over the branch curve; its bitangent
     # and stationary planes give the degrees of the dual's node and cusp curves.
     branch = branch_curve_characters(v)
@@ -180,7 +185,7 @@ def dual_surface_table(n) -> DualSurfaceTable:
     swallowtails = hessian.alpha
     cusp_apparent = hessian.g
     gammas = 4 * v * (v - 2) * (v - 3) * (v ** 3 + 3 * v - 16)
-    tritangents = (
+    tritangents = _div(
         v
         * (v - 2)
         * (
@@ -192,11 +197,11 @@ def dual_surface_table(n) -> DualSurfaceTable:
             - 111 * v ** 2
             + 548 * v
             - 960
-        )
-        / 6
+        ),
+        6,
     )
-    bitangent_edges = v * (v - 2) * (v - 3) * (v + 3) / 2
-    node_apparent = (
+    bitangent_edges = _div(v * (v - 2) * (v - 3) * (v + 3), 2)
+    node_apparent = _div(
         v
         * (v - 2)
         * (
@@ -211,8 +216,8 @@ def dual_surface_table(n) -> DualSurfaceTable:
             + 1068 * v ** 2
             - 1214 * v
             + 1464
-        )
-        / 8
+        ),
+        8,
     )
     plain_meets = 0 * v
     node_couple = NodeCoupleCharacters(
@@ -266,8 +271,8 @@ def dual_surface_table(n) -> DualSurfaceTable:
                 - 6 * swallowtails - 4 * gammas - 2 * plain_meets - 3 * cusp_meets
             ),
         ),
-        residual_zero("tritangents re-derived", node_cuspidal / 3),
-        residual_zero("node-curve apparent points re-derived", node_ordinary / 4),
+        residual_zero("tritangents re-derived", _div(node_cuspidal, 3)),
+        residual_zero("node-curve apparent points re-derived", _div(node_ordinary, 4)),
     )
     return DualSurfaceTable(
         degree=_as_count(v),
@@ -345,25 +350,26 @@ def projected_surface_table(n, pi, pa, ksq) -> ProjectedSurfaceTable:
     """
     n, pi, pa, ksq = _value(n), _value(pi), _value(pa), _value(ksq)
     class_degree = n + 4 * pi + 12 * pa - ksq + 8
-    double_curve = (n - 1) * (n - 2) / 2 - pi
-    double_genus = (n ** 2 - 7 * n) / 2 + pi * (n - 12) + 9 * pa - 2 * ksq + 22
+    double_curve = _div((n - 1) * (n - 2), 2) - pi
+    double_genus = _div(n ** 2 - 7 * n, 2) + pi * (n - 12) + 9 * pa - 2 * ksq + 22
     neutral_genus = n ** 2 - 6 * n + 2 * pi * (n - 10) + 12 * pa - 3 * ksq + 33
     triple_points = (
-        (n ** 3 - 9 * n ** 2 + 26 * n) / 6 - pi * (n - 8) - 4 * pa + ksq - 12
+        _div(n ** 3 - 9 * n ** 2 + 26 * n, 6) - pi * (n - 8) - 4 * pa + ksq - 12
     )
     pinch_points = 2 * n + 8 * pi - 12 * pa + 2 * ksq - 20
     branch_degree = 2 * n + 2 * pi - 2
     branch_genus = 9 * pi + ksq - 8
     nodes = 2 * ((n + pi) ** 2 - 5 * n - 17 * pi - 2 * ksq + 6 * pa + 22)
     cusps = 3 * (n + 6 * pi + ksq - 4 * pa - 10)
-    bitangents = (
+    bitangents = _div(
         (n + 4 * pi - ksq + 12 * pa - 1) ** 2
         + 15 * n
         - 6 * pi
         - 17 * ksq
         + 132 * pa
-        + 57
-    ) / 2
+        + 57,
+        2,
+    )
     flexes = 24 * (pi + pa)
     chern_c2 = 12 * (1 + pa) - ksq
     checks = (
@@ -389,7 +395,7 @@ def projected_surface_table(n, pi, pa, ksq) -> ProjectedSurfaceTable:
             "postulation",
             pa
             - (
-                (n - 1) * (n - 2) * (n - 3) / 6
+                _div((n - 1) * (n - 2) * (n - 3), 6)
                 - (n - 4) * double_curve
                 + double_genus
                 + 2 * triple_points

@@ -20,7 +20,9 @@ Covers four classical calculi:
 
 Every function accepts exact integers or polynomial values in an
 indeterminate, so each relation can be verified either at sample degrees
-or as a symbolic zero.
+or as a symbolic zero.  A numeric count is an ``int``: every quotient goes
+through ``_div``, which divides exactly and yields a ``Fraction`` only when
+the quotient is not integral.
 """
 
 from __future__ import annotations
@@ -39,12 +41,18 @@ def _value(v):
         return v
     if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
         raise DomainError(f"expected an integer or polynomial value, got {v!r}")
-    return Fraction(v)
+    return QQ.coerce(v)
+
+
+def _div(a, b):
+    """The exact quotient a / b: a ``Poly`` for a polynomial, else an ``int``
+    when it is integral and a ``Fraction`` otherwise."""
+    return a / b if isinstance(a, Poly) else QQ.div(a, b)
 
 
 def _require_count(name: str, v, least: int = 0):
     """A character must be an integer of at least ``least`` when numeric."""
-    if isinstance(v, Fraction):
+    if not isinstance(v, Poly):
         if v.denominator != 1:
             raise DomainError(f"{name} = {v} is not an integer")
         if v < least:
@@ -92,7 +100,7 @@ def _plane_flexes(degree, nodes, cusps):
 
 
 def _plane_genus(degree, nodes, cusps):
-    return (degree - 1) * (degree - 2) / 2 - nodes - cusps
+    return _div((degree - 1) * (degree - 2), 2) - nodes - cusps
 
 
 def _counted_plane_characters(*values) -> PlaneCurveCharacters:
@@ -104,10 +112,10 @@ def _counted_plane_characters(*values) -> PlaneCurveCharacters:
 def complete_plane_characters(n, nodes, cusps) -> PlaneCurveCharacters:
     """Fill in class, flexes, and bitangents of a nodal-cuspidal curve."""
     n, d, k = _value(n), _value(nodes), _value(cusps)
-    if isinstance(n, Fraction) and n < 2:
+    if not isinstance(n, Poly) and n < 2:
         raise DomainError("degree must be at least 2")
     dual, flexes = _plane_class(n, d, k), _plane_flexes(n, d, k)
-    bitangents = (_plane_class(dual, 0, flexes) - n) / 2
+    bitangents = _div(_plane_class(dual, 0, flexes) - n, 2)
     genus = _plane_genus(n, d, k)
     return _counted_plane_characters(n, dual, d, k, bitangents, flexes, genus)
 
@@ -160,13 +168,13 @@ def _generator_checks(chars: PlaneCurveCharacters, r: Dict[str, object]) -> list
             ("G3 composition",
              g3 - (3 * (3 * s + t - 3) * r1 - (3 * s + t) * r2 + 9 * rd1)),
             ("reconstruct P1",
-             r1 - ((s / 6 + t / 18) * g1 + g2 / 2 - g3 / 18)),
+             r1 - ((_div(s, 6) + _div(t, 18)) * g1 + _div(g2, 2) - _div(g3, 18))),
             ("reconstruct P2",
-             r2 - ((s / 2 + t / 6 - 1) * g1 + 3 * g2 / 2 - g3 / 6)),
+             r2 - ((_div(s, 2) + _div(t, 6) - 1) * g1 + _div(3 * g2, 2) - _div(g3, 6))),
             ("reconstruct P1_dual",
-             rd1 - (-(s / 6 + t / 18) * g1 + g2 / 2 + g3 / 18)),
+             rd1 - (-(_div(s, 6) + _div(t, 18)) * g1 + _div(g2, 2) + _div(g3, 18))),
             ("reconstruct P2_dual",
-             rd2 - (-(s / 2 + t / 6 - 1) * g1 + 3 * g2 / 2 + g3 / 6)),
+             rd2 - (-(_div(s, 2) + _div(t, 6) - 1) * g1 + _div(3 * g2, 2) + _div(g3, 6))),
         )
     ]
 
@@ -303,7 +311,7 @@ def complete_developable(**known) -> Tuple[DevelopableCharacters, list]:
             unknown = [t for t in participants if t not in values]
             if len(unknown) == 1 and unknown[0] in slopes:
                 t = unknown[0]
-                values[t] = -residual({**values, t: 0}) / slopes[t]
+                values[t] = _div(-residual({**values, t: 0}), slopes[t])
                 progress = True
     missing = [f for f in _FIELDS if f not in values]
     if missing:

@@ -94,7 +94,7 @@ class TestInvariantsCommand:
 
 class TestVerifyCommand:
     def test_symbolic_suite_passes(self, capsys):
-        code, doc, _ = run_json(capsys, "verify", "all", "--symbolic", "--trials", "5")
+        code, doc, _ = run_json(capsys, "verify", "all", "--trials", "5")
         assert code == 0
         assert doc["checks"]
         assert all(c["status"] in ("pass", "warn") for c in doc["checks"])
@@ -130,8 +130,7 @@ class TestVerifyCommand:
 
     def test_modp_property_batch(self, capsys):
         code, _, _ = run(
-            capsys, "verify", "all", "--symbolic", "--trials", "5",
-            "--modp", "1048583",
+            capsys, "verify", "all", "--trials", "5", "--modp", "1048583",
         )
         assert code == 0
 
@@ -363,6 +362,40 @@ class TestPolyCommand:
         assert out == ""
         assert err.startswith(f"domain error: {name} = ")
 
+    # (argv, exit code, stderr), byte for byte; the counts behind each
+    # message are ints, or a Fraction for the non-integral x = 5/2.
+    ERROR_TEXT = [
+        ("invariants projected --n=4 --pi=1 --pa=0 --ksq=1", 3,
+         "domain error: triple_points = -3 is negative\n"),
+        ("invariants projected --n=4 --pi=7 --pa=5 --ksq=1000", 3,
+         "domain error: class = -900 is negative\n"),
+        ("invariants projected --n=0 --pi=0 --pa=0 --ksq=0", 3,
+         "domain error: degree = 0 is below 1\n"),
+        ("poly rank-profile --m=4 --genus=0 --k=0,0,1", 3,
+         "domain error: hyperosculation totals violate the closing relation: -3\n"),
+        ("poly rank-profile --m=0 --genus=1 --k=0,0,0", 3,
+         "domain error: degree = 0 is below 1\n"),
+        ("poly developable --chars=m=5,n=4,r=6,genus=0", 3,
+         "domain error: inconsistent characters: nonzero residuals in "
+         "['genus count via order', 'genus count via class']\n"),
+        ("poly developable --chars=m=3,n=6,r=5,beta=0", 3,
+         "domain error: x = 5/2 is not an integer\n"),
+        ("poly developable --chars=m=3", 3,
+         "domain error: insufficient knowns: cannot determine "
+         "['n', 'r', 'alpha', 'beta', 'x', 'y', 'g', 'h', 'genus']\n"),
+        ("poly dejonquieres --m=0 --genus=0 --mult=2:1", 3,
+         "domain error: degree = 0 is below 1\n"),
+        ("invariants branch --degree=1", 2,
+         "usage: polarcalc invariants branch [-h] [--json] --degree DEGREE\n"
+         "polarcalc invariants branch: error: argument --degree: must be at least 2\n"),
+        ("invariants branch --degree=2", 0, ""),
+    ]
+
+    @pytest.mark.parametrize("argv, expected, text", ERROR_TEXT, ids=[a for a, _, _ in ERROR_TEXT])
+    def test_error_text_is_unchanged(self, capsys, argv, expected, text):
+        code, _, err = run(capsys, *argv.split())
+        assert (code, err) == (expected, text)
+
     def test_float_in_json_is_an_internal_error(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "flecnodal_member", lambda F, point: 0.5)
         code, out, err = run(
@@ -571,6 +604,22 @@ class TestOptionsPerCommand:
         assert out == ""
         assert f"unrecognized arguments: {foreign}" in err
         assert "Traceback" not in err
+
+    def test_a_foreign_option_shows_the_leaf_usage(self, capsys):
+        code, out, err = run(capsys, "poly", "hessian", "--expr", "x", "--point", "1,0,0,0")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage: polarcalc poly hessian ")
+        assert err.endswith(
+            "polarcalc poly hessian: error: unrecognized arguments: --point 1,0,0,0\n"
+        )
+
+    def test_symbolic_is_not_an_option(self, capsys):
+        code, out, err = run(capsys, "verify", "all", "--symbolic", "--degree-range=3..4")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage: polarcalc verify all ")
+        assert "unrecognized arguments: --symbolic" in err
 
     @pytest.mark.parametrize(
         "head, tail",
