@@ -7,14 +7,22 @@ products keep whatever type Python's arithmetic gives, and only the
 parser, ``from_terms`` and the field's ``coerce`` and ``div`` make it an
 ``int``.  The two print, compare and hash alike, so no output depends on
 which one a term holds, and ``Poly`` construction does not normalize them.
+Q's own ``zero`` and ``one`` are the ints 0 and 1.
 Over a prime field GF(p) every coefficient and scalar is a plain ``int``
 in 0 .. p - 1.  The ring operations work on unreduced ints and ``Poly``
 construction reduces each coefficient once; a scalar computed outside the
 kernel goes through the field's ``coerce`` or ``div`` before it is
 compared or truth-tested.  Since ``int / int`` is a float, coefficients are
 divided only through the field's ``div``, never with ``/``.  All arithmetic
-is exact; there is no floating point anywhere in this package.  The term
-dict is internal to this module:
+is exact; there is no floating point anywhere in this package.
+
+An ``int`` or ``Fraction`` operand of ``+``, ``-``, ``*`` or ``==`` is
+coerced into the field and acts on the term dict directly: no constant
+``Poly`` is built and no product loop runs, so a scalar multiple is one
+pass over the terms.  A difference ``F - G`` or ``c - F`` is one pass into
+one dict, with no negated temporary.  Each operation builds one ``Poly``,
+its result, with the same terms, types and order as the route through a
+constant and a negation.  The term dict is internal to this module:
 other modules read a polynomial only through ``Poly.coefficient``,
 ``Poly.homogeneous_components``, ``Poly.partial``,
 ``Poly.directional_derivative``, ``Poly.evaluate``,
@@ -37,8 +45,9 @@ order, so sorting and the leading term need no key function.  Every field
 is at most the total degree, so a monomial's total degree is capped at
 ``MAX_DEGREE`` = 2^32 - 1: building a monomial or a product past it raises
 DomainError.  Exponent tuples are packed and unpacked only at the kernel's
-edges: ``monomial``, ``from_terms`` and ``coefficient`` in,
-``sorted_terms`` (and so printing) and ``substitute`` out.
+edges: ``monomial``, ``from_terms`` and ``coefficient`` in (each tuple
+checked as it is packed, in one loop), ``sorted_terms`` (and so printing)
+and ``substitute`` out.
 
 The kernel provides, besides the ring operations:
 
@@ -55,7 +64,8 @@ The kernel provides, besides the ring operations:
   rows are keyed by their column bitmask and built upward one row at a
   time, each summed in place into one term dict, so no ``Poly`` product,
   sum or negation runs), fraction-free Bareiss elimination above that,
-  with an ``exact_div`` that updates one remainder dict in place,
+  each update m_ij m_kk - m_ik m_kj summed in place into one term dict the
+  same way, with an ``exact_div`` that updates one remainder dict in place,
 * Sylvester resultants of polynomials taken univariately in one chosen
   variable, with the remaining variables as coefficient parameters,
 * valuations of univariate polynomials (order of vanishing at 0), with
@@ -128,10 +138,11 @@ class Rationals:
     name = "QQ"
     p = None  # no modulus: ``Poly`` construction reduces nothing
 
-    # Fractions, not ints: code outside the kernel that divides values built
-    # up from ``one`` (``factorial_scalar``) with ``/`` keeps an exact quotient.
-    zero = Fraction(0)
-    one = Fraction(1)
+    # Ints, like every integral value: frames, pivots, ``factorial_scalar`` and
+    # absent coefficients built from them stay ints.  Quotients of scalars go
+    # through ``div``, never ``/`` (an int quotient would be a float).
+    zero = 0
+    one = 1
 
     def coerce(self, v) -> Union[int, Fraction]:
         if type(v) is int:
@@ -290,6 +301,34 @@ def _product(left: dict, right: dict, out: dict = None) -> dict:
     return out
 
 
+def _sum_into(out: dict, terms: dict, negate: bool) -> dict:
+    """out + terms (out - terms when negate), summed into out in place.
+
+    A sum that cancels to exactly zero leaves the dict; over GF(p) the
+    unreduced sums stay for ``Poly`` construction to reduce.  A difference
+    is subtracted term by term, not added negated, so a Fraction term costs
+    one Fraction, not two.
+    """
+    get, pop = out.get, out.pop
+    if negate:
+        for k, c in terms.items():
+            s = get(k)
+            s = -c if s is None else s - c
+            if s:
+                out[k] = s
+            else:
+                pop(k)
+    else:
+        for k, c in terms.items():
+            s = get(k)
+            s = c if s is None else s + c
+            if s:
+                out[k] = s
+            else:
+                pop(k)
+    return out
+
+
 def _binomial_row(x, y, e: int, p, stop: int) -> list:
     """[C(e, j) x^(e - j) y^j for j < stop]: the leading coefficients of
     (x + y T)^e, reduced over GF(p) (p not None)."""
@@ -344,11 +383,13 @@ class PolyRing:
     # -- the packed monomial layout ----------------------------------------
 
     def _pack(self, exps: Sequence[int]) -> int:
-        exps = tuple(int(e) for e in exps)
-        if len(exps) != len(self.variables) or any(e < 0 for e in exps):
+        """The packed key of an exponent sequence of ints, checked as it is packed."""
+        if len(exps) != len(self._shifts):
             raise DomainError("bad exponent tuple")
         key = total = 0
         for shift, e in zip(self._shifts, exps):
+            if e < 0:
+                raise DomainError("bad exponent tuple")
             total += e
             key |= total << shift
         if total > MAX_DEGREE:
@@ -512,30 +553,25 @@ class Poly:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _coerce_other(self, other):
+    def _operand(self, other):
+        """The term dict of a Poly of this ring, or of an int or Fraction as a
+        constant (coerced into the field, no Poly built); None otherwise."""
         if isinstance(other, Poly):
             if other.ring is not self.ring and other.ring != self.ring:
                 raise DomainError(
                     f"mismatched rings: {self.ring!r} vs {other.ring!r}"
                 )
-            return other
+            return other.terms
         if isinstance(other, (int, Fraction)):
-            return self.ring.const(other)
+            c = self.ring.field.coerce(other)
+            return {0: c} if c else {}
         return None
 
     def __add__(self, other):
-        other = self._coerce_other(other)
-        if other is None:
+        terms = self._operand(other)
+        if terms is None:
             return NotImplemented
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e)
-            s = c if s is None else s + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return Poly(self.ring, out)
+        return Poly(self.ring, _sum_into(dict(self.terms), terms, False))
 
     __radd__ = __add__
 
@@ -543,26 +579,29 @@ class Poly:
         return Poly(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        other = self._coerce_other(other)
-        if other is None:
+        terms = self._operand(other)
+        if terms is None:
             return NotImplemented
-        return self + (-other)
+        return Poly(self.ring, _sum_into(dict(self.terms), terms, True))
 
     def __rsub__(self, other):
-        other = self._coerce_other(other)
-        if other is None:
+        terms = self._operand(other)
+        if terms is None:
             return NotImplemented
-        return other + (-self)
+        return Poly(self.ring, _sum_into(dict(terms), self.terms, True))
 
     def __mul__(self, other):
-        other = self._coerce_other(other)
-        if other is None:
+        if isinstance(other, (int, Fraction)):
+            c = self.ring.field.coerce(other)
+            return Poly(self.ring, {e: v * c for e, v in self.terms.items()})
+        terms = self._operand(other)
+        if terms is None:
             return NotImplemented
-        if self.terms and other.terms:
+        if self.terms and terms:
             shift = self.ring._degree_shift
-            _check_product_degree((max(self.terms) >> shift) + (max(other.terms) >> shift))
+            _check_product_degree((max(self.terms) >> shift) + (max(terms) >> shift))
         # Terms that cancelled to zero are dropped by the constructor.
-        return Poly(self.ring, _product(self.terms, other.terms))
+        return Poly(self.ring, _product(self.terms, terms))
 
     __rmul__ = __mul__
 
@@ -584,11 +623,11 @@ class Poly:
         return _power({0: self.ring.one(), 1: self}, e)
 
     def __eq__(self, other):
+        if isinstance(other, Poly):
+            return (self.ring is other.ring or self.ring == other.ring) and self.terms == other.terms
         if isinstance(other, (int, Fraction)):
-            other = self.ring.const(other)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return (self.ring is other.ring or self.ring == other.ring) and self.terms == other.terms
+            return self.terms == self._operand(other)
+        return NotImplemented
 
     def __hash__(self):
         return hash((self.ring, frozenset(self.terms.items())))
@@ -1004,7 +1043,12 @@ def exact_div(f: Poly, g: Poly) -> Poly:
 
 
 def _det_bareiss(rows):
+    """Fraction-free elimination: step k replaces each m_ij below and right of
+    the pivot by (m_ij m_kk - m_ik m_kj) / m_(k-1)(k-1).  Both products are
+    summed in place into one term dict, which becomes one Poly for
+    ``exact_div``."""
     ring = rows[0][0].ring
+    shift = ring._degree_shift
     n = len(rows)
     m = [list(row) for row in rows]
     sign = 1
@@ -1018,11 +1062,19 @@ def _det_bareiss(rows):
                     break
             else:
                 return ring.zero()
+        pivot = m[k][k].terms
+        pivot_degree = max(pivot) >> shift
         for i in range(k + 1, n):
+            lead = m[i][k].terms
+            minus = {key: -c for key, c in lead.items()}
             for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                m[i][j] = exact_div(num, prev)
-            m[i][k] = ring.zero()
+                entry, right = m[i][j].terms, m[k][j].terms
+                if entry:
+                    _check_product_degree((max(entry) >> shift) + pivot_degree)
+                if lead and right:
+                    _check_product_degree((max(lead) >> shift) + (max(right) >> shift))
+                num = _product(minus, right, _product(entry, pivot))
+                m[i][j] = exact_div(Poly(ring, num), prev)
         prev = m[k][k]
     d = m[n - 1][n - 1]
     return d if sign == 1 else -d

@@ -88,7 +88,7 @@ class TestPolarKic:
             F = random_homogeneous(R, d, rng)
             a = random_point(R, rng)
             k = rng.randint(1, d - 1)
-            ratio = factorial_scalar(QQ, k) / factorial_scalar(QQ, d - k)
+            ratio = QQ.div(factorial_scalar(QQ, k), factorial_scalar(QQ, d - k))
             assert polar_kic(F, a, k) == polar(F, a, d - k) * ratio
 
     def test_order_bounds(self):
@@ -287,7 +287,7 @@ class TestTaylorNewton:
             a, b = random_point(R, rng), random_point(R, rng)
             total = QQ.zero
             for k in range(d + 1):
-                total = total + polar(F, b, k).evaluate(list(a.coords)) / factorial_scalar(QQ, k)
+                total = total + QQ.div(polar(F, b, k).evaluate(list(a.coords)), factorial_scalar(QQ, k))
             assert total == F.evaluate([x + y for x, y in zip(a.coords, b.coords)])
 
 
@@ -412,5 +412,5 @@ class TestPropertyBatches:
             restricted = restrict_to_line(F, a, b)
             for k in range(d + 1):
                 coeff = restricted.coefficient((k,))
-                expected = polar(F, b, k).evaluate(list(a.coords)) / factorial_scalar(QQ, k)
+                expected = QQ.div(polar(F, b, k).evaluate(list(a.coords)), factorial_scalar(QQ, k))
                 assert coeff == expected

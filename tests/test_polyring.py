@@ -30,6 +30,7 @@ from polarcalc.polyring import (
     coefficients_in,
     determinant,
     exact_div,
+    factorial_scalar,
     resultant,
     valuation,
     _det_bareiss,
@@ -234,6 +235,87 @@ class TestArithmetic:
             for v in R.variables:
                 total = total + R.var(v) * F.partial(v)
             assert total == d * F
+
+
+class TestScalarOperands:
+    """An int or Fraction operand, and a difference, build only the result.
+
+    Each result equals the composite route through a constant Poly and a
+    negated temporary, in value, coefficient type and term order.
+    """
+
+    @staticmethod
+    def _items(f):
+        return [(k, type(c), c) for k, c in f.terms.items()]
+
+    @staticmethod
+    def _count_builds(monkeypatch):
+        built = []
+        build = Poly.__init__
+
+        def counted(self, ring, terms):
+            built.append(ring)
+            build(self, ring, terms)
+
+        monkeypatch.setattr(Poly, "__init__", counted)
+        return built
+
+    @pytest.mark.parametrize("field", [QQ, GF], ids=repr)
+    def test_one_poly_per_result(self, field, monkeypatch):
+        ring = PolyRing(R.variables, field)
+        F, G = ring.parse("3*x^2 - 1/2*y*z + 5 - w"), ring.parse("x^2 + y*z - 5 + 2*z")
+        cases = [  # (operator, the composite route it replaces)
+            (lambda: F - G, F + (-G)),
+            (lambda: 3 - F, ring.const(3) + (-F)),
+            (lambda: F * 3, F * ring.const(3)),
+            (lambda: F * Fraction(1, 2), F * ring.const(Fraction(1, 2))),
+            (lambda: F + 1, F + ring.const(1)),
+        ]
+        built = self._count_builds(monkeypatch)
+        for i, (op, composite) in enumerate(cases):
+            built.clear()
+            got = op()
+            assert len(built) == 1, i
+            assert self._items(got) == self._items(composite), i
+
+    @pytest.mark.parametrize("field", [QQ, GF, PrimeField(7)], ids=repr)
+    def test_every_operator_matches_the_composite_route(self, field):
+        rng = random.Random(19)
+        ring = PolyRing(("x", "y"), field)
+        monos = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1)]
+
+        def coeff():
+            return rng.choice([rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+                               Fraction(rng.randint(-3, 3))])
+
+        for _ in range(150):
+            F = ring.from_terms((rng.choice(monos), coeff()) for _ in range(rng.randint(0, 4)))
+            G = rng.choice([F, -F, ring.from_terms((rng.choice(monos), coeff()) for _ in range(3))])
+            c = rng.choice([0, 1, -1, F.coefficient((0, 0)), rng.randint(-9, 9),
+                            Fraction(rng.randint(-9, 9), rng.randint(1, 4))])
+            const = ring.const(c)
+            for got, composite in (
+                (F - G, F + (-G)), (G - F, G + (-F)),
+                (F + c, F + const), (c + F, F + const), (F - c, F + (-const)),
+                (c - F, const + (-F)), (F * c, F * const), (c * F, F * const),
+            ):
+                assert self._items(got) == self._items(composite)
+            assert (F == c) is (F == const) is (c == F)
+            assert (F != c) is (F != const)
+
+    def test_a_difference_subtracts_each_fraction_once(self):
+        from test_numeric_counts import _fractions_built
+
+        F = R.parse("1/2*x^2 + 2/3*x*y - 5/7*z")
+        G = R.parse("1/3*x^2 + 3/4*x*y + 1/7*z")
+        assert _fractions_built(lambda: F - G) <= len(G.terms)
+
+    def test_rational_zero_and_one_are_ints(self):
+        assert type(QQ.zero) is int and type(QQ.one) is int
+        assert type(R.zero().constant_value()) is int
+        F = R.parse("1/2*x + 3/4")
+        assert type(F.coefficient((0, 1, 0, 0))) is int
+        assert type(factorial_scalar(QQ, 6)) is int and factorial_scalar(QQ, 6) == 720
 
 
 @contextlib.contextmanager
@@ -598,6 +680,19 @@ class TestDeterminant:
         assert determinant(m).terms == expected.terms
 
     @pytest.mark.parametrize("field", [QQ, GF], ids=repr)
+    def test_bareiss_step_without_poly_arithmetic(self, field, monkeypatch):
+        # Each update m_ij m_kk - m_ik m_kj is summed into one term dict.
+        from polarcalc.randomchecks import random_homogeneous
+
+        rng = random.Random(13)
+        ring = PolyRing(("x", "y", "z"), field)
+        m = [[random_homogeneous(ring, 1, rng, 3) for _ in range(5)] for _ in range(5)]
+        expected = _det_cofactor(m)
+        self._refuse(monkeypatch, ("__mul__", "__rmul__", "__add__", "__radd__",
+                                   "__sub__", "__rsub__"))
+        assert _det_bareiss(m).terms == expected.terms
+
+    @pytest.mark.parametrize("field", [QQ, GF], ids=repr)
     def test_exact_div_without_poly_arithmetic(self, field, monkeypatch):
         rng = random.Random(12)
         ring = PolyRing(("x", "y", "z"), field)
@@ -812,6 +907,20 @@ class TestPackedLayout:
         assert main(polar + ["x^4294967296"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("domain error: monomial of total degree 4294967296")
+
+    @pytest.mark.parametrize("exps, message", [
+        ((1, 2, 3), "bad exponent tuple"),
+        ((1, 2, 3, 4, 5), "bad exponent tuple"),
+        ((1, -1, 0, 0), "bad exponent tuple"),
+        ((2 ** 32, -1, 0, 0), "bad exponent tuple"),
+        ((2 ** 32, 0, 0, 0), "monomial of total degree 4294967296 exceeds the limit 2^32 - 1"),
+        ((0, 2 ** 31, 0, 2 ** 31), "monomial of total degree 4294967296 exceeds the limit 2^32 - 1"),
+    ])
+    def test_exponent_tuple_errors(self, exps, message):
+        for build in (R.monomial, lambda e: R.from_terms([(e, 1)]), R.one().coefficient):
+            with pytest.raises(DomainError) as info:
+                build(exps)
+            assert str(info.value) == message
 
     def test_degree_cap_on_products(self):
         half = R.parse("x^2147483648")
