@@ -29,7 +29,8 @@ from .polarity import (
     _check_point,
     _check_surface,
     gradient_at,
-    local_parts,
+    lowest_parts,
+    restrict_to_line,
     tangent_directions,
 )
 from .polyring import (
@@ -238,30 +239,47 @@ def _divisors(n: int):
     return sorted(out)
 
 
-def _common_projective_roots(forms, duo: PolyRing):
-    """Field-rational projective roots shared by all the binary forms."""
-    field = duo.field
-    nonzero = [f for f in forms if not f.is_zero]
-    if not nonzero:
-        return None  # every direction works
-    candidates = []
-    seen = []
-    # Coefficients of u^k v^(deg-k) for k = 0 .. deg; (1 : 0) is a root
-    # exactly when the pure u-power coefficient vanishes.
-    univ = _binary_coeff_list(nonzero[0], nonzero[0].total_degree())[::-1]
-    if not univ[-1]:
-        candidates.append((field.one, field.zero))
-    for root in _univariate_field_roots(univ, field):
-        candidates.append((root, field.one))
-    for cand in candidates:
-        point = ProjPoint(cand, field)
-        if point not in seen and all(not f.evaluate(point.coords) for f in nonzero):
-            seen.append(point)
-    return seen
+def _projective_roots(form: Poly):
+    """Field-rational roots (u : v) of a nonzero binary form.
+
+    Coefficients of u^k v^(deg-k) for k = 0 .. deg; (1 : 0) is a root
+    exactly when the pure u-power coefficient vanishes, and comes first.
+    """
+    field = form.ring.field
+    univ = _binary_coeff_list(form, form.total_degree())[::-1]
+    roots = [] if univ[-1] else [(field.one, field.zero)]
+    return roots + [(root, field.one) for root in _univariate_field_roots(univ, field)]
+
+
+def _line_inside(F: Poly, q: ProjPoint, b: ProjPoint) -> bool:
+    """Whether F vanishes identically on the line through q and b.
+
+    The line is restricted in a basis of two of its points b_k q - q_k b,
+    each on the hyperplane x_k = 0, picked with the most zero coordinates:
+    a coordinate that is zero at one of them is a single term of the
+    restriction, not a binomial row.  Vanishing does not depend on the basis.
+    """
+    points = [
+        ProjPoint([bk * qj - qk * bj for qj, bj in zip(q.coords, b.coords)], q.field)
+        for qk, bk in zip(q.coords, b.coords)
+        if qk or bk
+    ]
+    points.sort(key=lambda point: -point.coords.count(0))
+    second = next(point for point in points if point != points[0])
+    return restrict_to_line(F, points[0], second).is_zero
 
 
 def max_contact_order(F: Poly, q: ProjPoint) -> ContactReport:
-    """Largest intersection multiplicity of a line with V(F) at q."""
+    """Largest intersection multiplicity of a line with V(F) at q.
+
+    The strata are the parts of degree <= 3 of F(q + u t1 + v t2), from one
+    truncated expansion; higher parts are read, up to the first nonzero
+    one, only when II and III both vanish (``lowest_parts``).  The
+    candidate lines are the roots of the lowest nonzero stratum, in the
+    order the root search meets them; the first at which every stratum
+    read vanishes and along which F vanishes identically (``_line_inside``)
+    is the certified line.
+    """
     _check_surface(F)
     _check_point(F, q)
     if len(F.ring.variables) != 4:
@@ -274,21 +292,23 @@ def max_contact_order(F: Poly, q: ProjPoint) -> ContactReport:
     # c_k as the degree-k part of F(q + u t1 + v t2).  c_0 = F(q) = 0 and
     # c_1 is zero on the tangent plane, so a common root of c_2..c_d is a
     # line of the surface through q (q is off the span of t1, t2: q_ell != 0).
-    # The strata come lowest first, which fixes the order of the candidates.
     duo = PolyRing(("u", "v"), F.ring.field)
-    strata = local_parts(F, q, {"u": t1.coords, "v": t2.coords}, duo)
+    strata = lowest_parts(F, q, {"u": t1.coords, "v": t2.coords}, duo, 3)
     zero = duo.zero()
     ii, iii = strata.get(2, zero), strata.get(3, zero)
 
-    common = _common_projective_roots(list(strata.values()), duo)
     line_dir = None
-    if common is None:
-        # The whole tangent plane lies inside the surface.
+    if not strata:
+        # Every part vanishes: the whole tangent plane lies inside the surface.
         line_dir = t1
-    elif common:
-        u0, v0 = common[0]
-        vec = [u0 * a + v0 * b for a, b in zip(t1.coords, t2.coords)]
-        line_dir = ProjPoint(vec, duo.field)
+    else:
+        for u0, v0 in _projective_roots(next(iter(strata.values()))):
+            if any(f.evaluate((u0, v0)) for f in strata.values()):
+                continue
+            vec = ProjPoint([u0 * a + v0 * b for a, b in zip(t1.coords, t2.coords)], duo.field)
+            if _line_inside(F, q, vec):
+                line_dir = vec
+                break
     res = binary_form_resultant(ii, iii, 2, 3)
     if line_dir is not None:
         order = ContactOrder.INFINITE

@@ -20,16 +20,24 @@ each factor (a_i + b_i T)^e binomially; the membership ladder polar(F, b,
 one below.  Neither the restriction nor the polar k-ic goes through the
 polar ladder or the directional derivative.
 
-Tangent cones, like the contact strata of ``flecnodal``, are read from one
+Tangent cones, like the contact strata of ``flecnodal``, are read from a
 local expansion, ``local_parts``: the nonzero homogeneous parts P_k of
-F(a + sum_j v_j b_j) as ``{k: P_k}`` in ascending k, from one
-``substitute``.  With the axes off a pivot coordinate of a as the b_j,
-F(a v0 + w) = sum_k v0^(d - k) P_k(w), so the cone is P_k for the least k
-present, and a present P_0 = F(a) puts a off the surface.
+F(a + sum_j v_j b_j) of degree <= K as ``{k: P_k}`` in ascending k, from
+one ``substitute`` cut at the truncation order K, so its cost follows the
+order read and not the degree of F.  The expansion runs over the integers
+where F and a do: each direction b_j is scaled by the lcm s_j of its
+denominators, and only the parts returned are divided, the coefficient of
+v^alpha once by prod_j s_j^alpha_j.  ``lowest_parts`` reads on past K, up
+to the first nonzero part, only when every part up to K vanishes.  With the
+axes off a pivot coordinate of a as the b_j, F(a v0 + w) = sum_k v0^(d - k)
+P_k(w), so the cone is P_k for the least k present.  ``tangent_cone``
+evaluates P_0 = F(a) first, reads P_1 (the gradient) by ``polar_part``,
+and expands only at a singular point.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Tuple
 
@@ -180,20 +188,63 @@ def line_multiplicity(F: Poly, a: ProjPoint, b: ProjPoint) -> LineContactReport:
     return LineContactReport(a, b, mult, memberships, restriction)
 
 
-def local_parts(F: Poly, a: ProjPoint, directions: Mapping[str, Sequence], ring: PolyRing) -> dict:
-    """{k: P_k} for the nonzero homogeneous parts of F(a + sum_j v_j b_j) in ring's variables.
+def local_parts(
+    F: Poly, a: ProjPoint, directions: Mapping[str, Sequence], ring: PolyRing, order: int
+) -> dict:
+    """{k: P_k} for the nonzero homogeneous parts of F(a + sum_j v_j b_j) of degree <= order.
 
     ``directions`` maps variables v_j of ``ring`` to coordinate vectors b_j.
-    Each variable's image is one ``from_terms`` pass and the expansion one
-    ``substitute``; the parts come in ascending k, and P_0 is F(a).
+    The expansion runs over the integer directions s_j b_j, s_j the lcm of
+    the denominators of b_j (1 over GF(p)): each variable's image is one
+    ``from_terms`` pass, the expansion one ``substitute`` cut at ``order``,
+    and the coefficient of v^alpha in the parts returned is divided once by
+    prod_j s_j^alpha_j.  The parts come in ascending k, and P_0 is F(a).
     """
     origin = tuple(0 for _ in ring.variables)
     units = {v: tuple(int(name == v) for name in ring.variables) for v in directions}
+    scales = {v: math.lcm(*(c.denominator for c in b)) for v, b in directions.items()}
+    cleared = {
+        v: [c.numerator * (scales[v] // c.denominator) for c in b] for v, b in directions.items()
+    }
     assignment = {
-        name: ring.from_terms([(origin, ai)] + [(units[v], b[i]) for v, b in directions.items()])
+        name: ring.from_terms([(origin, ai)] + [(units[v], b[i]) for v, b in cleared.items()])
         for i, (name, ai) in enumerate(zip(F.ring.variables, a.coords))
     }
-    return F.substitute(assignment, into=ring).homogeneous_components()
+    expansion = F.substitute(assignment, into=ring, order=order)
+    weights = [scales.get(name, 1) for name in ring.variables]
+    if any(s != 1 for s in weights):
+        expansion = expansion.divide_variables(weights)
+    return expansion.homogeneous_components()
+
+
+def lowest_parts(
+    F: Poly, a: ProjPoint, directions: Mapping[str, Sequence], ring: PolyRing, order: int
+) -> dict:
+    """The parts of F(a + sum_j v_j b_j) of degree <= order, or, when none is
+    nonzero, those up to the first nonzero part; {} when F vanishes on the
+    whole span.
+
+    A term of F whose variables all have nonzero images has no part below
+    the degree of its monomial in the variables where a is zero, and the
+    other terms vanish; so past ``order`` nothing lies below m0, the least
+    such degree, and the reads go to max(order + 1, m0), then m0 + 1,
+    m0 + 2, m0 + 4, ..., up to the degree of F.
+    """
+    d = F.total_degree()
+    parts = local_parts(F, a, directions, ring, order)
+    if parts or order >= d:
+        return parts
+    zeros = [i for i, c in enumerate(a.coords) if not c]
+    vanishing = [i for i in zeros if not any(b[i] for b in directions.values())]
+    floor = min(
+        (sum(e[i] for i in zeros) for e, _ in F.sorted_terms() if not any(e[i] for i in vanishing)),
+        default=d,
+    )
+    floor = top = min(max(order + 1, floor), d)
+    step = 1
+    while not (parts := local_parts(F, a, directions, ring, top)) and top < d:
+        top, step = min(floor + step, d), 2 * step
+    return parts
 
 
 @dataclass(frozen=True)
@@ -217,18 +268,30 @@ def tangent_cone(F: Poly, a: ProjPoint) -> TangentConeReport:
 
     The chart pivots on the first nonzero coordinate of a and keeps the
     other basis vectors; its ring reuses the variable names, pivot first.
+    F(a) is evaluated first, so a point off the surface costs one pass.  At
+    a smooth point the cone is P_1, the gradient of F at a read in the chart
+    (one ``polar_part`` pass); only a singular point expands, reading the
+    parts up to order 2 and, when they vanish, on to the first nonzero one
+    (``lowest_parts``).
     """
     _check_surface(F)
     _check_point(F, a)
+    if F.evaluate(a.coords):
+        raise DomainError("point does not lie on the hypersurface")
     ring, field = F.ring, F.ring.field
     pivot = next(i for i, c in enumerate(a.coords) if c)
     others = [i for i in range(len(ring.variables)) if i != pivot]
     chart = PolyRing((ring.variables[pivot],) + tuple(ring.variables[i] for i in others), field)
     axes = [[field.one if k == i else field.zero for k in range(len(a))] for i in others]
-    parts = local_parts(F, a, dict(zip(chart.variables[1:], axes)), chart)
-    if 0 in parts:
-        raise DomainError("point does not lie on the hypersurface")
-    multiplicity = min(parts)
     # original coordinate i = a_i * v0 + (v_{j+1} if i is the j-th non-pivot)
     matrix = tuple((c,) + tuple(row[i] for row in axes) for i, c in enumerate(a.coords))
-    return TangentConeReport(multiplicity, parts[multiplicity], chart, matrix)
+    gradient = F.polar_part(a.coords, 1)
+    multiplicity = 1
+    cone = chart.from_terms(
+        ([0] + row[:pivot] + row[pivot + 1:], gradient.coefficient(row)) for row in axes
+    )
+    if cone.is_zero:
+        parts = lowest_parts(F, a, dict(zip(chart.variables[1:], axes)), chart, 2)
+        multiplicity = min(parts)
+        cone = parts[multiplicity]
+    return TangentConeReport(multiplicity, cone, chart, matrix)

@@ -26,16 +26,17 @@ constant and a negation.  The term dict is internal to this module:
 other modules read a polynomial only through ``Poly.coefficient``,
 ``Poly.homogeneous_components``, ``Poly.partial``,
 ``Poly.directional_derivative``, ``Poly.evaluate``,
-``Poly.line_coefficients``, ``Poly.polar_part``, ``Poly.substitute`` and
-``Poly.sorted_terms``, and build one from terms only through
-``PolyRing.monomial`` and ``PolyRing.from_terms``, which speak in exponent
-tuples.  ``coefficients_in`` serves ``resultant`` here.
+``Poly.line_coefficients``, ``Poly.polar_part``, ``Poly.substitute``,
+``Poly.divide_variables`` and ``Poly.sorted_terms``, and build one from
+terms only through ``PolyRing.monomial`` and ``PolyRing.from_terms``,
+which speak in exponent tuples.  ``coefficients_in`` serves ``resultant`` here.
 
 Graded pieces come in one format: ``homogeneous_components`` and
 ``coefficients_in`` return ``{degree: Poly}`` holding the nonzero parts
 only, in ascending degree, built in one pass over the terms, so their cost
 follows the number of terms and not the degree; ``polar_part`` returns
-its one part, k! times the degree-k part of F(a + x), as a ``Poly``.
+its one part, k! times the degree-k part of F(a + x), as a ``Poly``; and
+``substitute`` given an ``order`` builds only the terms of degree <= order.
 
 A monomial x_1^e_1 ... x_n^e_n is packed into one int of n 32-bit fields
 that hold, from the bottom, the prefix sums e_1, e_1 + e_2, ...,
@@ -301,6 +302,28 @@ def _product(left: dict, right: dict, out: dict = None) -> dict:
     return out
 
 
+def _product_upto(left: dict, right: dict, top: int, shift: int) -> dict:
+    """The terms of degree <= top of the product of two term dicts, unreduced.
+
+    Keys in ascending order ascend in degree, so each left term walks the
+    sorted right terms only up to the first one that would pass top: the
+    pairs above top are never formed, and no key sum passes top, so no
+    field carries.
+    """
+    right = sorted(right.items())
+    out: dict = {}
+    get = out.get
+    for ka, ca in left.items():
+        bound = (top - (ka >> shift) + 1) << shift
+        for kb, cb in right:
+            if kb >= bound:
+                break
+            k = ka + kb
+            s = get(k)
+            out[k] = ca * cb if s is None else s + ca * cb
+    return out
+
+
 def _sum_into(out: dict, terms: dict, negate: bool) -> dict:
     """out + terms (out - terms when negate), summed into out in place.
 
@@ -331,8 +354,12 @@ def _sum_into(out: dict, terms: dict, negate: bool) -> dict:
 
 def _binomial_row(x, y, e: int, p, stop: int) -> list:
     """[C(e, j) x^(e - j) y^j for j < stop]: the leading coefficients of
-    (x + y T)^e, reduced over GF(p) (p not None)."""
-    row = [math.comb(e, j) * pow(x, e - j, p) * pow(y, j, p) for j in range(stop)]
+    (x + y T)^e, reduced over GF(p) (p not None).  Each binomial comes from
+    the one before by one product and one exact quotient."""
+    row, binomial = [], 1
+    for j in range(stop):
+        row.append(binomial * pow(x, e - j, p) * pow(y, j, p))
+        binomial = binomial * (e - j) // (j + 1)
     return row if p is None else [v % p for v in row]
 
 
@@ -350,6 +377,51 @@ def _power(powers: dict, e: int) -> "Poly":
                 out = out * powers[1]
         powers[e] = out
     return out
+
+
+class _CutPowers:
+    """The powers of one value, cut at degree top, each built once.
+
+    With a the constant term of the value and L the rest, (a + L)^e is the
+    sum over j of C(e, j) a^(e - j) L^j, and L^j has no term below degree
+    j; so only j <= top is read, from one binomial row, and each L^j is
+    built once, cut at top, from L^(j - 1), for every exponent.
+    """
+
+    def __init__(self, value: "Poly", top: int):
+        ring = value.ring
+        self.ring, self.top, self.shift = ring, top, ring._degree_shift
+        self.a = value.terms.get(0, 0)
+        self.rest = {k: c for k, c in value.terms.items() if k and k >> self.shift <= top}
+        self.ladder = [{0: 1}]  # ladder[j]: L^j cut at top, reduced
+        self.memo: dict = {}
+
+    def low(self, e: int) -> int:
+        """The least degree of value^e: 0 with a nonzero constant term, else e
+        times the least degree of L (top + 1 when nothing is left)."""
+        if self.a:
+            return 0
+        if not self.rest:
+            return self.top + 1
+        return e * (min(self.rest) >> self.shift)
+
+    def __call__(self, e: int) -> dict:
+        out = self.memo.get(e)
+        if out is None:
+            ring, top, shift, ladder = self.ring, self.top, self.shift, self.ladder
+            out = {}
+            get = out.get
+            for j, b in enumerate(_binomial_row(self.a, 1, e, ring._modulus, min(e, top) + 1)):
+                if j == len(ladder):
+                    ladder.append(Poly(ring, _product_upto(ladder[-1], self.rest, top, shift)).terms)
+                if not ladder[j]:
+                    break
+                if b:
+                    for k, c in ladder[j].items():
+                        s = get(k)
+                        out[k] = b * c if s is None else s + b * c
+            out = self.memo[e] = Poly(ring, out).terms
+        return out
 
 
 def _decimal(n: int) -> str:
@@ -487,8 +559,9 @@ class Poly:
     2^32 - 1.  The dict is internal to the kernel: outside this module use
     ``coefficient``, ``homogeneous_components``, ``partial``,
     ``directional_derivative``, ``evaluate``, ``line_coefficients``,
-    ``polar_part``, ``substitute`` and ``sorted_terms``; of these,
-    ``coefficient`` and ``sorted_terms`` speak in exponent tuples.
+    ``polar_part``, ``substitute``, ``divide_variables`` and
+    ``sorted_terms``; of these, ``coefficient`` and ``sorted_terms`` speak
+    in exponent tuples.
     """
 
     __slots__ = ("ring", "terms")
@@ -690,7 +763,8 @@ class Poly:
         """[c_0, ..., c_d] with F(a + T b) = sum_j c_j T^j, d the total degree ([] for 0).
 
         One pass over the terms: each term convolves the binomial rows of its
-        factors (a_i + b_i T)^e, one row per (variable, exponent), built once.
+        factors (a_i + b_i T)^e, one row per (variable, exponent), built once;
+        a factor with a_i or b_i zero is one term, not a row.
         """
         ring = self.ring
         field, p = ring.field, ring._modulus
@@ -702,20 +776,29 @@ class Poly:
         rows: dict = {}
         out = [0] * ((max(self.terms) >> ring._degree_shift) + 1 if self.terms else 0)
         for k, c in self.terms.items():
-            series, below = [c], 0
+            series, low, below = [c], 0, 0  # series[j] is the coefficient of T^(low + j)
             for i, shift in fields:
                 e = (k >> shift & _FIELD_MASK) - below
                 if e:
                     below += e
                     row = rows.get((i, e))
                     if row is None:
-                        row = rows[i, e] = _binomial_row(a[i], b[i], e, p, e + 1)
-                    longer = [0] * (len(series) + e)
+                        # (lowest power, coefficients): a zero b_i leaves only
+                        # the constant coefficient and a zero a_i only the top one.
+                        if not b[i]:
+                            row = 0, [pow(a[i], e, p)]
+                        elif not a[i]:
+                            row = e, [pow(b[i], e, p)]
+                        else:
+                            row = 0, _binomial_row(a[i], b[i], e, p, e + 1)
+                        rows[i, e] = row
+                    low += row[0]
+                    longer = [0] * (len(series) + len(row[1]) - 1)
                     for s, u in enumerate(series):
-                        for j, v in enumerate(row, s):
+                        for j, v in enumerate(row[1], s):
                             longer[j] += u * v
                     series = longer
-            for j, v in enumerate(series):
+            for j, v in enumerate(series, low):
                 out[j] += v
         return [field.coerce(v) for v in out]
 
@@ -762,7 +845,29 @@ class Poly:
         # Reduced once here over GF(p); cancelled sums are dropped.
         return Poly(ring, out)
 
-    def substitute(self, assignment: Mapping[str, object], into: PolyRing = None) -> "Poly":
+    def divide_variables(self, scales: Sequence[int]) -> "Poly":
+        """F(x_1 / s_1, ..., x_n / s_n) for nonzero integers s_i, in one pass:
+        the coefficient of x^alpha is divided once by prod_i s_i^alpha_i,
+        through the field's ``div``."""
+        ring = self.ring
+        div = ring.field.div
+        if len(scales) != len(ring.variables):
+            raise DomainError("wrong number of scales")
+        fields = list(zip(ring._shifts, scales))
+        out: dict = {}
+        for k, c in self.terms.items():
+            below, scale = 0, 1
+            for shift, s in fields:
+                total = k >> shift & _FIELD_MASK
+                if total != below:
+                    scale *= s ** (total - below)
+                    below = total
+            out[k] = div(c, scale)
+        return Poly(ring, out)
+
+    def substitute(
+        self, assignment: Mapping[str, object], into: PolyRing = None, order: int = None
+    ) -> "Poly":
         """Substitute a polynomial or scalar for every variable.
 
         Every variable actually occurring in self must be assigned; Poly
@@ -770,6 +875,14 @@ class Poly:
         and is required when all assigned values are scalars).  Each term is
         multiplied out against one memoized power table per variable, each
         power reduced once, and added into one dict.
+
+        Given ``order``, only the terms of total degree <= order are built.
+        Each power of a value comes from one binomial row over the powers of
+        its non-constant part, cut at that degree (``_CutPowers``), and each
+        partial product of a term is cut below it by the least degrees of
+        the factors still to come (``_product_upto``), so a term costs the
+        low-degree part of its expansion, not the whole of it, and a term
+        whose expansion starts above the order costs nothing.
         """
         target = into
         for v in assignment.values():
@@ -786,22 +899,39 @@ class Poly:
         for name in assignment:
             if name not in self.ring._index:
                 raise DomainError(f"unknown variable {name!r}")
-        shift, coerce = target._degree_shift, target.field.coerce
-        powers, degrees = [], []  # powers[i][e]: the e-th power of variable i's value
-        for name in self.ring.variables:
-            v = assignment.get(name, 0)  # an unassigned variable does not occur
-            v = v if isinstance(v, Poly) else target.const(v)
-            powers.append({1: v})
-            degrees.append(max(v.terms) >> shift if v.terms else 0)
+        shift, coerce, unpack = target._degree_shift, target.field.coerce, self.ring._unpack
+        values = [assignment.get(name, 0) for name in self.ring.variables]  # unassigned: absent
+        values = [v if isinstance(v, Poly) else target.const(v) for v in values]
         out: dict = {}
         get = out.get
+        if order is None:
+            tables = [{1: v} for v in values]  # tables[i][e]: variable i's value to the e
+            degrees = [max(v.terms) >> shift if v.terms else 0 for v in values]
+            for mono, c in self.terms.items():
+                term, degree = {0: coerce(c)}, 0
+                for table, d, e in zip(tables, degrees, unpack(mono)):
+                    if e:
+                        degree += e * d
+                        _check_product_degree(degree)
+                        term = _product(term, _power(table, e).terms)
+                for k, v in term.items():
+                    s = get(k)
+                    out[k] = v if s is None else s + v
+            return Poly(target, out)
+        top = min(order, MAX_DEGREE)
+        powers = [_CutPowers(v, top) for v in values]
         for mono, c in self.terms.items():
-            term, degree = {0: coerce(c)}, 0
-            for table, d, e in zip(powers, degrees, self.ring._unpack(mono)):
-                if e:
-                    degree += e * d
-                    _check_product_degree(degree)
-                    term = _product(term, _power(table, e).terms)
+            factors = [(power, e) for power, e in zip(powers, unpack(mono)) if e]
+            lows = [power.low(e) for power, e in factors]
+            # The factors still to come add at least their least degrees, so
+            # each partial product is cut that far below top.
+            room = top - sum(lows)
+            if room < 0:
+                continue
+            term = {0: coerce(c)}
+            for (power, e), low in zip(factors, lows):
+                room += low
+                term = _product_upto(term, power(e), room, shift)
             for k, v in term.items():
                 s = get(k)
                 out[k] = v if s is None else s + v

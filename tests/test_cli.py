@@ -6,6 +6,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import shlex
@@ -491,6 +492,59 @@ class TestPolyCommand:
         assert R.parse(doc["results"]["theta"]) == R.parse(
             "1944*x*y*z*w"
         ) * R.parse("x^3+y^3+z^3+w^3")
+
+
+class TestLocalExpansionsAreBounded:
+    """Tangent cones and contact orders cost the order they read, not the degree.
+
+    The small degrees are the ones whose documents were recorded from the
+    full-expansion route; the large ones must give the same pattern, each
+    within 1 s.
+    """
+
+    CHART = {
+        "chart_variables": ["x", "y", "z", "w"],
+        "chart_matrix": [["1", "0", "0", "0"], ["1", "1", "0", "0"],
+                         ["0", "0", "1", "0"], ["0", "0", "0", "1"]],
+    }
+
+    @staticmethod
+    def timed(capsys, *argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        return code, out, err
+
+    @pytest.mark.parametrize("d", [3, 8, 40, 4000, 100000])
+    def test_tangent_cone_on_and_off_the_surface(self, capsys, d):
+        expr = f"--expr=x^{d} - y^{d}"
+        code, out, _ = self.timed(capsys, "poly", "tangent-cone", expr, "--point=1,1,0,0", "--json")
+        assert code == 0
+        assert json.loads(out)["results"] == dict(self.CHART, multiplicity=1, cone=f"-{d}*y")
+        code, _, err = self.timed(capsys, "poly", "tangent-cone", expr, "--point=1,2,0,0")
+        assert (code, err) == (3, "domain error: point does not lie on the hypersurface\n")
+
+    @pytest.mark.parametrize("m", [2, 5, 9, 3000])
+    def test_cone_at_a_point_of_high_multiplicity(self, capsys, m):
+        # Every term vanishes to order m at the point and the parts of degree
+        # m cancel, so the multiplicity is m + 1.
+        expr = f"--expr=x^{m}*y^{m}*z^{m} - x^{m}*z^{m}*w^{m}"
+        code, out, _ = self.timed(capsys, "poly", "tangent-cone", expr, "--point=0,1,1,1", "--json")
+        assert code == 0
+        assert json.loads(out)["results"] == {
+            "multiplicity": m + 1,
+            "cone": f"-{m}*x^{m}*w",
+            "chart_variables": ["y", "x", "z", "w"],
+            "chart_matrix": [["0", "1", "0", "0"], ["1", "0", "0", "0"],
+                             ["1", "0", "1", "0"], ["1", "0", "0", "1"]],
+        }
+
+    @pytest.mark.parametrize("d", [3, 8, 40, 1600, 6400])
+    def test_contained_line_through_a_high_degree_point(self, capsys, d):
+        expr = f"--expr=x^{d} - y^{d} + z*w^{d - 1}"
+        code, out, _ = self.timed(capsys, "poly", "contact", expr, "--point=1,1,0,1", "--json")
+        assert code == 0
+        assert json.loads(out)["results"] == {"order": "infinity", "line_direction": "(0 : 0 : 0 : 1)"}
 
 
 class _ClosedPipe(io.TextIOBase):

@@ -2,8 +2,10 @@
 
 Every argv built here, well-formed or not, must end in exit 0 (ok), 1
 (check failed), 2 (usage or parse) or 3 (domain), never in an internal
-error or a traceback.  Only commands whose work is bounded by their integer
-inputs are fuzzed; the polynomial-input commands are not.  Most argvs are
+error or a traceback.  Only commands whose work is bounded are fuzzed: the
+commands on integer inputs, and ``poly tangent-cone`` and ``poly contact``,
+which read a local expansion only to the order they use, on sparse forms of
+degree up to 10^4; the other polynomial-input commands are not.  Most argvs are
 well-formed and many are consistent, so the computing paths run as well as
 the refusals.  Hypothesis is derandomized and keeps no example database, so
 every run draws the same argvs.
@@ -11,6 +13,7 @@ every run draws the same argvs.
 
 import contextlib
 import io
+import math
 
 import pytest
 
@@ -135,6 +138,37 @@ VERIFY_PLUCKER = argv(
 )
 
 
+@st.composite
+def sparse_forms(draw):
+    """A homogeneous form of degree up to 10^4 with at most five terms, with
+    coefficients in [-9, 9], and a point in {-1, 0, 1}^4; in about half the
+    draws one more power of a pivot variable puts the point on the surface."""
+    degree = draw(st.integers(1, 10 ** 4))
+    point = draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=4, max_size=4))
+    terms = {}
+    for _ in range(draw(st.integers(1, 5))):
+        cuts = sorted(draw(st.lists(st.integers(0, degree), min_size=3, max_size=3)))
+        exps = tuple(b - a for a, b in zip([0] + cuts, cuts + [degree]))
+        terms[exps] = terms.get(exps, 0) + draw(st.integers(-9, 9))
+    pivot = next((i for i, c in enumerate(point) if c), None)
+    if pivot is not None and draw(st.booleans()):
+        value = sum(c * math.prod(x ** e for x, e in zip(point, exps)) for exps, c in terms.items())
+        exps = tuple(degree if i == pivot else 0 for i in range(4))
+        terms[exps] = terms.get(exps, 0) - value * point[pivot] ** degree
+    text = "".join(
+        f"{'-' if c < 0 else '+'}{abs(c)}*" + "*".join(f"{v}^{e}" for v, e in zip("xyzw", exps) if e)
+        for exps, c in terms.items()
+    )
+    return [f"--expr={text}", "--point=" + ",".join(map(str, point))]
+
+
+LOCAL = argv(
+    ["poly"],
+    st.sampled_from(["tangent-cone", "contact"]).map(lambda op: [op]),
+    sparse_forms(),
+)
+
+
 def exit_code(words, json_flag):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -146,9 +180,9 @@ def exit_code(words, json_flag):
 
 @pytest.mark.parametrize(
     "command",
-    [DEJONQUIERES, RANK_PROFILE, POLY_DEVELOPABLE, INVARIANTS, VERIFY_PLUCKER],
+    [DEJONQUIERES, RANK_PROFILE, POLY_DEVELOPABLE, INVARIANTS, VERIFY_PLUCKER, LOCAL],
     ids=["poly dejonquieres", "poly rank-profile", "poly developable",
-         "invariants", "verify plucker"],
+         "invariants", "verify plucker", "poly tangent-cone and contact"],
 )
 def test_exit_code_contract(command):
     @FUZZ

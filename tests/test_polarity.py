@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -312,29 +313,113 @@ class TestTangentCone:
         with pytest.raises(DomainError):
             tangent_cone(FERMAT, R.point([1, 1, 1, 1]))
 
-    def test_one_expansion_per_call(self, monkeypatch):
-        # The cone and the contact strata each come from one substitute;
-        # F(a) is the cone's P_0, so no separate evaluation runs.
-        from polarcalc.flecnodal import max_contact_order
+    def test_expansions_read_only_the_order_they_use(self, monkeypatch):
+        # A smooth point's cone is its gradient, with no expansion; the cusp
+        # takes one expansion cut at order 2.  The contact strata come from
+        # one expansion cut at order 3, in integer directions: no Fraction is
+        # built inside it, though the tangent directions here are rational.
+        from polarcalc.flecnodal import _tangent_frame, max_contact_order
 
-        calls = {"substitute": 0, "evaluate": 0}
+        orders, fractions_built = [], []
+        substitute = Poly.substitute
+        fraction_code = Fraction.__new__.__code__
 
-        def counted(name):
-            original = getattr(Poly, name)
+        def counted(self, *args, order=None, **kwargs):
+            built = 0
 
-            def wrapper(self, *args, **kwargs):
-                calls[name] += 1
-                return original(self, *args, **kwargs)
+            def profile(frame, event, arg):
+                nonlocal built
+                if event == "call" and frame.f_code is fraction_code:
+                    built += 1
 
-            monkeypatch.setattr(Poly, name, wrapper)
+            sys.setprofile(profile)
+            try:
+                return substitute(self, *args, order=order, **kwargs)
+            finally:
+                sys.setprofile(None)
+                orders.append(order)
+                fractions_built.append(built)
 
-        counted("substitute")
-        counted("evaluate")
-        tangent_cone(R.parse("y^2*w - x^3"), R.point([0, 0, 0, 1]))
-        assert calls == {"substitute": 1, "evaluate": 0}
-        calls["substitute"] = 0
-        max_contact_order(FERMAT, R.point([1, -1, 1, -1]))
-        assert calls["substitute"] == 1
+        monkeypatch.setattr(Poly, "substitute", counted)
+        assert tangent_cone(FERMAT, R.point([1, -1, 0, 0])).multiplicity == 1
+        assert orders == []
+        assert tangent_cone(R.parse("y^2*w - x^3"), R.point([0, 0, 0, 1])).multiplicity == 2
+        assert orders == [2]
+        del orders[:], fractions_built[:]
+        F, q = R.parse("2*x^3 + y^3 + z^3 - 4*w^3"), R.point([1, 1, 1, 1])
+        t1, t2 = _tangent_frame(polarity.gradient_at(F, q), q)
+        assert t1.coords == (Fraction(-1, 2), 0, 1, 0) and t2.coords == (2, 0, 0, 1)
+        max_contact_order(F, q)
+        assert orders == [3] and fractions_built == [0]
+
+
+def _form_singular_at(ring, a, m, d, rng, rational):
+    """A random degree-d form of multiplicity at least m at a: products of m
+    linear forms a_j x_i - a_i x_j times monomials, with Fraction
+    coefficients when rational."""
+    field = ring.field
+    lines = [
+        ring.from_terms([(tuple(int(k == i) for k in range(4)), a[j]),
+                         (tuple(int(k == j) for k in range(4)), -a[i])])
+        for i, j in itertools.combinations(range(4), 2)
+    ]
+    lines = [line for line in lines if not line.is_zero]
+    while True:
+        F = ring.zero()
+        for _ in range(rng.randint(1, 3)):
+            term = ring.one()
+            for _ in range(m):
+                term = term * rng.choice(lines)
+            exps = [0] * 4
+            for _ in range(d - m):
+                exps[rng.randrange(4)] += 1
+            c = Fraction(rng.randint(-9, 9), rng.randint(1, 6)) if rational else field.random(rng)
+            F = F + term * ring.monomial(exps, c)
+        if not F.is_zero:
+            return F
+
+
+class TestLocalParts:
+    @pytest.mark.parametrize("field", [QQ, PrimeField(1048583), PrimeField(7)], ids=repr)
+    def test_truncated_integer_expansion_is_the_low_part_of_the_full_one(self, field):
+        # The reference expands F(a + sum_j v_j b_j) in full, in the given
+        # (rational) directions, and keeps the parts of degree <= K.
+        rng = random.Random(61)
+        for trial in range(30):
+            ring = PolyRing(field=field)
+            coords = [0, 0, 0, 0]
+            while not any(coords):
+                coords = [rng.randint(-3, 3) for _ in range(4)]
+            a = ring.point(coords)
+            m = rng.randint(2, 6)
+            d = m + rng.randint(0, 2)
+            F = _form_singular_at(ring, a.coords, m, d, rng, field == QQ and trial % 2 == 0)
+            names = ("u", "v", "s")[: rng.randint(1, 3)]
+            local = PolyRing(names, field)
+            if field == QQ:
+                directions = {
+                    v: [Fraction(rng.randint(-5, 5), rng.randint(1, 7)) for _ in range(4)]
+                    for v in names
+                }
+            else:
+                directions = {v: [field.random(rng) for _ in range(4)] for v in names}
+            origin = (0,) * len(names)
+            images = {
+                x: local.from_terms([(origin, a.coords[i])] + [
+                    (tuple(int(u == v) for u in names), b[i]) for v, b in directions.items()
+                ])
+                for i, x in enumerate(ring.variables)
+            }
+            full = F.substitute(images, into=local).homogeneous_components()
+            assert min(full, default=d) >= m
+            for order in sorted({0, 1, m - 1, m, rng.randint(0, d), d, d + 2}):
+                parts = polarity.local_parts(F, a, directions, local, order)
+                assert parts == {k: P for k, P in full.items() if k <= order}
+                assert list(parts) == sorted(parts)
+            # Past an order with no part, the reads go on to the first nonzero one.
+            lowest = polarity.lowest_parts(F, a, directions, local, 1)
+            assert min(lowest, default=None) == min(full, default=None)
+            assert lowest == {k: P for k, P in full.items() if k <= max(lowest, default=d)}
 
 
 class TestPolarsAtSingularities:
