@@ -204,13 +204,9 @@ def _univariate_field_roots(coeffs, field):
                 roots.sort(key=lambda r: (abs(r.numerator), r.denominator, r < 0))
         return roots
     if isinstance(field, Rationals):
-        lcm = 1
-        for c in coeffs:
-            lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
+        lcm = math.lcm(*(c.denominator for c in coeffs))
         ints = [int(c * lcm) for c in coeffs]
-        g = 0
-        for c in ints:
-            g = math.gcd(g, c)
+        g = math.gcd(*ints)
         ints = [c // g for c in ints]
         lead, const = ints[-1], ints[0]
         if const == 0:

@@ -152,10 +152,9 @@ def stratum_check(model: StratumModel):
         checks.append((name, poly.is_zero))
 
     if model.surface_parametrization:
-        assignment = dict(zip(("a", "b", "c"), model.surface_parametrization))
         vanish(
             f"{model.id}: surface sweep annihilates the discriminant",
-            model.discriminant.substitute(assignment, into=PARAM),
+            _pullback(model.discriminant, model.surface_parametrization),
         )
     for curve in (model.cuspidal, model.ordinary):
         if not curve.parametrization:
@@ -197,9 +196,6 @@ def contact_order(
             raise DomainError(
                 "generator pulls back to zero: the curves share a component"
             )
-        if pulled.total_degree() == 0:
-            val = 0
-        else:
-            val = valuation(pulled, "u")
+        val = valuation(pulled, "u")
         best = val if best is None else min(best, val)
     return Fraction(best, covering_degree)

@@ -31,8 +31,8 @@ v^alpha once by prod_j s_j^alpha_j.  ``lowest_parts`` reads on past K, up
 to the first nonzero part, only when every part up to K vanishes.  With the
 axes off a pivot coordinate of a as the b_j, F(a v0 + w) = sum_k v0^(d - k)
 P_k(w), so the cone is P_k for the least k present.  ``tangent_cone``
-evaluates P_0 = F(a) first, reads P_1 (the gradient) by ``polar_part``,
-and expands only at a singular point.
+reads P_0 = F(a) and P_1 from ``gradient_at``, the one gradient route it
+shares with ``tangent_hyperplane``, and expands only at a singular point.
 """
 
 from __future__ import annotations
@@ -268,16 +268,14 @@ def tangent_cone(F: Poly, a: ProjPoint) -> TangentConeReport:
 
     The chart pivots on the first nonzero coordinate of a and keeps the
     other basis vectors; its ring reuses the variable names, pivot first.
-    F(a) is evaluated first, so a point off the surface costs one pass.  At
-    a smooth point the cone is P_1, the gradient of F at a read in the chart
-    (one ``polar_part`` pass); only a singular point expands, reading the
-    parts up to order 2 and, when they vanish, on to the first nonzero one
+    ``gradient_at`` evaluates F(a) first, so a point off the surface costs
+    one pass.  At a smooth point the cone is P_1, the gradient of F at a
+    read in the chart; only a singular point expands, reading the parts up
+    to order 2 and, when they vanish, on to the first nonzero one
     (``lowest_parts``).
     """
     _check_surface(F)
-    _check_point(F, a)
-    if F.evaluate(a.coords):
-        raise DomainError("point does not lie on the hypersurface")
+    grads = gradient_at(F, a)
     ring, field = F.ring, F.ring.field
     pivot = next(i for i, c in enumerate(a.coords) if c)
     others = [i for i in range(len(ring.variables)) if i != pivot]
@@ -285,10 +283,9 @@ def tangent_cone(F: Poly, a: ProjPoint) -> TangentConeReport:
     axes = [[field.one if k == i else field.zero for k in range(len(a))] for i in others]
     # original coordinate i = a_i * v0 + (v_{j+1} if i is the j-th non-pivot)
     matrix = tuple((c,) + tuple(row[i] for row in axes) for i, c in enumerate(a.coords))
-    gradient = F.polar_part(a.coords, 1)
     multiplicity = 1
     cone = chart.from_terms(
-        ([0] + row[:pivot] + row[pivot + 1:], gradient.coefficient(row)) for row in axes
+        ([0] + row[:pivot] + row[pivot + 1:], grads[i]) for i, row in zip(others, axes)
     )
     if cone.is_zero:
         parts = lowest_parts(F, a, dict(zip(chart.variables[1:], axes)), chart, 2)

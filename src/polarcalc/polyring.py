@@ -139,8 +139,8 @@ class Rationals:
     name = "QQ"
     p = None  # no modulus: ``Poly`` construction reduces nothing
 
-    # Ints, like every integral value: frames, pivots, ``factorial_scalar`` and
-    # absent coefficients built from them stay ints.  Quotients of scalars go
+    # Ints, like every integral value: frames, pivots and absent
+    # coefficients built from them stay ints.  Quotients of scalars go
     # through ``div``, never ``/`` (an int quotient would be a float).
     zero = 0
     one = 1
@@ -1295,10 +1295,3 @@ def valuation(f: Poly, var: str):
         raise DomainError(f"polynomial involves more than {var!r}")
     i = f.ring._index[var]
     return min(f.ring._exponent(k, i) for k in f.terms)
-
-
-def factorial_scalar(field, k: int):
-    out = field.one
-    for i in range(2, k + 1):
-        out = out * i
-    return out

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 
 from .polarity import directional_derivative, line_multiplicity, polar, polar_kic
-from .polyring import INFINITY, Poly, PolyRing, ProjPoint, factorial_scalar
+from .polyring import INFINITY, Poly, PolyRing, ProjPoint
 from .reporting import Check, FAIL, PASS
 
 
@@ -85,10 +86,10 @@ def polar_symmetry_batch(ring: PolyRing, seed: int, trials: int) -> Check:
         rhs = polar_a.evaluate(list(b.coords))
         if (not lhs) != (not rhs):
             return _check("polar symmetry", False, f"vanishing mismatch at trial {t}")
-        if field.coerce(factorial_scalar(field, d - k) * lhs - factorial_scalar(field, k) * rhs):
+        if field.coerce(math.factorial(d - k) * lhs - math.factorial(k) * rhs):
             return _check("polar symmetry", False, f"ratio mismatch at trial {t}")
         kic = polar_kic(F, a, k)
-        ratio = field.div(factorial_scalar(field, k), factorial_scalar(field, d - k))
+        ratio = field.div(math.factorial(k), math.factorial(d - k))
         if kic != polar_a * ratio:
             return _check("polar symmetry", False, f"polar k-ic mismatch at trial {t}")
     return _check(f"polar symmetry ({trials} trials, {field.name})", True)
@@ -125,7 +126,7 @@ def taylor_batch(ring: PolyRing, seed: int, trials: int) -> Check:
         total = rung.evaluate(coords)
         for k in range(1, d + 1):
             rung = directional_derivative(rung, b)
-            total = total + field.div(rung.evaluate(coords), factorial_scalar(field, k))
+            total = total + field.div(rung.evaluate(coords), math.factorial(k))
         shifted = F.evaluate([x + y for x, y in zip(a.coords, b.coords)])
         if field.coerce(total - shifted):
             return _check("Taylor polar expansion", False, f"trial {t}")

@@ -1,5 +1,7 @@
 """Closed-form tables, their cross-relations, and the symbolic suites."""
 
+import dataclasses
+
 import pytest
 
 from polarcalc.invariants import (
@@ -249,4 +251,9 @@ class TestProjectedSurfaces:
         assert all(c.lhs.ring is PROJECTED_RING and c.ok for c in identities)
 
     def test_noether_equivalence(self):
-        assert verify_noether_equivalence(projected_surface_table(*PROJECTED_RING.gens())).ok
+        general = projected_surface_table(*PROJECTED_RING.gens())
+        check = verify_noether_equivalence(general)
+        assert check.ok and check.lhs.ring is PROJECTED_RING
+        # A class off by one breaks the equivalence: the check can fail.
+        shifted = dataclasses.replace(general, class_degree=general.class_degree + 1)
+        assert not verify_noether_equivalence(shifted).ok

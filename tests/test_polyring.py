@@ -1,5 +1,7 @@
 """Kernel tests: parser, exact arithmetic, determinants, resultants."""
 
+import ast
+import collections
 import contextlib
 import itertools
 import math
@@ -30,7 +32,6 @@ from polarcalc.polyring import (
     coefficients_in,
     determinant,
     exact_div,
-    factorial_scalar,
     resultant,
     valuation,
     _det_bareiss,
@@ -315,7 +316,6 @@ class TestScalarOperands:
         assert type(R.zero().constant_value()) is int
         F = R.parse("1/2*x + 3/4")
         assert type(F.coefficient((0, 1, 0, 0))) is int
-        assert type(factorial_scalar(QQ, 6)) is int and factorial_scalar(QQ, 6) == 720
 
 
 @contextlib.contextmanager
@@ -584,6 +584,27 @@ def test_term_layout_stays_inside_the_kernel():
         if pattern.search(line)
     ]
     assert offenders == []
+
+
+def test_no_private_helper_is_orphaned():
+    """Every private module-level function or class, and every private
+    method, in the package is named at least once besides its definition."""
+    paths = sorted(Path(polarcalc.__file__).parent.glob("*.py"))
+    private = []
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        scopes = [tree.body] + [node.body for node in tree.body if isinstance(node, ast.ClassDef)]
+        private += [
+            node.name
+            for body in scopes
+            for node in body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_")
+            and not node.name.endswith("__")
+        ]
+    assert {"_det_bareiss", "_CutPowers", "_operand"} <= set(private)  # functions, classes, methods
+    words = collections.Counter(re.findall(r"\w+", "\n".join(p.read_text() for p in paths)))
+    assert [name for name in private if words[name] < 2] == []
 
 
 class TestDeterminant:
