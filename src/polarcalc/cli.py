@@ -12,7 +12,16 @@ Output is aligned name/value columns by default or a stable JSON document
 with ``--json`` (top-level keys: command, inputs, results, checks).
 Integers beyond 2^53 - 1 are emitted as decimal strings; enumerative
 counts are emitted as decimal strings uniformly so the schema does not
-depend on their size.
+depend on their size.  The document is written in one pass by
+``_json_text``, byte for byte as the ``json`` module writes it with an
+indent of 2.
+
+A command line whose first two words name a leaf (``poly polar ...``) is
+read by that leaf's parser alone, into the namespace the whole parser tree
+would build.  Every other argv (the top-level and group help, a missing or
+unknown command, ``--json`` before the leaf name) is read by the tree, the
+one route for those messages; the leaf's own help and errors are the same
+on both routes.
 
 Exit codes: 0 success, 1 a check failed, 2 usage or parse error,
 3 mathematical domain error (singular point, wrong homogeneity, ...),
@@ -35,11 +44,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import sys
 from dataclasses import fields
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import invariants, localmodels, randomchecks
 from .curvature import classify_surface_point, hessian_determinant, second_fundamental_form
@@ -102,6 +111,30 @@ def _jsonable(value):
     return str(value)
 
 
+def _json_text(value, indent="\n") -> str:
+    """A document ``_jsonable`` built, as the ``json`` module writes it with an indent of 2.
+
+    Its dicts have str keys and its leaves are str, int, bool or None, so
+    one recursive pass writes it; the ``json`` module drops to its
+    pure-Python encoder whenever an indent is asked for.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = (f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}" for k, v in value.items())
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if not value:
+        return "[]"
+    return "[" + inner + ("," + inner).join(_json_text(v, inner) for v in value) + indent + "]"
+
+
 @contextlib.contextmanager
 def _all_digits():
     """Lift Python's cap (3.11+) on int-to-str digits while output is built.
@@ -157,7 +190,7 @@ class CommandResult:
                     for c in self.checks
                 ],
             }
-            return json.dumps(doc, indent=2)
+            return _json_text(doc)
         lines = []
         if self.results:
             width = max(len(str(k)) for k in self.results)
@@ -210,7 +243,7 @@ def _parse_point(text: str, ring: PolyRing) -> ProjPoint:
         den = _integer(den) if slash else 1
         if not den:
             raise UsageError(f"zero denominator in coordinate {p.strip()!r}")
-        coords.append(Fraction(_integer(num), den))
+        coords.append(ring.field.div(_integer(num), den))
     if len(coords) != len(ring.variables):
         raise UsageError(
             f"expected {len(ring.variables)} coordinates, got {len(coords)}"
@@ -662,9 +695,27 @@ _LEAVES: dict = {}
 _PARSER = build_parser(_LEAVES)
 
 
+def _parse_args(argv):
+    """The namespace and leftover words of ``argv``, as ``_PARSER.parse_known_args`` gives them.
+
+    When the first two words name a leaf, its parser alone reads the rest
+    into a namespace already holding what the root and group parsers would
+    set: ``command``, ``json`` and the leaf's dest, in that order.  Any other
+    argv takes the whole tree, as does a word starting ``--=``, which the
+    group parser refuses as an ambiguous abbreviation before the leaf sees it.
+    """
+    leaf = _LEAVES.get(tuple(argv[:2]))
+    if leaf is None or any(word.startswith("--=") for word in argv[2:]):
+        return _PARSER.parse_known_args(argv)
+    command, name = argv[:2]
+    args = argparse.Namespace(**{"command": command, "json": False, _COMMANDS[command][1]: name})
+    return leaf.parse_known_args(argv[2:], args)
+
+
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args, extras = _PARSER.parse_known_args(argv)
+        args, extras = _parse_args(argv)
         if extras:
             # refused by the leaf, so the usage line shows the options it does take
             leaf = _LEAVES[args.command, getattr(args, _COMMANDS[args.command][1])]

@@ -1,24 +1,35 @@
 """Tiny exact linear algebra over the coefficient fields.
 
 Everything works on lists of lists of field scalars (int or Fraction over
-Q, int over GF(p)) and is only ever used on matrices of size at most 7, so
-plain Gaussian elimination with exact division (``field.div``) is all we
-need.  Each updated entry and the returned determinant go through
-``field.coerce``, which reduces them over GF(p).
+Q, int over GF(p)) and is only ever used on matrices of size at most 7.
+The one elimination is fraction-free: each row is first scaled to integers
+by the lcm of its denominators (every scale is 1 over GF(p)), then Bareiss
+elimination divides each updated entry exactly by the previous pivot
+through ``field.div``, so over Q no ``Fraction`` is built until the
+determinant is divided once by the product of the scales.  Over GF(p)
+``field.div`` reduces each entry.
 """
 
 from __future__ import annotations
 
+import math
+
 
 def _reduce(field, m):
-    """Gaussian elimination of a copy of m to row echelon form.
+    """Bareiss elimination of a copy of m, with its rows scaled to integers.
 
-    Returns the pivot columns and the product of the pivots signed by the
-    row swaps (the determinant of a square m of full rank).
+    Returns the pivot columns and the determinant of the pivot rows and
+    columns of m, signed by the row swaps (the determinant of a square m of
+    full rank): the last pivot over the scales of the pivot rows.
     """
-    work = [[field.coerce(x) for x in row] for row in m]
-    rows = len(work)
-    pivots, det = [], field.one
+    work, scales = [], []
+    for row in m:
+        row = [field.coerce(x) for x in row]
+        scale = math.lcm(*(x.denominator for x in row))
+        work.append([x.numerator * (scale // x.denominator) for x in row])
+        scales.append(scale)
+    rows, div = len(work), field.div
+    pivots, det, previous = [], field.one, 1
     for col in range(len(work[0]) if work else 0):
         rk = len(pivots)
         if rk == rows:
@@ -28,15 +39,22 @@ def _reduce(field, m):
             continue
         if pivot != rk:
             work[rk], work[pivot] = work[pivot], work[rk]
+            scales[rk], scales[pivot] = scales[pivot], scales[rk]
             det = -det
-        det = det * work[rk][col]
-        inv = field.div(field.one, work[rk][col])
+        top = work[rk]
+        p, right = top[col], top[col + 1:]
         for r in range(rk + 1, rows):
-            if work[r][col]:
-                f = work[r][col] * inv
-                work[r] = [field.coerce(a - f * b) for a, b in zip(work[r], work[rk])]
+            # Every row below is updated, also one with a zero in this
+            # column, so that each division by the previous pivot stays
+            # exact.  Columns up to this one are not read again.
+            row = work[r]
+            a = row[col]
+            row[col + 1:] = [div(p * x - a * y, previous) for x, y in zip(row[col + 1:], right)]
+        previous = p
         pivots.append(col)
-    return pivots, field.coerce(det)
+    if pivots:
+        det = det * previous
+    return pivots, div(det, math.prod(scales[: len(pivots)]))
 
 
 def rank(field, m):

@@ -384,33 +384,6 @@ def rank_profile(dim: int, degree, genus, k: Sequence) -> RankProfile:
 # ---------------------------------------------------------------------------
 
 
-def _multinomial(parts) -> int:
-    """(sum parts)! / prod parts_s!, as a product of binomials."""
-    out, total = 1, 0
-    for k in parts:
-        total += k
-        out *= math.comb(total, k)
-    return out
-
-
-def _bounded_indices(bounds: Sequence[int], budget: int):
-    """Every tuple j with 0 <= j_i <= bounds[i] and sum j <= budget, in lexicographic order."""
-    j = [0] * len(bounds)
-    left = budget
-    while True:
-        yield tuple(j)
-        # Odometer step: raise the last entry that may grow, zeroing those after it.
-        for i in reversed(range(len(j))):
-            if j[i] < bounds[i] and left:
-                j[i] += 1
-                left -= 1
-                break
-            left += j[i]
-            j[i] = 0
-        else:
-            return
-
-
 @dataclass(frozen=True)
 class DeJonquieresProblem:
     """Degree m series of genus g with prescribed multiplicity pattern."""
@@ -445,19 +418,25 @@ def dejonquieres_count(degree: int, genus: int, multiplicities: Mapping[int, int
     Coefficient of prod t_s^(m_s) in
     (1 + sum s^2 t_s)^genus * (1 + sum s t_s)^(degree - dim - genus).
     With B = 1 + sum s t_s and C = sum s(s-1) t_s the first base is B + C,
-    and degree - dim = |m| (the number of points), so the product is
-    sum_k binom(genus, k) C^k B^(|m| - k).  Its coefficient is a sum over
-    the share j of C in the multiple points (C has no t_1 term) with
-    |j| <= genus, and only those j are enumerated: at most prod over
-    s >= 2 of (min(m_s, genus) + 1) nonnegative integer terms.
+    and degree - dim = N, the number of points, so the product is
+    sum_J binom(genus, J) C^J B^(N - J).  Let M = sum_(s >= 2) m_s and
+    e_J = [x^J] prod_(s >= 2) (1 + (s-1) x)^(m_s).  Gathering the terms by
+    the share J of C in the multiple points (C has no t_1 term), the count is
+    prod s^(m_s) * sum_(J <= min(genus, M)) perm(genus, J) perm(N - J, M - J) e_J
+    over prod m_s!: a sum of min(genus, M) + 1 terms.
     """
     problem = dejonquieres_problem(degree, genus, multiplicities)
     g = problem.genus
-    simple = problem.multiplicities.get(1, 0)
-    multiple = sorted((s, ms) for s, ms in problem.multiplicities.items() if s > 1)
-    count = 0
-    for j in _bounded_indices([ms for _, ms in multiple], g):
-        rest = [ms - js for (_, ms), js in zip(multiple, j)]
-        weight = math.prod((s * (s - 1)) ** js * s ** r for (s, _), js, r in zip(multiple, j, rest))
-        count += math.comb(g, sum(j)) * _multinomial(j) * _multinomial([simple, *rest]) * weight
-    return count
+    multiple = {s: ms for s, ms in problem.multiplicities.items() if s > 1}
+    points = sum(problem.multiplicities.values())
+    fold = sum(multiple.values())
+    top = min(g, fold)
+    e = [1] + [0] * top  # prod (1 + (s-1) x)^(m_s), cut above x^top
+    for s, ms in multiple.items():
+        row = [math.comb(ms, i) * (s - 1) ** i for i in range(min(ms, top) + 1)]
+        e = [sum(e[j - i] * row[i] for i in range(min(j, len(row) - 1) + 1)) for j in range(top + 1)]
+    total = sum(math.perm(g, j) * math.perm(points - j, fold - j) * e[j] for j in range(top + 1))
+    count, rest = divmod(total, math.prod(math.factorial(ms) for ms in multiple.values()))
+    if rest:
+        raise RuntimeError("the de Jonquieres sum is not divisible by prod m_s!")
+    return count * math.prod(s ** ms for s, ms in multiple.items())

@@ -47,8 +47,9 @@ is at most the total degree, so a monomial's total degree is capped at
 ``MAX_DEGREE`` = 2^32 - 1: building a monomial or a product past it raises
 DomainError.  Exponent tuples are packed and unpacked only at the kernel's
 edges: ``monomial``, ``from_terms`` and ``coefficient`` in (each tuple
-checked as it is packed, in one loop), ``sorted_terms`` (and so printing)
-and ``substitute`` out.
+checked as it is packed, in one loop), ``sorted_terms`` and ``substitute``
+out.  Printing builds no tuple: it reads each exponent off the packed key
+as the difference of two prefix sums, in the one pass that writes the term.
 
 The kernel provides, besides the ring operations:
 
@@ -945,25 +946,29 @@ class Poly:
         return [(unpack(k), terms[k]) for k in sorted(terms, reverse=True)]
 
     def __str__(self):
-        if self.is_zero:
+        terms = self.terms
+        if not terms:
             return "0"
+        fields = tuple(zip(self.ring.variables, self.ring._shifts))
         parts = []
-        for e, c in self.sorted_terms():
-            mono = "*".join(
-                v if k == 1 else f"{v}^{k}"
-                for v, k in zip(self.ring.variables, e)
-                if k
-            )
+        for key in sorted(terms, reverse=True):
+            # the exponents are the differences of the packed prefix sums
+            factors, below = [], 0
+            for v, shift in fields:
+                total = key >> shift & _FIELD_MASK
+                e = total - below
+                if e:
+                    factors.append(v if e == 1 else f"{v}^{e}")
+                    below = total
+            c = terms[key]
             negative = c < 0
             a = -c if negative else c
-            cstr = str(a)
-            is_one = a == 1
-            if not mono:
-                body = cstr
-            elif is_one:
-                body = mono
+            if not factors:
+                body = str(a)
+            elif a == 1:
+                body = "*".join(factors)
             else:
-                body = f"{cstr}*{mono}"
+                body = str(a) + "*" + "*".join(factors)
             if not parts:
                 parts.append(f"-{body}" if negative else body)
             else:

@@ -1,12 +1,15 @@
 """End-to-end CLI behaviour: output schema, exit codes, round-trips."""
 
+import contextlib
 import io
 import json
 import os
+import random
 import signal
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import shlex
@@ -195,8 +198,8 @@ class TestPolyCommand:
         ids=["invariants surface", "poly dejonquieres"],
     )
     def test_counts_past_4300_digits_print_in_full(self, capsys, argv):
-        # The De Jonquieres count is a closed sum of prod over s >= 2 of
-        # (min(m_s, genus) + 1) = 3 terms: a million points answer in well
+        # The De Jonquieres count is a closed sum of min(genus, sum over
+        # s >= 2 of m_s) + 1 = 3 terms: a million points answer in well
         # under the 5 s alarm.
         def expired(signum, frame):
             raise TimeoutError(f"{argv} ran past 5 s")
@@ -705,3 +708,155 @@ class TestOptionsPerCommand:
                 cli._PARSER.parse_args(shlex.split(line, comments=True)[1:])
             except SystemExit:
                 pytest.fail(f"README example does not parse: {line}\n{capsys.readouterr().err}")
+
+
+def parse_outcome(parse, argv):
+    """The namespace as (name, value) pairs in order and the leftover words,
+    or the exit code, and what was printed, of ``parse(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args, extras = parse(argv)
+            result = (list(vars(args).items()), extras)
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+class TestLeafDispatch:
+    """A leaf named first is read by its own parser alone: the namespace
+    (attributes and their order), the leftover words, the exit code and the
+    printed text are the ones the whole parser tree gives."""
+
+    # A value each option's type accepts.
+    VALUES = {
+        "degree": "4", "branch_degree": "3", "n": "4", "pi": "0", "pa": "0", "ksq": "9",
+        "degree_range": "3..4", "seed": "5", "trials": "2", "modp": "7",
+        "expr": "x^3+y^3+z^3+w^3", "surface": "cubic.txt", "point": "1,-1,0,0",
+        "dir": "0,0,1,0", "order": "2", "m": "4", "genus": "0", "mult": "2:1", "dim": "3",
+        "k": "0,0,0", "chars": "m=3,genus=0",
+    }
+    TAILS = {
+        "valid": lambda v: v,
+        "--json after the leaf": lambda v: v + ["--json"],
+        "--json twice": lambda v: ["--json", *v, "--json"],
+        "a foreign option": lambda v: v + ["--bogus", "1"],
+        "a foreign word": lambda v: ["stray", *v],
+        "no options": lambda v: [],
+        "a missing option": lambda v: v[2:],
+        "-h": lambda v: v + ["-h"],
+        "--help first": lambda v: ["--help", *v],
+        "--": lambda v: v[:2] + ["--"] + v[2:],
+        "-- at the end": lambda v: v + ["--"],
+        "an abbreviation": lambda v: [v[0][:4] + "=" + v[1], *v[2:]] if v else ["--js"],
+        "--ex=": lambda v: ["--ex=", *v],
+        "--js": lambda v: v + ["--js"],
+        "--json=1": lambda v: v + ["--json=1"],
+        "--=x": lambda v: v + ["--=x"],
+        "--=x after --": lambda v: v + ["--", "--=x"],
+        "a negative value": lambda v: v[:1] + ["-" + v[1]] + v[2:] if v else ["-1"],
+        "an empty word": lambda v: ["", *v],
+    }
+
+    @classmethod
+    def valid(cls, command, name):
+        words = []
+        for option in cli._COMMANDS[command][3][name]:
+            key = option[1] if isinstance(option, tuple) else option
+            words += [cli._OPTIONS[key][0], cls.VALUES[key]]
+        return words
+
+    @pytest.mark.parametrize("leaf", list(cli._LEAVES), ids=" ".join)
+    def test_leaf_parser_matches_the_tree(self, leaf):
+        valid = self.valid(*leaf)
+        for tail, words in self.TAILS.items():
+            argv = [*leaf, *words(valid)]
+            assert parse_outcome(cli._parse_args, argv) == parse_outcome(
+                cli._PARSER.parse_known_args, argv
+            ), (tail, argv)
+
+    def test_inputs_list_the_operation_first(self, capsys):
+        code, doc, _ = run_json(capsys, "poly", "polar", "--point", "1,1,1,1", "--expr", "x^2")
+        assert code == 0
+        assert list(doc["inputs"]) == ["operation", "expr", "point"]
+
+    def test_a_leaf_named_first_skips_the_tree(self, capsys, monkeypatch):
+        argv = ["poly", "polar", "--expr", "x^3+y^3+z^3+w^3", "--point", "1,1,1,1", "--json"]
+        expected = run(capsys, *argv)
+
+        class NoTree:
+            def parse_known_args(self, argv):
+                raise AssertionError("the parser tree read a leaf command line")
+
+        monkeypatch.setattr(cli, "_PARSER", NoTree())
+        assert run(capsys, *argv) == expected
+        monkeypatch.setattr(sys, "argv", ["polarcalc", *argv])
+        assert (main(), *capsys.readouterr()) == expected
+
+    def test_a_command_line_takes_the_leaf_route(self, capsys):
+        # polarcalc.cli run as __main__, as ``python -m polarcalc.cli`` runs
+        # it, with each parse reported by its parser's prog.
+        argv = ["poly", "polar", "--expr", "x^3+y^3+z^3+w^3", "--point", "1,1,1,1", "--json"]
+        script = (
+            "import argparse, runpy, sys\n"
+            "parse = argparse.ArgumentParser.parse_known_args\n"
+            "def reported(self, *args, **kwargs):\n"
+            "    print('parsed by', self.prog, file=sys.stderr)\n"
+            "    return parse(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.parse_known_args = reported\n"
+            "runpy.run_module('polarcalc.cli', run_name='__main__', alter_sys=True)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env,
+            check=False, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == run(capsys, *argv)[:2]
+        assert proc.stderr == "parsed by polarcalc poly polar\n"
+
+
+class TestJsonWriter:
+    """``--json`` documents are ``json.dumps(doc, indent=2)``, byte for byte."""
+
+    def test_golden_documents(self):
+        paths = sorted((Path(__file__).parent / "golden").glob("*.json"))
+        assert len(paths) == 31
+        for path in paths:
+            text = path.read_text(encoding="utf-8")
+            doc = json.loads(text)
+            assert cli._json_text(doc) + "\n" == text == json.dumps(doc, indent=2) + "\n", path
+
+    @staticmethod
+    def text(rng):
+        # control characters, printable ASCII, non-ASCII, astral and lone surrogates
+        points = [(0, 0x20), (0x20, 0x7F), (0x7F, 0x800), (0x800, 0x10000), (0x10000, 0x110000)]
+        return "".join(
+            chr(rng.randrange(*rng.choice(points))) for _ in range(rng.randint(0, 6))
+        )
+
+    @classmethod
+    def document(cls, rng, depth=0):
+        kind = rng.randrange(8 if depth < 4 else 5)
+        if kind == 0:
+            return rng.choice([True, False, None])
+        if kind == 1:
+            limit = cli._JSON_INT_LIMIT
+            return rng.choice([0, 1, -1, limit, limit + 1, -limit, -limit - 1, 10 ** 400,
+                               rng.randint(-(2 ** 60), 2 ** 60)])
+        if kind == 2:
+            return Fraction(rng.randint(-99, 99), rng.randint(1, 9))
+        if kind in (3, 4):
+            return cls.text(rng)
+        size = rng.choice([0, 1, rng.randint(2, 5)])
+        if kind == 5:
+            return [cls.document(rng, depth + 1) for _ in range(size)]
+        if kind == 6:
+            return tuple(cls.document(rng, depth + 1) for _ in range(size))
+        return {cls.text(rng): cls.document(rng, depth + 1) for _ in range(size)}
+
+    def test_seeded_documents(self):
+        rng = random.Random(20240913)
+        with cli._all_digits():
+            for _ in range(3000):
+                doc = cli._jsonable(self.document(rng))
+                assert cli._json_text(doc) == json.dumps(doc, indent=2), doc

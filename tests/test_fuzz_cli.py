@@ -3,25 +3,33 @@
 Every argv built here, well-formed or not, must end in exit 0 (ok), 1
 (check failed), 2 (usage or parse) or 3 (domain), never in an internal
 error or a traceback.  Only commands whose work is bounded are fuzzed: the
-commands on integer inputs, and ``poly tangent-cone`` and ``poly contact``,
+commands on integer inputs; ``poly tangent-cone`` and ``poly contact``,
 which read a local expansion only to the order they use, on sparse forms of
-degree up to 10^4; the other polynomial-input commands are not.  Most argvs are
-well-formed and many are consistent, so the computing paths run as well as
-the refusals.  Hypothesis is derandomized and keeps no example database, so
-every run draws the same argvs.
+degree up to 10^4; and the other point queries and ``poly hessian`` on
+sparse forms of degree up to 6, each within a wall-time bound, since no
+degree cap bounds them yet.  ``poly covariants`` is not run.  Most argvs
+are well-formed and many are consistent, so the computing paths run as
+well as the refusals.  Every argv, with stray words added, is also parsed
+both by the leaf parser ``cli._parse_args`` picks and by the whole parser
+tree, which must agree.  Hypothesis is derandomized and keeps no example
+database, so every run draws the same argvs.
 """
 
 import contextlib
 import io
 import math
+import time
+from fractions import Fraction
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from polarcalc import cli  # noqa: E402
 from polarcalc.cli import main  # noqa: E402
 from polarcalc.plucker import complete_plane_characters  # noqa: E402
+from test_cli import parse_outcome  # noqa: E402
 
 FUZZ = settings(derandomize=True, database=None, max_examples=80, deadline=2000)
 
@@ -82,7 +90,7 @@ def plane_examples(draw):
 
 
 # The multiple points are few and the genus small: the closed sum has at
-# most prod over s >= 2 of (min(m_s, genus) + 1) terms.
+# most min(genus, sum over s >= 2 of m_s) + 1 terms.
 MULT_PIECE = mostly(
     st.tuples(st.integers(-1, 8), st.integers(-1, 60)).map(lambda p: f"{p[0]}:{p[1]}")
 )
@@ -139,12 +147,13 @@ VERIFY_PLUCKER = argv(
 
 
 @st.composite
-def sparse_forms(draw):
-    """A homogeneous form of degree up to 10^4 with at most five terms, with
-    coefficients in [-9, 9], and a point in {-1, 0, 1}^4; in about half the
-    draws one more power of a pivot variable puts the point on the surface."""
-    degree = draw(st.integers(1, 10 ** 4))
-    point = draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=4, max_size=4))
+def sparse_forms(draw, max_degree=10 ** 4, coordinates=(-1, 0, 1)):
+    """A homogeneous form of degree up to ``max_degree`` with at most five
+    terms, with coefficients in [-9, 9], and a point in ``coordinates``^4; in
+    about half the draws one more power of a pivot variable puts the point
+    on the surface."""
+    degree = draw(st.integers(1, max_degree))
+    point = draw(st.lists(st.sampled_from(coordinates), min_size=4, max_size=4))
     terms = {}
     for _ in range(draw(st.integers(1, 5))):
         cuts = sorted(draw(st.lists(st.integers(0, degree), min_size=3, max_size=3)))
@@ -154,7 +163,7 @@ def sparse_forms(draw):
     if pivot is not None and draw(st.booleans()):
         value = sum(c * math.prod(x ** e for x, e in zip(point, exps)) for exps, c in terms.items())
         exps = tuple(degree if i == pivot else 0 for i in range(4))
-        terms[exps] = terms.get(exps, 0) - value * point[pivot] ** degree
+        terms[exps] = terms.get(exps, 0) - Fraction(value, point[pivot] ** degree)
     text = "".join(
         f"{'-' if c < 0 else '+'}{abs(c)}*" + "*".join(f"{v}^{e}" for v, e in zip("xyzw", exps) if e)
         for exps, c in terms.items()
@@ -169,6 +178,29 @@ LOCAL = argv(
 )
 
 
+SMALL = (-2, -1, 0, 1, 2)
+
+
+@st.composite
+def point_queries(draw, op):
+    """``poly op`` on a sparse form of degree up to 6, with the options its
+    leaf reads."""
+    surface, point = draw(sparse_forms(6, SMALL))
+    words = ["poly", op, surface] + ([] if op == "hessian" else [point])
+    if op in ("polar", "polar-kic"):
+        words += draw(option("order", mostly(st.integers(-1, 6).map(str))))
+    if op == "line-mult":
+        direction = st.lists(st.sampled_from(SMALL), min_size=4, max_size=4).map(
+            lambda c: ",".join(map(str, c))
+        )
+        words += draw(option("dir", mostly(direction)))
+    return words
+
+
+POINT_LEAVES = ("polar", "polar-kic", "tangent-plane", "line-mult", "hessian", "second-form",
+                "classify", "flecnodal")
+
+
 def exit_code(words, json_flag):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -178,16 +210,39 @@ def exit_code(words, json_flag):
     return code
 
 
+COMMANDS = [DEJONQUIERES, RANK_PROFILE, POLY_DEVELOPABLE, INVARIANTS, VERIFY_PLUCKER, LOCAL,
+            *(point_queries(op) for op in POINT_LEAVES)]
+
+
 @pytest.mark.parametrize(
     "command",
-    [DEJONQUIERES, RANK_PROFILE, POLY_DEVELOPABLE, INVARIANTS, VERIFY_PLUCKER, LOCAL],
+    COMMANDS,
     ids=["poly dejonquieres", "poly rank-profile", "poly developable",
-         "invariants", "verify plucker", "poly tangent-cone and contact"],
+         "invariants", "verify plucker", "poly tangent-cone and contact",
+         *(f"poly {op}" for op in POINT_LEAVES)],
 )
 def test_exit_code_contract(command):
     @FUZZ
     @given(command, st.booleans())
     def check(words, json_flag):
+        start = time.perf_counter()
         exit_code(words, json_flag)
+        assert time.perf_counter() - start < 2.0, words
 
     check()
+
+
+STRAY = st.sampled_from(
+    ["--json", "-h", "--help", "--", "--ex=", "--=x", "--js", "--json=1", "--bogus", "-1", "",
+     "poly", "covariants", "--point", "--expr=x", "--order=2"]
+)
+
+
+@FUZZ
+@given(st.one_of(*COMMANDS), st.lists(st.tuples(st.integers(0, 12), STRAY), max_size=3))
+def test_leaf_parser_matches_the_tree(words, strays):
+    for position, word in strays:
+        words = words[:position] + [word] + words[position:]
+    assert parse_outcome(cli._parse_args, words) == parse_outcome(
+        cli._PARSER.parse_known_args, words
+    ), words

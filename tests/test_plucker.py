@@ -1,7 +1,11 @@
 """Plane-curve, developable, rank, and de Jonquieres systems."""
 
 import itertools
+import math
 import random
+import re
+import signal
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,7 +15,6 @@ from polarcalc.invariants import dual_surface_table
 from polarcalc.plucker import (
     _FIELDS,
     _SYSTEM,
-    _bounded_indices,
     DevelopableCharacters,
     PlaneCurveCharacters,
     complete_developable,
@@ -310,25 +313,69 @@ class TestDeJonquieres:
         assert dejonquieres_count(3, 0, {3: 1}) == 3 * (3 - 2)
         assert dejonquieres_count(2, 0, {2: 1}) == 2
 
-    def test_only_indices_within_the_genus_are_generated(self, monkeypatch):
-        # --m 400 --genus 40 --mult 2:40,3:40,4:40: of the 41^3 = 68921
-        # indices in the box, the 12341 with |j| <= 40 are the summed terms.
-        generated = []
+    @staticmethod
+    def enumerated_count(degree, genus, multiplicities):
+        """The count as the sum over every share j of C in the multiple points
+        with |j| <= genus: the enumeration the closed sum replaced."""
+        problem = dejonquieres_problem(degree, genus, multiplicities)
+        g = problem.genus
+        simple = problem.multiplicities.get(1, 0)
+        multiple = sorted((s, ms) for s, ms in problem.multiplicities.items() if s > 1)
 
-        def counted(bounds, budget):
-            for j in _bounded_indices(bounds, budget):
-                generated.append(j)
-                yield j
+        def multinomial(parts):
+            out, total = 1, 0
+            for k in parts:
+                total += k
+                out *= math.comb(total, k)
+            return out
 
-        monkeypatch.setattr(plucker, "_bounded_indices", counted)
-        dejonquieres_count(400, 40, {2: 40, 3: 40, 4: 40})
-        assert len(generated) == 12341
-        assert generated == [j for j in itertools.product(range(41), repeat=3) if sum(j) <= 40]
-        for bounds in ([], [0], [3], [2, 0, 3], [1, 4, 2, 5]):
-            for budget in range(7):
-                box = itertools.product(*(range(b + 1) for b in bounds))
-                within = [j for j in box if sum(j) <= budget]
-                assert list(_bounded_indices(bounds, budget)) == within
+        count = 0
+        for j in itertools.product(*(range(ms + 1) for _, ms in multiple)):
+            if sum(j) > g:
+                continue
+            rest = [ms - js for (_, ms), js in zip(multiple, j)]
+            weight = math.prod((s * (s - 1)) ** js * s ** r for (s, _), js, r in zip(multiple, j, rest))
+            count += math.comb(g, sum(j)) * multinomial(j) * multinomial([simple, *rest]) * weight
+        return count
+
+    def test_closed_sum_matches_the_enumeration(self):
+        rng = random.Random(20240913)
+        counted = 0
+        for _ in range(600):
+            mult = {rng.randint(1, 7): rng.randint(-1, 6) for _ in range(rng.randint(0, 3))}
+            degree = sum(s * ms for s, ms in mult.items()) + rng.randint(-2, 12)
+            genus = rng.randint(-1, 9)
+            try:
+                expected = self.enumerated_count(degree, genus, mult)
+            except DomainError as exc:
+                with pytest.raises(DomainError, match=f"^{re.escape(str(exc))}$"):
+                    dejonquieres_count(degree, genus, mult)
+                continue
+            assert dejonquieres_count(degree, genus, mult) == expected, (degree, genus, mult)
+            counted += 1
+        assert counted > 300
+
+    @pytest.mark.parametrize(
+        "args",
+        [(400, 40, {2: 40, 3: 40, 4: 40}), (2000, 100, {2: 100, 3: 100, 4: 100, 5: 100})],
+        ids=["12341 shares", "over 4 million shares"],
+    )
+    def test_many_multiple_points_are_bounded(self, args):
+        # The closed sum has min(genus, sum m_s) + 1 terms, whatever the
+        # number of shares j the enumeration would visit.
+        def expired(signum, frame):
+            raise TimeoutError(f"dejonquieres_count{args} ran past 5 s")
+
+        previous = signal.signal(signal.SIGALRM, expired)
+        signal.alarm(5)
+        start = time.perf_counter()
+        try:
+            count = dejonquieres_count(*args)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert time.perf_counter() - start < 0.5
+        assert count > 0
 
     def test_pattern_exceeding_degree_rejected(self):
         with pytest.raises(DomainError):
