@@ -88,41 +88,23 @@ class UsageError(Exception):
     pass
 
 
-def _jsonable(value):
-    if isinstance(value, bool) or value is None:
-        return value
-    if value is INFINITY:
-        return "infinity"
-    if isinstance(value, int):
-        return str(value) if abs(value) > _JSON_INT_LIMIT else value
-    if isinstance(value, float):
-        # Every reported value is exact; a float here is a bug upstream.
-        if value != INFINITY:
-            raise RuntimeError(f"float {value!r} in the JSON document")
-        return "infinity"
-    if isinstance(value, Fraction):
-        return str(value) if value.denominator != 1 else _jsonable(int(value))
-    if isinstance(value, (Poly, ProjPoint)):
-        return str(value)
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return str(value)
-
-
 def _json_text(value, indent="\n") -> str:
-    """A document ``_jsonable`` built, as the ``json`` module writes it with an indent of 2.
+    """value as the ``json`` module writes it with an indent of 2, converted
+    as it is written.
 
-    Its dicts have str keys and its leaves are str, int, bool or None, so
-    one recursive pass writes it; the ``json`` module drops to its
-    pure-Python encoder whenever an indent is asked for.
+    An int past 2^53 - 1 and a non-integral Fraction go out as strings, an
+    integral Fraction as a number, INFINITY as "infinity", and a Poly, a
+    ProjPoint or any other leaf as its str; any other float raises.  Dict
+    keys are str.  One recursive pass writes it; the ``json`` module drops
+    to its pure-Python encoder whenever an indent is asked for.
     """
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None or isinstance(value, bool):
         return "null" if value is None else "true" if value else "false"
-    if isinstance(value, int):
+    if isinstance(value, Fraction) and value.denominator == 1:
+        value = value.numerator
+    if isinstance(value, int) and abs(value) <= _JSON_INT_LIMIT:
         return int.__repr__(value)
     inner = indent + "  "
     if isinstance(value, dict):
@@ -130,9 +112,16 @@ def _json_text(value, indent="\n") -> str:
             return "{}"
         items = (f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}" for k, v in value.items())
         return "{" + inner + ("," + inner).join(items) + indent + "}"
-    if not value:
-        return "[]"
-    return "[" + inner + ("," + inner).join(_json_text(v, inner) for v in value) + indent + "]"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join(_json_text(v, inner) for v in value) + indent + "]"
+    if isinstance(value, float):
+        # Every reported value is exact; a float here is a bug upstream.
+        if value != INFINITY:
+            raise RuntimeError(f"float {value!r} in the JSON document")
+        value = "infinity"
+    return encode_basestring_ascii(str(value))
 
 
 @contextlib.contextmanager
@@ -154,8 +143,6 @@ def _all_digits():
 
 def _count_str(value):
     """Enumerative counts go out as decimal strings, whatever their size."""
-    if isinstance(value, Fraction) and value.denominator == 1:
-        value = int(value)
     with _all_digits():
         return str(value)
 
@@ -178,15 +165,10 @@ class CommandResult:
         if as_json:
             doc = {
                 "command": self.command,
-                "inputs": _jsonable(self.inputs),
-                "results": _jsonable(self.results),
+                "inputs": self.inputs,
+                "results": self.results,
                 "checks": [
-                    {
-                        "name": c.name,
-                        "status": c.status,
-                        "lhs": _jsonable(c.lhs),
-                        "rhs": _jsonable(c.rhs),
-                    }
+                    {"name": c.name, "status": c.status, "lhs": c.lhs, "rhs": c.rhs}
                     for c in self.checks
                 ],
             }

@@ -37,6 +37,8 @@ only, in ascending degree, built in one pass over the terms, so their cost
 follows the number of terms and not the degree; ``polar_part`` returns
 its one part, k! times the degree-k part of F(a + x), as a ``Poly``; and
 ``substitute`` given an ``order`` builds only the terms of degree <= order.
+Powers take one route: ``__pow__`` and ``substitute``, with an ``order`` or
+without, read them from ``_CutPowers`` (one binomial row per power).
 
 A monomial x_1^e_1 ... x_n^e_n is packed into one int of n 32-bit fields
 that hold, from the bottom, the prefix sums e_1, e_1 + e_2, ...,
@@ -364,29 +366,16 @@ def _binomial_row(x, y, e: int, p, stop: int) -> list:
     return row if p is None else [v % p for v in row]
 
 
-def _power(powers: dict, e: int) -> "Poly":
-    """The e-th power (e >= 1) of powers[1], memoized in powers: one product
-    from the power below when it is known, else by squaring."""
-    out = powers.get(e)
-    if out is None:
-        if e - 1 in powers:
-            out = powers[e - 1] * powers[1]
-        else:
-            out = _power(powers, e // 2)
-            out = out * out
-            if e % 2:
-                out = out * powers[1]
-        powers[e] = out
-    return out
-
-
 class _CutPowers:
-    """The powers of one value, cut at degree top, each built once.
+    """The powers of one value, cut at degree top, each built once: the
+    kernel's one power route, read by ``Poly.__pow__`` and ``substitute``.
 
     With a the constant term of the value and L the rest, (a + L)^e is the
-    sum over j of C(e, j) a^(e - j) L^j, and L^j has no term below degree
-    j; so only j <= top is read, from one binomial row, and each L^j is
-    built once, cut at top, from L^(j - 1), for every exponent.
+    sum over j of C(e, j) a^(e - j) L^j, and L^j has no term below j times
+    the least degree of L; so the binomial row stops at the first j that
+    puts that past top, and each L^j is built once, cut at top, from
+    L^(j - 1), for every exponent.  With a = 0 only L^e is left: one term,
+    its key times e, when L is one term, else one rung of that ladder.
     """
 
     def __init__(self, value: "Poly", top: int):
@@ -394,34 +383,43 @@ class _CutPowers:
         self.ring, self.top, self.shift = ring, top, ring._degree_shift
         self.a = value.terms.get(0, 0)
         self.rest = {k: c for k, c in value.terms.items() if k and k >> self.shift <= top}
-        self.ladder = [{0: 1}]  # ladder[j]: L^j cut at top, reduced
-        self.memo: dict = {}
+        self.least = min(self.rest) >> self.shift if self.rest else top + 1  # of L
+        self.high = max(value.terms) >> self.shift if value.terms else 0  # of the value
+        self.ladder = [{0: 1}, self.rest]  # ladder[j]: L^j cut at top, reduced
+        self.memo = {1: value.terms} if self.high <= top else {}
 
-    def low(self, e: int) -> int:
-        """The least degree of value^e: 0 with a nonzero constant term, else e
-        times the least degree of L (top + 1 when nothing is left)."""
-        if self.a:
-            return 0
-        if not self.rest:
-            return self.top + 1
-        return e * (min(self.rest) >> self.shift)
+    def _rung(self, j: int) -> dict:
+        ladder, rest, top = self.ladder, self.rest, self.top
+        while len(ladder) <= j:
+            if len(ladder) * self.high <= top:  # nothing to cut
+                rung = _product(ladder[-1], rest)
+            else:
+                rung = _product_upto(ladder[-1], rest, top, self.shift)
+            ladder.append(Poly(self.ring, rung).terms)
+        return ladder[j]
 
     def __call__(self, e: int) -> dict:
         out = self.memo.get(e)
         if out is None:
-            ring, top, shift, ladder = self.ring, self.top, self.shift, self.ladder
-            out = {}
-            get = out.get
-            for j, b in enumerate(_binomial_row(self.a, 1, e, ring._modulus, min(e, top) + 1)):
-                if j == len(ladder):
-                    ladder.append(Poly(ring, _product_upto(ladder[-1], self.rest, top, shift)).terms)
-                if not ladder[j]:
-                    break
-                if b:
-                    for k, c in ladder[j].items():
-                        s = get(k)
-                        out[k] = b * c if s is None else s + b * c
-            out = self.memo[e] = Poly(ring, out).terms
+            p = self.ring._modulus
+            stop = min(e, self.top // self.least) + 1  # past top // least, L^j cut is 0
+            if self.a:
+                out = {}
+                get = out.get
+                for j, b in enumerate(_binomial_row(self.a, 1, e, p, stop)):
+                    if b:
+                        for k, c in self._rung(j).items():
+                            s = get(k)
+                            out[k] = b * c if s is None else s + b * c
+                out = Poly(self.ring, out).terms
+            elif e >= stop:
+                out = {}
+            elif len(self.rest) == 1:
+                ((k, c),) = self.rest.items()
+                out = {k * e: pow(c, e, p)}
+            else:
+                out = self._rung(e)
+            self.memo[e] = out
         return out
 
 
@@ -690,11 +688,15 @@ class Poly:
         return Poly(self.ring, {e: field.div(v, c) for e, v in self.terms.items()})
 
     def __pow__(self, e: int):
+        """self^e (e >= 0) from the one power route, ``_CutPowers``; past
+        ``MAX_DEGREE`` it raises DomainError before any product is formed."""
         if not isinstance(e, int):
             return NotImplemented
         if e < 0:
             raise DomainError("negative polynomial power")
-        return _power({0: self.ring.one(), 1: self}, e)
+        top = e * (max(self.terms) >> self.ring._degree_shift) if self.terms else 0
+        _check_product_degree(top)
+        return Poly(self.ring, _CutPowers(self, top)(e))
 
     def __eq__(self, other):
         if isinstance(other, Poly):
@@ -874,14 +876,16 @@ class Poly:
         Every variable actually occurring in self must be assigned; Poly
         values must share one target ring (``into`` may name it explicitly,
         and is required when all assigned values are scalars).  Each term is
-        multiplied out against one memoized power table per variable, each
-        power reduced once, and added into one dict.
+        multiplied out against the powers of the values it reads, each built
+        once by the kernel's one power route (``_CutPowers``) and reduced
+        once, and added into one dict.  Without ``order`` a term whose
+        degree would pass ``MAX_DEGREE`` raises DomainError before any of
+        its products is formed.
 
-        Given ``order``, only the terms of total degree <= order are built.
-        Each power of a value comes from one binomial row over the powers of
-        its non-constant part, cut at that degree (``_CutPowers``), and each
-        partial product of a term is cut below it by the least degrees of
-        the factors still to come (``_product_upto``), so a term costs the
+        Given ``order``, only the terms of total degree <= order are built:
+        each power is cut at that degree, and each partial product of a term
+        that could pass it is cut below it by the least degrees of the
+        factors still to come (``_product_upto``), so a term costs the
         low-degree part of its expansion, not the whole of it, and a term
         whose expansion starts above the order costs nothing.
         """
@@ -894,45 +898,42 @@ class Poly:
                     raise DomainError("substituted polynomials in mismatched rings")
         if target is None:
             raise DomainError("substitution needs a target ring (pass into=...)")
-        for name in self.variables_used():
+        used = self.variables_used()
+        for name in used:
             if name not in assignment:
                 raise DomainError(f"variable {name!r} is not assigned")
         for name in assignment:
             if name not in self.ring._index:
                 raise DomainError(f"unknown variable {name!r}")
         shift, coerce, unpack = target._degree_shift, target.field.coerce, self.ring._unpack
-        values = [assignment.get(name, 0) for name in self.ring.variables]  # unassigned: absent
-        values = [v if isinstance(v, Poly) else target.const(v) for v in values]
+        top = MAX_DEGREE if order is None else min(order, MAX_DEGREE)
+        powers = [None] * len(self.ring.variables)  # read only for the variables that occur
+        for name in used:
+            v = assignment[name]
+            v = v if isinstance(v, Poly) else target.const(v)
+            powers[self.ring._index[name]] = _CutPowers(v, top)
         out: dict = {}
         get = out.get
-        if order is None:
-            tables = [{1: v} for v in values]  # tables[i][e]: variable i's value to the e
-            degrees = [max(v.terms) >> shift if v.terms else 0 for v in values]
-            for mono, c in self.terms.items():
-                term, degree = {0: coerce(c)}, 0
-                for table, d, e in zip(tables, degrees, unpack(mono)):
-                    if e:
-                        degree += e * d
-                        _check_product_degree(degree)
-                        term = _product(term, _power(table, e).terms)
-                for k, v in term.items():
-                    s = get(k)
-                    out[k] = v if s is None else s + v
-            return Poly(target, out)
-        top = min(order, MAX_DEGREE)
-        powers = [_CutPowers(v, top) for v in values]
         for mono, c in self.terms.items():
             factors = [(power, e) for power, e in zip(powers, unpack(mono)) if e]
-            lows = [power.low(e) for power, e in factors]
-            # The factors still to come add at least their least degrees, so
-            # each partial product is cut that far below top.
-            room = top - sum(lows)
-            if room < 0:
-                continue
             term = {0: coerce(c)}
-            for (power, e), low in zip(factors, lows):
-                room += low
-                term = _product_upto(term, power(e), room, shift)
+            high = sum([power.high * e for power, e in factors])
+            if order is None:
+                _check_product_degree(high)
+            if high <= top:  # nothing to cut
+                for power, e in factors:
+                    term = _product(term, power(e))
+            else:
+                # The least degree of each power (past top when L is 0): the
+                # factors still to come add at least that much, so each partial
+                # product is cut that far below top.
+                lows = [0 if power.a else e * power.least for power, e in factors]
+                room = top - sum(lows)
+                if room < 0:
+                    continue
+                for (power, e), low in zip(factors, lows):
+                    room += low
+                    term = _product_upto(term, power(e), room, shift)
             for k, v in term.items():
                 s = get(k)
                 out[k] = v if s is None else s + v

@@ -18,7 +18,7 @@ import pytest
 
 from polarcalc import cli
 from polarcalc.cli import main
-from polarcalc.polyring import PolyRing
+from polarcalc.polyring import INFINITY, PolyRing
 
 R = PolyRing()
 
@@ -818,6 +818,8 @@ class TestLeafDispatch:
 class TestJsonWriter:
     """``--json`` documents are ``json.dumps(doc, indent=2)``, byte for byte."""
 
+    RING = PolyRing()
+
     def test_golden_documents(self):
         paths = sorted((Path(__file__).parent / "golden").glob("*.json"))
         assert len(paths) == 31
@@ -838,13 +840,14 @@ class TestJsonWriter:
     def document(cls, rng, depth=0):
         kind = rng.randrange(8 if depth < 4 else 5)
         if kind == 0:
-            return rng.choice([True, False, None])
+            return rng.choice([True, False, None, INFINITY, cls.RING.parse("x^2 - 1/3*y*z"),
+                               cls.RING.point([1, Fraction(-1, 2), 0, 3])])
         if kind == 1:
             limit = cli._JSON_INT_LIMIT
             return rng.choice([0, 1, -1, limit, limit + 1, -limit, -limit - 1, 10 ** 400,
                                rng.randint(-(2 ** 60), 2 ** 60)])
         if kind == 2:
-            return Fraction(rng.randint(-99, 99), rng.randint(1, 9))
+            return Fraction(rng.randint(-99, 99) * rng.choice([1, 2 ** 60]), rng.randint(1, 9))
         if kind in (3, 4):
             return cls.text(rng)
         size = rng.choice([0, 1, rng.randint(2, 5)])
@@ -854,9 +857,31 @@ class TestJsonWriter:
             return tuple(cls.document(rng, depth + 1) for _ in range(size))
         return {cls.text(rng): cls.document(rng, depth + 1) for _ in range(size)}
 
+    @classmethod
+    def reference(cls, value):
+        """The document as the ``json`` module takes it: each leaf converted apart."""
+        if isinstance(value, bool) or value is None:
+            return value
+        if value is INFINITY:
+            return "infinity"
+        if isinstance(value, int):
+            return str(value) if abs(value) > cli._JSON_INT_LIMIT else value
+        if isinstance(value, Fraction):
+            return str(value) if value.denominator != 1 else cls.reference(int(value))
+        if isinstance(value, dict):
+            return {k: cls.reference(v) for k, v in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [cls.reference(v) for v in value]
+        return str(value)
+
     def test_seeded_documents(self):
         rng = random.Random(20240913)
         with cli._all_digits():
             for _ in range(3000):
-                doc = cli._jsonable(self.document(rng))
-                assert cli._json_text(doc) == json.dumps(doc, indent=2), doc
+                doc = self.document(rng)
+                assert cli._json_text(doc) == json.dumps(self.reference(doc), indent=2), doc
+
+    @pytest.mark.parametrize("value", [0.5, -INFINITY, float("nan")])
+    def test_a_float_other_than_infinity_raises(self, value):
+        with pytest.raises(RuntimeError, match="in the JSON document"):
+            cli._json_text({"results": [1, value]})

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from polarcalc import linalg
+from polarcalc import linalg, polyring
 from polarcalc.polyring import QQ, PrimeField
 
 
@@ -85,3 +85,25 @@ def test_reduce_matches_gaussian_elimination(field):
 )
 def test_small_cases(m, pivots, det):
     assert linalg._reduce(QQ, m) == (pivots, det)
+
+
+def test_one_inverse_per_pivot_over_a_prime_field(monkeypatch):
+    """Each elimination step inverts the previous pivot once; the determinant
+    is divided once by the scales.  Nothing else is inverted."""
+    field = PrimeField(1048583)
+    inversions = []
+
+    def counting_pow(base, e, mod=None):
+        if e == -1:
+            inversions.append(base)
+        return pow(base, e, mod)
+
+    monkeypatch.setattr(linalg, "pow", counting_pow, raising=False)
+    monkeypatch.setattr(polyring, "pow", counting_pow, raising=False)
+    rng = random.Random(11)
+    for _ in range(300):
+        m = seeded_matrix(rng, field)
+        inversions.clear()
+        pivots, det = linalg._reduce(field, m)
+        assert len(inversions) <= len(pivots) + 1, m
+        assert (pivots, det) == gaussian_reduce(field, m)

@@ -19,7 +19,7 @@ except ImportError:  # not every platform has it
     resource = None
 
 import polarcalc
-from polarcalc import linalg
+from polarcalc import linalg, polyring
 from polarcalc.cli import main
 from polarcalc.polyring import (
     INFINITY,
@@ -1069,3 +1069,89 @@ class TestPackedDifferential:
                 c * math.prod(pow(x, k, GF.p) for x, k in zip(coords, e)) for e, c in ref.items()
             )
             assert self._poly(ring, ref).evaluate(coords) == GF.coerce(expected)
+
+
+class TestPowers:
+    """``**`` and ``substitute`` read every power from one route, ``_CutPowers``."""
+
+    # A value of each kind the route treats apart, as tuple-keyed terms in (s, t).
+    VALUES = {
+        "constant": {(0, 0): 3},
+        "one term": {(1, 2): -2},
+        "no constant": {(1, 0): 1, (0, 2): Fraction(1, 2)},
+        "constant and more": {(0, 0): 2, (1, 0): -1, (1, 1): 3},
+    }
+    FIELDS = [QQ, GF, PrimeField(7)]
+
+    @staticmethod
+    def _check(poly, ref):
+        field = poly.ring.field
+        ref = {e: field.coerce(c) for e, c in ref.items()}
+        expected = [(e, c) for e, c in ref.items() if c]
+        assert poly.sorted_terms() == sorted(expected, key=lambda t: _grevlex(t[0]), reverse=True)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=repr)
+    def test_powers_match_repeated_products_and_the_tuple_reference(self, field):
+        ring = PolyRing(("s", "t"), field)
+        for ref in self.VALUES.values():
+            value = ring.from_terms(ref.items())
+            product, ref_product = ring.one(), {(0, 0): 1}
+            for e in range(9):  # past 7, where the binomial row over GF(7) has zeros
+                power = value ** e
+                assert power == product
+                self._check(power, ref_product)
+                product, ref_product = product * value, _ref_mul(ref_product, ref)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=repr)
+    def test_substitute_matches_repeated_products_and_the_tuple_reference(self, field):
+        plane, ring = PolyRing(("x", "y"), field), PolyRing(("s", "t"), field)
+        f_ref = {(3, 0): 1, (1, 2): -2, (0, 4): Fraction(1, 3), (2, 1): 1, (0, 0): 5}
+        f = plane.from_terms(f_ref.items())
+        for refs in itertools.product(self.VALUES.values(), repeat=2):
+            images = [ring.from_terms(ref.items()) for ref in refs]
+            expected, ref_sum = ring.zero(), {}
+            for exps, c in f_ref.items():
+                term, ref_term = ring.const(c), {(0, 0): c}
+                for image, ref, k in zip(images, refs, exps):
+                    for _ in range(k):
+                        term, ref_term = term * image, _ref_mul(ref_term, ref)
+                expected = expected + term
+                for e, v in ref_term.items():
+                    ref_sum[e] = ref_sum.get(e, 0) + v
+            got = f.substitute(dict(zip(("x", "y"), images)))
+            assert got == expected
+            self._check(got, ref_sum)
+
+    def test_long_and_high_powers_take_bounded_time(self):
+        # A binomial row or a ladder as long as the exponent would not fit in
+        # memory, so the address space is capped while the powers are built.
+        x, y = R.var("x"), R.var("y")
+        start = time.perf_counter()
+        with _address_space_headroom(256 << 20):
+            high = x ** 2 ** 31
+            moved = R.parse("x^2147483648").substitute({"x": y})
+            sign = R.const(-1) ** (2 ** 31 + 1)
+            row = (1 + x) ** 3000
+        assert time.perf_counter() - start < 2
+        assert high == R.monomial((2 ** 31, 0, 0, 0))
+        assert moved == R.monomial((0, 2 ** 31, 0, 0))
+        assert sign == -1
+        assert row == R.from_terms(((j, 0, 0, 0), math.comb(3000, j)) for j in range(3001))
+
+    def test_a_power_past_the_degree_cap_raises_before_any_product(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a product was formed")
+
+        bases = [(R.parse(text), degree) for text, degree in (
+            ("x^2147483648", 2 ** 32),
+            ("x^2147483648 + 1", 2 ** 32),
+            ("x^2147483648*y - z", 2 ** 32 + 2),
+        )]
+        squares = R.parse("y^2 + 1")
+        for name in ("_product", "_product_upto", "_binomial_row"):
+            monkeypatch.setattr(polyring, name, refuse)
+        for base, degree in bases:
+            with pytest.raises(DomainError, match=f"product of total degree {degree} exceeds"):
+                base ** 2
+        with pytest.raises(DomainError, match="product of total degree 4294967296 exceeds"):
+            bases[0][0].substitute({"x": squares})
