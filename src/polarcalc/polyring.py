@@ -375,28 +375,24 @@ class _CutPowers:
     the least degree of L; so the binomial row stops at the first j that
     puts that past top, and each L^j is built once, cut at top, from
     L^(j - 1), for every exponent.  With a = 0 only L^e is left: one term,
-    its key times e, when L is one term, else one rung of that ladder.
+    its key times e, when L is one term, else L^e built up from the highest
+    power of L already read, with the powers between not kept.
     """
 
     def __init__(self, value: "Poly", top: int):
         ring = value.ring
         self.ring, self.top, self.shift = ring, top, ring._degree_shift
-        self.a = value.terms.get(0, 0)
-        self.rest = {k: c for k, c in value.terms.items() if k and k >> self.shift <= top}
+        terms = {k: c for k, c in value.terms.items() if k >> self.shift <= top}
+        self.a = terms.get(0, 0)
+        self.rest = {k: c for k, c in terms.items() if k}
         self.least = min(self.rest) >> self.shift if self.rest else top + 1  # of L
         self.high = max(value.terms) >> self.shift if value.terms else 0  # of the value
-        self.ladder = [{0: 1}, self.rest]  # ladder[j]: L^j cut at top, reduced
-        self.memo = {1: value.terms} if self.high <= top else {}
+        self.ladder = [{0: 1}, self.rest]  # with a != 0, ladder[j]: L^j cut at top, reduced
+        self.memo = {0: {0: 1}, 1: terms}
 
-    def _rung(self, j: int) -> dict:
-        ladder, rest, top = self.ladder, self.rest, self.top
-        while len(ladder) <= j:
-            if len(ladder) * self.high <= top:  # nothing to cut
-                rung = _product(ladder[-1], rest)
-            else:
-                rung = _product_upto(ladder[-1], rest, top, self.shift)
-            ladder.append(Poly(self.ring, rung).terms)
-        return ladder[j]
+    def _times_rest(self, terms: dict) -> dict:
+        """terms * L, cut at top and reduced."""
+        return Poly(self.ring, _product_upto(terms, self.rest, self.top, self.shift)).terms
 
     def __call__(self, e: int) -> dict:
         out = self.memo.get(e)
@@ -404,11 +400,14 @@ class _CutPowers:
             p = self.ring._modulus
             stop = min(e, self.top // self.least) + 1  # past top // least, L^j cut is 0
             if self.a:
+                ladder = self.ladder
+                while len(ladder) < stop:
+                    ladder.append(self._times_rest(ladder[-1]))
                 out = {}
                 get = out.get
-                for j, b in enumerate(_binomial_row(self.a, 1, e, p, stop)):
+                for b, rung in zip(_binomial_row(self.a, 1, e, p, stop), ladder):
                     if b:
-                        for k, c in self._rung(j).items():
+                        for k, c in rung.items():
                             s = get(k)
                             out[k] = b * c if s is None else s + b * c
                 out = Poly(self.ring, out).terms
@@ -418,7 +417,10 @@ class _CutPowers:
                 ((k, c),) = self.rest.items()
                 out = {k * e: pow(c, e, p)}
             else:
-                out = self._rung(e)
+                j = max([j for j in self.memo if j < e])  # here memo[j] is L^j
+                out = self.memo[j]
+                for _ in range(e - j):
+                    out = self._times_rest(out)
             self.memo[e] = out
         return out
 
@@ -884,10 +886,10 @@ class Poly:
 
         Given ``order``, only the terms of total degree <= order are built:
         each power is cut at that degree, and each partial product of a term
-        that could pass it is cut below it by the least degrees of the
-        factors still to come (``_product_upto``), so a term costs the
-        low-degree part of its expansion, not the whole of it, and a term
-        whose expansion starts above the order costs nothing.
+        is cut below it by the least degrees of the factors still to come
+        (``_product_upto``), so a term costs the low-degree part of its
+        expansion, not the whole of it, and a term whose expansion starts
+        above the order costs nothing.
         """
         target = into
         for v in assignment.values():
@@ -907,33 +909,28 @@ class Poly:
                 raise DomainError(f"unknown variable {name!r}")
         shift, coerce, unpack = target._degree_shift, target.field.coerce, self.ring._unpack
         top = MAX_DEGREE if order is None else min(order, MAX_DEGREE)
+        # Every scalar is coerced, also one for a variable that does not occur.
+        values = {n: v if isinstance(v, Poly) else target.const(v) for n, v in assignment.items()}
         powers = [None] * len(self.ring.variables)  # read only for the variables that occur
         for name in used:
-            v = assignment[name]
-            v = v if isinstance(v, Poly) else target.const(v)
-            powers[self.ring._index[name]] = _CutPowers(v, top)
+            powers[self.ring._index[name]] = _CutPowers(values[name], top)
         out: dict = {}
         get = out.get
         for mono, c in self.terms.items():
             factors = [(power, e) for power, e in zip(powers, unpack(mono)) if e]
-            term = {0: coerce(c)}
-            high = sum([power.high * e for power, e in factors])
             if order is None:
-                _check_product_degree(high)
-            if high <= top:  # nothing to cut
-                for power, e in factors:
-                    term = _product(term, power(e))
-            else:
-                # The least degree of each power (past top when L is 0): the
-                # factors still to come add at least that much, so each partial
-                # product is cut that far below top.
-                lows = [0 if power.a else e * power.least for power, e in factors]
-                room = top - sum(lows)
-                if room < 0:
-                    continue
-                for (power, e), low in zip(factors, lows):
-                    room += low
-                    term = _product_upto(term, power(e), room, shift)
+                _check_product_degree(sum([power.high * e for power, e in factors]))
+            # The least degree of each power (past top when L is 0): the
+            # factors still to come add at least that much, so each partial
+            # product is cut that far below top.
+            lows = [0 if power.a else e * power.least for power, e in factors]
+            room = top - sum(lows)
+            if room < 0:
+                continue
+            term = {0: coerce(c)}
+            for (power, e), low in zip(factors, lows):
+                room += low
+                term = _product_upto(term, power(e), room, shift)
             for k, v in term.items():
                 s = get(k)
                 out[k] = v if s is None else s + v

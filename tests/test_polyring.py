@@ -1137,6 +1137,16 @@ class TestPowers:
         assert moved == R.monomial((0, 2 ** 31, 0, 0))
         assert sign == -1
         assert row == R.from_terms(((j, 0, 0, 0), math.comb(3000, j)) for j in range(3001))
+        # With no constant term only L^e is read: the powers of L below it,
+        # about 4.5 million big-int terms here, are not kept.
+        with _address_space_headroom(256 << 20):
+            binomial = (x + y) ** 3000
+        assert binomial == R.from_terms(((j, 3000 - j, 0, 0), math.comb(3000, j)) for j in range(3001))
+
+    def test_substitute_coerces_a_scalar_for_a_variable_that_does_not_occur(self):
+        ring = PolyRing(("x", "y", "z", "w"), PrimeField(7))
+        with pytest.raises(DomainError, match="denominator divisible by the modulus"):
+            ring.parse("x + y").substitute({"x": 1, "y": 2, "w": Fraction(1, 7)}, into=ring)
 
     def test_a_power_past_the_degree_cap_raises_before_any_product(self, monkeypatch):
         def refuse(*args):
