@@ -11,8 +11,12 @@ certified infinite contact.
 The classical covariants Theta and Phi built from the Hessian matrix are
 assembled exactly as printed in the classical sources; their degrees are
 reported rather than reconciled (the printed combination is not
-homogeneous), and the contact-order test above is the authoritative
-membership criterion.
+homogeneous).  That combination, Theta - 4 Phi Hess, is not Salmon's
+flecnodal covariant of degree 11n - 24: on x*y*z + x^3 + y^3 + z^3 + w^3
+it has degree 11, not 9.  So ``poly covariants`` prints these pieces and
+not a flecnodal covariant; the contact-order test above (``poly
+flecnodal``) is the membership criterion, and a covariant built by
+elimination is item 2 of ROADMAP.md.
 """
 
 from __future__ import annotations

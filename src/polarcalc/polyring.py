@@ -38,7 +38,9 @@ follows the number of terms and not the degree; ``polar_part`` returns
 its one part, k! times the degree-k part of F(a + x), as a ``Poly``; and
 ``substitute`` given an ``order`` builds only the terms of degree <= order.
 Powers take one route: ``__pow__`` and ``substitute``, with an ``order`` or
-without, read them from ``_CutPowers`` (one binomial row per power).
+without, read them from ``_CutPowers``, which splits each value into its
+least-degree term h and the rest R and expands (h + R)^e by one binomial
+row over the powers of R, h^(e - j) being one term.
 
 A monomial x_1^e_1 ... x_n^e_n is packed into one int of n 32-bit fields
 that hold, from the bottom, the prefix sums e_1, e_1 + e_2, ...,
@@ -370,58 +372,50 @@ class _CutPowers:
     """The powers of one value, cut at degree top, each built once: the
     kernel's one power route, read by ``Poly.__pow__`` and ``substitute``.
 
-    With a the constant term of the value and L the rest, (a + L)^e is the
-    sum over j of C(e, j) a^(e - j) L^j, and L^j has no term below j times
-    the least degree of L; so the binomial row stops at the first j that
-    puts that past top, and each L^j is built once, cut at top, from
-    L^(j - 1), for every exponent.  With a = 0 only L^e is left: one term,
-    its key times e, when L is one term, else L^e built up from the highest
-    power of L already read, with the powers between not kept.
+    With h the value's term of least degree (its least key, so its constant
+    term when it has one) and R the rest, (h + R)^e is the sum over j of
+    C(e, j) h^(e - j) R^j.  h^(e - j) is one term, its key times e - j, and
+    term j has no monomial below e deg h + j (least degree of R - deg h),
+    so the binomial row stops at the first j that puts that past top; each
+    R^j is built once, cut at top, from R^(j - 1), for every exponent, and
+    a shifted term is kept only up to top.
     """
 
     def __init__(self, value: "Poly", top: int):
         ring = value.ring
-        self.ring, self.top, self.shift = ring, top, ring._degree_shift
-        terms = {k: c for k, c in value.terms.items() if k >> self.shift <= top}
-        self.a = terms.get(0, 0)
-        self.rest = {k: c for k, c in terms.items() if k}
-        self.least = min(self.rest) >> self.shift if self.rest else top + 1  # of L
-        self.high = max(value.terms) >> self.shift if value.terms else 0  # of the value
-        self.ladder = [{0: 1}, self.rest]  # with a != 0, ladder[j]: L^j cut at top, reduced
+        shift = ring._degree_shift
+        self.ring, self.top, self.shift = ring, top, shift
+        terms = {k: c for k, c in value.terms.items() if k >> shift <= top}
+        self.head = head = min(terms) if terms else 0  # the key of h
+        self.coeff = terms.get(head, 0)  # of h
+        self.rest = {k: c for k, c in terms.items() if k != head}  # R
+        self.low = head >> shift if terms else top + 1  # deg h, past top for 0
+        # Each factor R raises a term of the row at least this far above h.
+        self.lift = (min(self.rest) >> shift) - self.low if self.rest else top + 1
+        self.high = max(value.terms) >> shift if value.terms else 0  # of the value
+        self.bound = (top + 1) << shift  # the least key past top
+        self.ladder = [{0: 1}, self.rest]  # ladder[j]: R^j cut at top, reduced
         self.memo = {0: {0: 1}, 1: terms}
-
-    def _times_rest(self, terms: dict) -> dict:
-        """terms * L, cut at top and reduced."""
-        return Poly(self.ring, _product_upto(terms, self.rest, self.top, self.shift)).terms
 
     def __call__(self, e: int) -> dict:
         out = self.memo.get(e)
         if out is None:
-            p = self.ring._modulus
-            stop = min(e, self.top // self.least) + 1  # past top // least, L^j cut is 0
-            if self.a:
-                ladder = self.ladder
-                while len(ladder) < stop:
-                    ladder.append(self._times_rest(ladder[-1]))
-                out = {}
-                get = out.get
-                for b, rung in zip(_binomial_row(self.a, 1, e, p, stop), ladder):
-                    if b:
-                        for k, c in rung.items():
-                            s = get(k)
-                            out[k] = b * c if s is None else s + b * c
-                out = Poly(self.ring, out).terms
-            elif e >= stop:
-                out = {}
-            elif len(self.rest) == 1:
-                ((k, c),) = self.rest.items()
-                out = {k * e: pow(c, e, p)}
-            else:
-                j = max([j for j in self.memo if j < e])  # here memo[j] is L^j
-                out = self.memo[j]
-                for _ in range(e - j):
-                    out = self._times_rest(out)
-            self.memo[e] = out
+            ladder, head = self.ladder, self.head
+            room = self.top - e * self.low  # h^e is the least term of the power
+            stop = min(e, room // self.lift) + 1 if self.lift else e + 1
+            while len(ladder) < stop:
+                rung = _product_upto(ladder[-1], self.rest, self.top, self.shift)
+                ladder.append(Poly(self.ring, rung).terms)
+            out, bound, key = {}, self.bound, head * e
+            get = out.get
+            for b, rung in zip(_binomial_row(self.coeff, 1, e, self.ring._modulus, stop), ladder):
+                for k, c in rung.items():  # h^(e - j) R^j, up to top
+                    k += key
+                    if k < bound:
+                        s = get(k)
+                        out[k] = b * c if s is None else s + b * c
+                key -= head
+            out = self.memo[e] = Poly(self.ring, out).terms
         return out
 
 
@@ -567,7 +561,7 @@ class Poly:
 
     __slots__ = ("ring", "terms")
 
-    def __init__(self, ring: PolyRing, terms: Mapping[Exponents, Scalar]):
+    def __init__(self, ring: PolyRing, terms: Mapping[int, Scalar]):
         self.ring = ring
         p = ring._modulus
         if p is None:
@@ -920,10 +914,10 @@ class Poly:
             factors = [(power, e) for power, e in zip(powers, unpack(mono)) if e]
             if order is None:
                 _check_product_degree(sum([power.high * e for power, e in factors]))
-            # The least degree of each power (past top when L is 0): the
+            # The least degree of each power (past top for a zero value): the
             # factors still to come add at least that much, so each partial
             # product is cut that far below top.
-            lows = [0 if power.a else e * power.least for power, e in factors]
+            lows = [e * power.low for power, e in factors]
             room = top - sum(lows)
             if room < 0:
                 continue

@@ -16,7 +16,7 @@ import math
 import random
 
 from .polarity import directional_derivative, line_multiplicity, polar, polar_kic
-from .polyring import INFINITY, Poly, PolyRing, ProjPoint
+from .polyring import Poly, PolyRing, ProjPoint
 from .reporting import Check, FAIL, PASS
 
 
@@ -136,9 +136,9 @@ def taylor_batch(ring: PolyRing, seed: int, trials: int) -> Check:
 def contact_equivalence_batch(ring: PolyRing, seed: int, trials: int) -> Check:
     """Valuation of F(a + T b) against the polar membership ladder.
 
-    line_multiplicity computes both routes and raises on disagreement;
-    here the implications of the contact theorem are re-checked from the
-    returned report.
+    line_multiplicity computes both routes and raises RuntimeError on
+    disagreement; the batch reports that, or a point off the surface, as
+    its failure, naming the trial.
     """
     rng = random.Random(seed)
     for t in range(trials):
@@ -148,20 +148,12 @@ def contact_equivalence_batch(ring: PolyRing, seed: int, trials: int) -> Check:
         b = random_point(ring, rng)
         if a == b:
             continue
-        report = line_multiplicity(F, a, b)
-        m = report.multiplicity
+        try:
+            m = line_multiplicity(F, a, b).multiplicity
+        except RuntimeError as exc:
+            return _check("contact equivalence", False, f"trial {t}: {exc}")
         if m == 0:
             return _check("contact equivalence", False, f"trial {t}: point off surface")
-        held = 0
-        for flag in report.polar_memberships:
-            if not flag:
-                break
-            held += 1
-        want = d - 1 if m == INFINITY else m - 1
-        if held != want:
-            return _check(
-                "contact equivalence", False, f"trial {t}: ladder {held} vs contact {m}"
-            )
     return _check(f"contact equivalence ({trials} trials, {ring.field.name})", True)
 
 

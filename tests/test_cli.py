@@ -16,7 +16,7 @@ import shlex
 
 import pytest
 
-from polarcalc import cli
+from polarcalc import cli, polarity
 from polarcalc.cli import main
 from polarcalc.polyring import INFINITY, PolyRing
 
@@ -137,6 +137,19 @@ class TestVerifyCommand:
             capsys, "verify", "all", "--trials", "5", "--modp", "1048583",
         )
         assert code == 0
+
+    def test_a_contact_route_disagreement_is_a_failed_check(self, capsys, monkeypatch):
+        # With every polar of the ladder zero, the polar-membership route
+        # claims more contact than the valuation route finds: the contact
+        # batch reports it as its failure, naming the trial, not as exit 4.
+        derivative = polarity.directional_derivative
+        monkeypatch.setattr(polarity, "directional_derivative", lambda F, a: derivative(F, a) * 0)
+        code, out, err = run(capsys, "verify", "all", "--trials", "5")
+        assert (code, err) == (1, "")
+        assert (
+            "FAIL  contact equivalence  [lhs=trial 0: "
+            "polar membership disagrees with the valuation route rhs=None]"
+        ) in out.splitlines()
 
     @pytest.mark.parametrize(
         "argv",

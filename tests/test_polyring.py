@@ -1074,28 +1074,37 @@ class TestPackedDifferential:
 class TestPowers:
     """``**`` and ``substitute`` read every power from one route, ``_CutPowers``."""
 
-    # A value of each kind the route treats apart, as tuple-keyed terms in (s, t).
+    # Values as tuple-keyed terms in (s, t, u, v).  The route splits off the
+    # least-degree term h; these cover no h, a constant h, ties of least
+    # degree, a rest lifted above h by one or two, and a Fraction on h.
     VALUES = {
-        "constant": {(0, 0): 3},
-        "one term": {(1, 2): -2},
-        "no constant": {(1, 0): 1, (0, 2): Fraction(1, 2)},
-        "constant and more": {(0, 0): 2, (1, 0): -1, (1, 1): 3},
+        "zero": {},
+        "constant": {(0, 0, 0, 0): 3},
+        "one term": {(1, 2, 0, 0): -2},
+        "no constant": {(1, 0, 0, 0): 1, (0, 2, 0, 0): Fraction(1, 2)},
+        "constant and more": {(0, 0, 0, 0): 2, (1, 0, 0, 0): -1, (1, 1, 0, 0): 3},
+        "s + t": {(1, 0, 0, 0): 1, (0, 1, 0, 0): 1},
+        "s + t + u": {(1, 0, 0, 0): 1, (0, 1, 0, 0): 1, (0, 0, 1, 0): 1},
+        "s*t + u^3": {(1, 1, 0, 0): 1, (0, 0, 3, 0): 1},
+        "t + s^2*v": {(0, 1, 0, 0): 1, (2, 0, 0, 1): 1},
+        "Fraction head": {(0, 1, 0, 0): Fraction(-2, 3), (1, 0, 1, 0): 5, (0, 0, 0, 2): 1},
     }
     FIELDS = [QQ, GF, PrimeField(7)]
 
     @staticmethod
-    def _check(poly, ref):
+    def _check(poly, ref, top=None):
+        """poly is ref, cut at degree top when given, with coefficients in its field."""
         field = poly.ring.field
-        ref = {e: field.coerce(c) for e, c in ref.items()}
+        ref = {e: field.coerce(c) for e, c in ref.items() if top is None or sum(e) <= top}
         expected = [(e, c) for e, c in ref.items() if c]
         assert poly.sorted_terms() == sorted(expected, key=lambda t: _grevlex(t[0]), reverse=True)
 
     @pytest.mark.parametrize("field", FIELDS, ids=repr)
     def test_powers_match_repeated_products_and_the_tuple_reference(self, field):
-        ring = PolyRing(("s", "t"), field)
+        ring = PolyRing(("s", "t", "u", "v"), field)
         for ref in self.VALUES.values():
             value = ring.from_terms(ref.items())
-            product, ref_product = ring.one(), {(0, 0): 1}
+            product, ref_product = ring.one(), {(0, 0, 0, 0): 1}
             for e in range(9):  # past 7, where the binomial row over GF(7) has zeros
                 power = value ** e
                 assert power == product
@@ -1103,24 +1112,42 @@ class TestPowers:
                 product, ref_product = product * value, _ref_mul(ref_product, ref)
 
     @pytest.mark.parametrize("field", FIELDS, ids=repr)
+    def test_cut_powers_are_the_powers_cut_at_top(self, field):
+        # Each top below, inside and past the degrees of a power: no term
+        # above top is kept, and none at or below it is lost.
+        ring = PolyRing(("s", "t", "u", "v"), field)
+        for ref in self.VALUES.values():
+            value = ring.from_terms(ref.items())
+            for top in range(13):
+                powers, ref_power = polyring._CutPowers(value, top), {(0, 0, 0, 0): 1}
+                for e in range(5):
+                    self._check(Poly(ring, powers(e)), ref_power, top)
+                    ref_power = _ref_mul(ref_power, ref)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=repr)
     def test_substitute_matches_repeated_products_and_the_tuple_reference(self, field):
-        plane, ring = PolyRing(("x", "y"), field), PolyRing(("s", "t"), field)
+        plane, ring = PolyRing(("x", "y"), field), PolyRing(("s", "t", "u", "v"), field)
         f_ref = {(3, 0): 1, (1, 2): -2, (0, 4): Fraction(1, 3), (2, 1): 1, (0, 0): 5}
         f = plane.from_terms(f_ref.items())
         for refs in itertools.product(self.VALUES.values(), repeat=2):
             images = [ring.from_terms(ref.items()) for ref in refs]
             expected, ref_sum = ring.zero(), {}
             for exps, c in f_ref.items():
-                term, ref_term = ring.const(c), {(0, 0): c}
+                term, ref_term = ring.const(c), {(0, 0, 0, 0): c}
                 for image, ref, k in zip(images, refs, exps):
                     for _ in range(k):
                         term, ref_term = term * image, _ref_mul(ref_term, ref)
                 expected = expected + term
                 for e, v in ref_term.items():
                     ref_sum[e] = ref_sum.get(e, 0) + v
-            got = f.substitute(dict(zip(("x", "y"), images)))
+            assignment = dict(zip(("x", "y"), images))
+            got = f.substitute(assignment)
             assert got == expected
             self._check(got, ref_sum)
+            # Orders that cut inside the binomial rows, and orders below and
+            # past the least degree of each power, up to past the whole.
+            for order in range(14):
+                self._check(f.substitute(assignment, order=order), ref_sum, order)
 
     def test_long_and_high_powers_take_bounded_time(self):
         # A binomial row or a ladder as long as the exponent would not fit in
@@ -1137,11 +1164,21 @@ class TestPowers:
         assert moved == R.monomial((0, 2 ** 31, 0, 0))
         assert sign == -1
         assert row == R.from_terms(((j, 0, 0, 0), math.comb(3000, j)) for j in range(3001))
-        # With no constant term only L^e is read: the powers of L below it,
-        # about 4.5 million big-int terms here, are not kept.
-        with _address_space_headroom(256 << 20):
-            binomial = (x + y) ** 3000
-        assert binomial == R.from_terms(((j, 3000 - j, 0, 0), math.comb(3000, j)) for j in range(3001))
+        # With no constant term the least term is split off all the same:
+        # each power of the rest is built once, and no product is as large
+        # as the result.
+        z = R.var("z")
+        powers = []
+        for value, e in ((x + y, 3000), (x + y + z, 300)):
+            start = time.perf_counter()
+            with _address_space_headroom(256 << 20):
+                powers.append(value ** e)
+            assert time.perf_counter() - start < 0.5, value
+        assert powers[0] == R.from_terms(((j, 3000 - j, 0, 0), math.comb(3000, j)) for j in range(3001))
+        assert powers[1] == R.from_terms(
+            ((i, j, 300 - i - j, 0), math.comb(300, i) * math.comb(300 - i, j))
+            for i in range(301) for j in range(301 - i)
+        )
 
     def test_substitute_coerces_a_scalar_for_a_variable_that_does_not_occur(self):
         ring = PolyRing(("x", "y", "z", "w"), PrimeField(7))
