@@ -100,7 +100,11 @@ def second_fundamental_form(F: Poly, p: ProjPoint) -> FundamentalForm:
     normal[j] = field.div(field.one, grads[j])
     columns = [coords] + tangent_directions(grads, j, slots, field) + [normal]
     # a_ij = C_i^T H(p) C_j / 2, the v0^(d-2) coefficient of F(p v0 + w).
-    hess = [[h.evaluate(coords) for h in row] for row in hessian_matrix(F)]
+    # H(p) is symmetric: each second partial is evaluated once and mirrored.
+    hess = [[None] * (n + 1) for _ in range(n + 1)]
+    for i, row in enumerate(hessian_matrix(F)):
+        for k in range(i, n + 1):
+            hess[i][k] = hess[k][i] = row[k].evaluate(coords)
     images = [[sum(h * x for h, x in zip(row, col)) for row in hess] for col in columns[1:]]
     quad = [
         [field.div(sum(x * y for x, y in zip(col, image)), 2) for image in images]

@@ -62,7 +62,7 @@ def _check_surface(F: Poly) -> int:
 def _check_point(F: Poly, a: ProjPoint):
     if len(a) != len(F.ring.variables):
         raise DomainError("point dimension does not match the ring")
-    if a.field != F.ring.field:
+    if a.field is not F.ring.field and a.field != F.ring.field:
         raise DomainError("point and polynomial live over different fields")
 
 

@@ -9,12 +9,22 @@ parser, ``from_terms`` and the field's ``coerce`` and ``div`` make it an
 which one a term holds, and ``Poly`` construction does not normalize them.
 Q's own ``zero`` and ``one`` are the ints 0 and 1.
 Over a prime field GF(p) every coefficient and scalar is a plain ``int``
-in 0 .. p - 1.  The ring operations work on unreduced ints and ``Poly``
-construction reduces each coefficient once; a scalar computed outside the
-kernel goes through the field's ``coerce`` or ``div`` before it is
-compared or truth-tested.  Since ``int / int`` is a float, coefficients are
-divided only through the field's ``div``, never with ``/``.  All arithmetic
-is exact; there is no floating point anywhere in this package.
+in 0 .. p - 1; a scalar computed outside the kernel goes through the
+field's ``coerce`` or ``div`` before it is compared or truth-tested.
+Since ``int / int`` is a float, coefficients are divided only through the
+field's ``div``, never with ``/``.  All arithmetic is exact; there is no
+floating point anywhere in this package.
+
+A ``Poly`` is built one of two ways.  ``Poly(ring, terms)``, the public
+constructor, normalizes: it copies the dict, drops zero values and over
+GF(p) reduces each value once, so the loops that feed it (products,
+substitution, directional derivatives, polar parts, the parser) may work
+on unreduced ints and leave cancelled sums in.  A dict the kernel has
+just built clean (no zero value, and over GF(p) every value in
+1 .. p - 1) is adopted as it is, with no copy: sums and differences
+(reduced as they are formed), negation, scalar ``*`` and ``/``,
+``partial``, ``from_terms``, the graded pieces, ``exact_div``'s quotient,
+powers and the ring's ``const``, ``var`` and ``monomial``.
 
 An ``int`` or ``Fraction`` operand of ``+``, ``-``, ``*`` or ``==`` is
 coerced into the field and acts on the term dict directly: no constant
@@ -329,16 +339,27 @@ def _product_upto(left: dict, right: dict, top: int, shift: int) -> dict:
     return out
 
 
-def _sum_into(out: dict, terms: dict, negate: bool) -> dict:
+def _sum_into(out: dict, terms: dict, negate: bool, p) -> dict:
     """out + terms (out - terms when negate), summed into out in place.
 
-    A sum that cancels to exactly zero leaves the dict; over GF(p) the
-    unreduced sums stay for ``Poly`` construction to reduce.  A difference
-    is subtracted term by term, not added negated, so a Fraction term costs
-    one Fraction, not two.
+    Both dicts hold clean terms (no zero value, and over GF(p), p not None,
+    only values in 1 .. p - 1), and so does the result, which the caller
+    adopts: over GF(p) each sum is reduced as it is formed, and a sum that
+    cancels leaves the dict.  Over Q a difference is subtracted term by
+    term, not added negated, so a Fraction term costs one Fraction, not two.
     """
     get, pop = out.get, out.pop
-    if negate:
+    if p is not None:
+        for k, c in terms.items():
+            s = get(k)
+            if negate:
+                c = p - c
+            s = c if s is None else (s + c) % p
+            if s:
+                out[k] = s
+            else:
+                pop(k)
+    elif negate:
         for k, c in terms.items():
             s = get(k)
             s = -c if s is None else s - c
@@ -368,6 +389,13 @@ def _binomial_row(x, y, e: int, p, stop: int) -> list:
     return row if p is None else [v % p for v in row]
 
 
+def _cleaned(terms: Mapping[int, Scalar], p) -> dict:
+    """The nonzero terms of a term dict, reduced into 1 .. p - 1 over GF(p)."""
+    if p is None:
+        return {k: c for k, c in terms.items() if c}
+    return {k: r for k, c in terms.items() if (r := c % p)}
+
+
 class _CutPowers:
     """The powers of one value, cut at degree top, each built once: the
     kernel's one power route, read by ``Poly.__pow__`` and ``substitute``.
@@ -378,7 +406,10 @@ class _CutPowers:
     term j has no monomial below e deg h + j (least degree of R - deg h),
     so the binomial row stops at the first j that puts that past top; each
     R^j is built once, cut at top, from R^(j - 1), for every exponent, and
-    a shifted term is kept only up to top.
+    a shifted term is kept only up to top.  Each rung and each power read
+    is normalized into a plain term dict in one comprehension (``_cleaned``,
+    the constructor's own), with no ``Poly`` built; ``__pow__`` adopts the
+    power it reads.
     """
 
     def __init__(self, value: "Poly", top: int):
@@ -405,7 +436,7 @@ class _CutPowers:
             stop = min(e, room // self.lift) + 1 if self.lift else e + 1
             while len(ladder) < stop:
                 rung = _product_upto(ladder[-1], self.rest, self.top, self.shift)
-                ladder.append(Poly(self.ring, rung).terms)
+                ladder.append(_cleaned(rung, self.ring._modulus))
             out, bound, key = {}, self.bound, head * e
             get = out.get
             for b, rung in zip(_binomial_row(self.coeff, 1, e, self.ring._modulus, stop), ladder):
@@ -415,7 +446,7 @@ class _CutPowers:
                         s = get(k)
                         out[k] = b * c if s is None else s + b * c
                 key -= head
-            out = self.memo[e] = Poly(self.ring, out).terms
+            out = self.memo[e] = _cleaned(out, self.ring._modulus)
         return out
 
 
@@ -481,21 +512,19 @@ class PolyRing:
     # -- constructors ------------------------------------------------------
 
     def zero(self) -> "Poly":
-        return Poly(self, {})
+        return _adopt(self, {})
 
     def one(self) -> "Poly":
         return self.const(1)
 
     def const(self, c) -> "Poly":
         c = self.field.coerce(c)
-        if not c:
-            return Poly(self, {})
-        return Poly(self, {0: c})
+        return _adopt(self, {0: c} if c else {})
 
     def var(self, name: str) -> "Poly":
         if name not in self._index:
             raise DomainError(f"unknown variable {name!r}")
-        return Poly(self, {self._var_keys[self._index[name]]: self.field.coerce(1)})
+        return _adopt(self, {self._var_keys[self._index[name]]: self.field.coerce(1)})
 
     def gens(self) -> tuple:
         return tuple(self.var(v) for v in self.variables)
@@ -503,7 +532,7 @@ class PolyRing:
     def monomial(self, exps: Sequence[int], coeff=1) -> "Poly":
         key = self._pack(exps)
         c = self.field.coerce(coeff)
-        return Poly(self, {key: c} if c else {})
+        return _adopt(self, {key: c} if c else {})
 
     def from_terms(self, pairs) -> "Poly":
         """The sum of coeff * x^exps over (exponent tuple, coeff) pairs, built in one dict.
@@ -522,7 +551,7 @@ class PolyRing:
                 out[key] = c
             else:
                 out.pop(key, None)
-        return Poly(self, out)
+        return _adopt(self, out)
 
     def point(self, coords: Sequence) -> "ProjPoint":
         return ProjPoint(coords, self.field)
@@ -548,7 +577,9 @@ class Poly:
     """Immutable sparse polynomial attached to a PolyRing.
 
     ``terms`` maps packed monomials (see the module docstring) to nonzero
-    coefficients, reduced into 1 .. p - 1 over GF(p); the zero polynomial
+    coefficients, reduced into 1 .. p - 1 over GF(p).  ``Poly(ring, terms)``
+    normalizes a copy of the dict it is given; a dict the kernel has built
+    clean is adopted as it is (``_adopt``).  The zero polynomial
     is the empty dict (it is a legal value, but degree queries on it raise
     DomainError).  Every monomial has total degree at most ``MAX_DEGREE`` =
     2^32 - 1.  The dict is internal to the kernel: outside this module use
@@ -563,11 +594,7 @@ class Poly:
 
     def __init__(self, ring: PolyRing, terms: Mapping[int, Scalar]):
         self.ring = ring
-        p = ring._modulus
-        if p is None:
-            self.terms = {e: c for e, c in terms.items() if c}
-        else:
-            self.terms = {e: r for e, c in terms.items() if (r := c % p)}
+        self.terms = _cleaned(terms, ring._modulus)
 
     # -- structure ---------------------------------------------------------
 
@@ -592,7 +619,7 @@ class Poly:
         parts: dict = {}
         for k, c in self.terms.items():
             parts.setdefault(k >> shift, {})[k] = c
-        return {d: Poly(self.ring, parts[d]) for d in sorted(parts)}
+        return {d: _adopt(self.ring, parts[d]) for d in sorted(parts)}
 
     def degree_in(self, var: str) -> int:
         i = self.ring._index[var]
@@ -639,29 +666,37 @@ class Poly:
         terms = self._operand(other)
         if terms is None:
             return NotImplemented
-        return Poly(self.ring, _sum_into(dict(self.terms), terms, False))
+        return _adopt(self.ring, _sum_into(dict(self.terms), terms, False, self.ring._modulus))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.ring, {e: -c for e, c in self.terms.items()})
+        p = self.ring._modulus
+        if p is None:
+            return _adopt(self.ring, {e: -c for e, c in self.terms.items()})
+        return _adopt(self.ring, {e: p - c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         terms = self._operand(other)
         if terms is None:
             return NotImplemented
-        return Poly(self.ring, _sum_into(dict(self.terms), terms, True))
+        return _adopt(self.ring, _sum_into(dict(self.terms), terms, True, self.ring._modulus))
 
     def __rsub__(self, other):
         terms = self._operand(other)
         if terms is None:
             return NotImplemented
-        return Poly(self.ring, _sum_into(dict(terms), self.terms, True))
+        return _adopt(self.ring, _sum_into(dict(terms), self.terms, True, self.ring._modulus))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = self.ring.field.coerce(other)
-            return Poly(self.ring, {e: v * c for e, v in self.terms.items()})
+            ring = self.ring
+            c, p = ring.field.coerce(other), ring._modulus
+            if not c:
+                return _adopt(ring, {})
+            if p is None:
+                return _adopt(ring, {e: v * c for e, v in self.terms.items()})
+            return _adopt(ring, {e: v * c % p for e, v in self.terms.items()})
         terms = self._operand(other)
         if terms is None:
             return NotImplemented
@@ -681,7 +716,7 @@ class Poly:
         c = field.coerce(other)
         if not c:
             raise ZeroDivisionError("division by zero scalar")
-        return Poly(self.ring, {e: field.div(v, c) for e, v in self.terms.items()})
+        return _adopt(self.ring, {e: field.div(v, c) for e, v in self.terms.items()})
 
     def __pow__(self, e: int):
         """self^e (e >= 0) from the one power route, ``_CutPowers``; past
@@ -692,7 +727,7 @@ class Poly:
             raise DomainError("negative polynomial power")
         top = e * (max(self.terms) >> self.ring._degree_shift) if self.terms else 0
         _check_product_degree(top)
-        return Poly(self.ring, _CutPowers(self, top)(e))
+        return _adopt(self.ring, _CutPowers(self, top)(e))
 
     def __eq__(self, other):
         if isinstance(other, Poly):
@@ -708,14 +743,13 @@ class Poly:
 
     def partial(self, var: str) -> "Poly":
         ring = self.ring
-        i = ring._index[var]
+        i, p, exponent = ring._index[var], ring._modulus, ring._exponent
         step = ring._var_keys[i]
-        out: dict = {}
-        for k, c in self.terms.items():
-            e = ring._exponent(k, i)
-            if e:
-                out[k - step] = c * e
-        return Poly(ring, out)
+        if p is None:
+            out = {k - step: c * e for k, c in self.terms.items() if (e := exponent(k, i))}
+        else:  # c e vanishes mod p also where p divides e
+            out = {k - step: r for k, c in self.terms.items() if (r := c * exponent(k, i) % p)}
+        return _adopt(ring, out)
 
     def directional_derivative(self, coords: Sequence) -> "Poly":
         """sum_i coords[i] * dF/dx_i in one pass over the terms and one dict."""
@@ -971,6 +1005,18 @@ class Poly:
         return f"Poly({self})"
 
 
+def _adopt(ring: PolyRing, terms: dict) -> Poly:
+    """A Poly holding ``terms`` itself: no copy, no reduction.
+
+    Only the kernel calls it, with a dict it has just built clean and hands
+    over: no value is zero and, over GF(p), every value lies in 1 .. p - 1.
+    """
+    poly = object.__new__(Poly)
+    poly.ring = ring
+    poly.terms = terms
+    return poly
+
+
 class ProjPoint:
     """A projective point: a nonzero coordinate tuple, equal up to scale."""
 
@@ -992,7 +1038,9 @@ class ProjPoint:
     def __eq__(self, other):
         if not isinstance(other, ProjPoint):
             return NotImplemented
-        if len(self.coords) != len(other.coords) or self.field != other.field:
+        if len(self.coords) != len(other.coords):
+            return False
+        if self.field is not other.field and self.field != other.field:
             return False
         a, b, coerce = self.coords, other.coords, self.field.coerce
         for i in range(len(a)):
@@ -1166,7 +1214,7 @@ def exact_div(f: Poly, g: Poly) -> Poly:
                 r[k] = s
             else:
                 r.pop(k, None)
-    return Poly(ring, q)
+    return _adopt(ring, q)
 
 
 def _det_bareiss(rows):
@@ -1242,7 +1290,7 @@ def coefficients_in(f: Poly, var: str) -> dict:
     for k, c in f.terms.items():
         e = ring._exponent(k, i)
         buckets.setdefault(e, {})[k - e * step] = c
-    return {e: Poly(ring, buckets[e]) for e in sorted(buckets)}
+    return {e: _adopt(ring, buckets[e]) for e in sorted(buckets)}
 
 
 def sylvester_rows(fc: Sequence, gc: Sequence, zero) -> list:

@@ -2,9 +2,11 @@
 
 Python's ``int / int`` is a float, so a division that bypasses the field's
 ``div`` would leave one in a polynomial.  Every golden command and every
-acceptance criterion runs here with a check on ``Poly.__init__`` that each
-coefficient is an ``int`` (not a ``bool``) or a ``Fraction``, and that over a
-prime field GF(p) each one is an ``int`` in 1 .. p - 1.  A line restriction
+acceptance criterion runs here with a check on every ``Poly`` built, by the
+constructor or by the kernel adopting a dict it built (``polyring._adopt``),
+that each coefficient is an ``int`` (not a ``bool``) or a ``Fraction``, that
+none is zero, and that over a prime field GF(p) each one is an ``int`` in
+1 .. p - 1.  A line restriction
 over Q holds an ``int`` for each integral coefficient and a ``Fraction`` for
 each other one.
 """
@@ -15,6 +17,7 @@ from fractions import Fraction
 
 import pytest
 
+from polarcalc import polyring
 from polarcalc.cli import main
 from polarcalc.polarity import restrict_to_line
 from polarcalc.polyring import Poly, PolyRing
@@ -29,15 +32,24 @@ EXACT_TYPES = {int, Fraction}
 def coefficient_types(monkeypatch):
     """The set of coefficient types of every Poly built during the test."""
     seen = set()
-    build = Poly.__init__
+    build, adopt = Poly.__init__, polyring._adopt
+
+    def check(poly):
+        values, p = poly.terms.values(), poly.ring.field.p
+        seen.update(map(type, values))
+        assert all(values) if p is None else all(0 < c < p for c in values)
 
     def checked_init(self, ring, terms):
         build(self, ring, terms)
-        seen.update(map(type, self.terms.values()))
-        p = ring.field.p
-        assert p is None or all(0 < c < p for c in self.terms.values())
+        check(self)
+
+    def checked_adopt(ring, terms):
+        poly = adopt(ring, terms)
+        check(poly)
+        return poly
 
     monkeypatch.setattr(Poly, "__init__", checked_init)
+    monkeypatch.setattr(polyring, "_adopt", checked_adopt)
     return seen
 
 

@@ -1,6 +1,8 @@
 """Hessians, fundamental forms, and the parabolic classification."""
 
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -17,6 +19,7 @@ from polarcalc.polyring import (
     INFINITY,
     QQ,
     DomainError,
+    Poly,
     PolyRing,
     PrimeField,
     coefficients_in,
@@ -95,6 +98,25 @@ class TestSecondFundamentalForm:
     def test_singular_point_rejected(self):
         with pytest.raises(DomainError):
             second_fundamental_form(R.parse("y^2*w - x^3"), R.point([0, 0, 0, 1]))
+
+    def test_each_second_partial_is_evaluated_once(self, monkeypatch):
+        # A quartic with every monomial: its 10 second partials in 4
+        # variables are distinct and nonzero, and each is evaluated once,
+        # not once per entry of the symmetric 4 x 4 matrix.
+        p = R.point([1, 2, -1, 3])
+        monomials = [e for e in itertools.product(range(5), repeat=4) if sum(e) == 4]
+        G = R.from_terms((e, i + 1) for i, e in enumerate(monomials))
+        F = G - R.monomial((4, 0, 0, 0), G.evaluate(list(p.coords)))
+        degrees = []
+        evaluate = Poly.evaluate
+
+        def counted(self, coords):
+            degrees.append(self.total_degree())
+            return evaluate(self, coords)
+
+        monkeypatch.setattr(Poly, "evaluate", counted)
+        second_fundamental_form(F, p)
+        assert Counter(degrees) == {4: 1, 3: 4, 2: 10}
 
     def test_frame_columns(self):
         # (3 : 4 : 5 : -6) pivots on x, then on y, the first other index with

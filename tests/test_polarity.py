@@ -1,5 +1,6 @@
 """Polar calculus: polars, tangent planes, line contact, tangent cones."""
 
+import bisect
 import itertools
 import math
 import random
@@ -8,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from polarcalc import polarity
+from polarcalc import polarity, polyring
 from polarcalc.polarity import (
     line_multiplicity,
     polar,
@@ -65,6 +66,20 @@ class TestPolar:
     def test_order_out_of_range(self):
         with pytest.raises(DomainError):
             polar(FERMAT, R.point([1, 0, 0, 0]), 4)
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=repr)
+    def test_one_field_object_is_matched_by_identity(self, field, monkeypatch):
+        # The point check and point equality compare the field objects first:
+        # with the same object on both sides the field's __eq__ never runs.
+        ring = PolyRing(field=field)
+        F, a, b = ring.parse("x*y - 2*x^2"), ring.point([1, 2, 0, 0]), ring.point([2, 4, 0, 0])
+
+        def refuse(self, other):
+            raise AssertionError("a field's __eq__ ran")
+
+        monkeypatch.setattr(type(field), "__eq__", refuse)
+        assert polar(F, a, 1) == ring.parse("y - 2*x")
+        assert a == b and a != ring.point([1, 0, 0, 0])
 
 
 class TestPolarKic:
@@ -419,6 +434,36 @@ class TestLocalParts:
             lowest = polarity.lowest_parts(F, a, directions, local, 1)
             assert min(lowest, default=None) == min(full, default=None)
             assert lowest == {k: P for k, P in full.items() if k <= max(lowest, default=d)}
+
+    def test_truncated_expansion_forms_a_pinned_number_of_pairs(self, monkeypatch):
+        # F(a + u b1 + v b2) with x -> 1 + u, y -> u + v, z -> 0 and w -> 1.
+        # Each term is cut by e times the least degree of every power still
+        # to come (x^2*y^2 by 2 for y^2), and a term reading the zero value
+        # of z costs nothing.  A cut that drops either forms more pairs, with
+        # the same parts; the counts are the pairs each order forms.
+        pairs = []
+        product_upto = polyring._product_upto
+
+        def counted(left, right, top, shift):
+            keys = sorted(right)
+            pairs[-1] += sum(
+                bisect.bisect_left(keys, (top - (k >> shift) + 1) << shift) for k in left
+            )
+            return product_upto(left, right, top, shift)
+
+        monkeypatch.setattr(polyring, "_product_upto", counted)
+        F = R.parse("x^2*y^2 + 2*x*z*w^2 + y^3*w - x^3*w + 3*z^2*w^2 + x*y*w^2")
+        a, local = R.point((1, 0, 0, 1)), PolyRing(("u", "v"))
+        directions = {"u": (1, 1, 0, 0), "v": (0, 1, 0, 0)}
+        parts = {}
+        for order in range(5):
+            pairs.append(0)
+            parts = polarity.local_parts(F, a, directions, local, order)
+        assert pairs == [2, 9, 22, 38, 42]
+        assert {k: str(P) for k, P in parts.items()} == {
+            0: "-1", 1: "-2*u + v", 2: "-u^2 + 3*u*v + v^2",
+            3: "2*u^3 + 7*u^2*v + 5*u*v^2 + v^3", 4: "u^4 + 2*u^3*v + u^2*v^2",
+        }
 
 
 class TestPolarsAtSingularities:

@@ -7,6 +7,7 @@ import itertools
 import math
 import random
 import re
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -251,14 +252,20 @@ class TestScalarOperands:
 
     @staticmethod
     def _count_builds(monkeypatch):
+        """Every Poly built, through the constructor or by adopting a kernel dict."""
         built = []
-        build = Poly.__init__
+        build, adopt = Poly.__init__, polyring._adopt
 
         def counted(self, ring, terms):
             built.append(ring)
             build(self, ring, terms)
 
+        def adopted(ring, terms):
+            built.append(ring)
+            return adopt(ring, terms)
+
         monkeypatch.setattr(Poly, "__init__", counted)
+        monkeypatch.setattr(polyring, "_adopt", adopted)
         return built
 
     @pytest.mark.parametrize("field", [QQ, GF], ids=repr)
@@ -835,6 +842,71 @@ class TestProjPoint:
     def test_zero_rejected(self):
         with pytest.raises(DomainError):
             R.point([0, 0, 0, 0])
+
+
+class TestAdoption:
+    """The kernel adopts, with no copy, only the clean dicts it builds itself.
+
+    A checker wraps ``polyring._adopt``: an adopted dict holds no zero
+    value, over GF(p) only ints in 1 .. p - 1, and is not the dict of an
+    operand.  The operands make sums cancel exactly over Q, sum to p or
+    past it over GF(1048583) and cancel mod 7 over GF(7), where the
+    partial of x^7 vanishes; every site that adopts is driven.
+    """
+
+    @staticmethod
+    def _adopting_sites():
+        tree = ast.parse(Path(polyring.__file__).read_text())
+        return {
+            node.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name != "_adopt"
+            and any(isinstance(n, ast.Name) and n.id == "_adopt" for n in ast.walk(node))
+        }
+
+    @pytest.mark.parametrize("field", [QQ, GF, PrimeField(7)], ids=repr)
+    def test_every_adopted_dict_is_clean(self, field, monkeypatch):
+        ring = PolyRing(("x", "y", "z"), field)
+        F = ring.parse("x^7 + 3*x^2*y - 1/2*y*z + 1048580*y^2 + 5 - z")
+        G = ring.parse("4*x^2*y + 1/2*y*z + 3*y^2 - 5 + x^7*z - z")
+        x, y = ring.var("x"), ring.var("y")
+        operands = [(F, dict(F.terms)), (G, dict(G.terms))]
+        adopt, callers = polyring._adopt, set()
+
+        def checked(ring, terms):
+            p = ring.field.p
+            values = terms.values()
+            assert type(terms) is dict and all(terms is not f.terms for f, _ in operands)
+            assert all(values) if p is None else all(type(c) is int and 0 < c < p for c in values), terms
+            caller = sys._getframe(1)
+            while caller.f_code.co_name.startswith("<"):  # a comprehension's own frame
+                caller = caller.f_back
+            callers.add(caller.f_code.co_name)
+            return adopt(ring, terms)
+
+        monkeypatch.setattr(polyring, "_adopt", checked)
+        results = [
+            F + G, G + F, F + F, F - G, G - F, F - F, F + (-F), F + 1, 1 + F, F - 5, 5 - F, 3 - F,
+            -F, -G, F * 3, 3 * F, F * 0, F * 7, F * -1, F * Fraction(1, 2), F / 3,
+            F / Fraction(2, 3), F / ring.const(5),
+            F ** 0, F ** 1, F ** 2, G ** 3, (x + y) ** 7, (1 + x) ** 8,
+            exact_div(F * G, G), exact_div(F * G, F),
+            ring.from_terms([
+                ((1, 0, 0), 3), ((1, 0, 0), 4), ((0, 1, 0), 1048580), ((0, 1, 0), 3),
+                ((0, 0, 1), 1), ((0, 0, 1), -1), ((0, 0, 0), -2), ((0, 0, 2), 0), ((0, 0, 2), 7),
+            ]),
+            ring.zero(), ring.one(), ring.const(0), ring.const(7), ring.const(-1),
+            ring.const(Fraction(1, 2)), ring.monomial((1, 2, 0), 7), ring.monomial((1, 2, 0), -3),
+        ]
+        for f in (F, G, ring.parse("x^7 - 3*x^14*y")):
+            results += [f.partial(v) for v in ring.variables]
+            results += f.homogeneous_components().values()
+            results += [c for v in ring.variables for c in coefficients_in(f, v).values()]
+        results += [ring.var(v) for v in ring.variables]
+        assert callers == self._adopting_sites()
+        assert [dict(f.terms) for f, _ in operands] == [terms for _, terms in operands]
+        for f in results:  # normalizing an adopted dict changes nothing
+            assert list(Poly(ring, f.terms).terms.items()) == list(f.terms.items())
 
 
 class TestPrimeField:
