@@ -78,8 +78,10 @@ The kernel provides, besides the ring operations:
 * determinants of polynomial matrices: for size <= 4 a division-free
   Laplace expansion whose minors are shared (the minors of the bottom k
   rows are keyed by their column bitmask and built upward one row at a
-  time, each summed in place into one term dict, so no ``Poly`` product,
-  sum or negation runs), fraction-free Bareiss elimination above that,
+  time, so no ``Poly`` product, sum or negation runs; each minor is summed
+  into one flat list indexed by small local offsets where the entries'
+  term counts and exponent ranges show that it pays, and otherwise into
+  one term dict), fraction-free Bareiss elimination above that,
   each update m_ij m_kk - m_ik m_kj summed in place into one term dict the
   same way, with an ``exact_div`` that updates one remainder dict in place,
 * Sylvester resultants of polynomials taken univariately in one chosen
@@ -100,6 +102,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from itertools import compress
 from typing import Mapping, Sequence, Union
 
 INFINITY = math.inf
@@ -169,6 +172,10 @@ class Rationals:
             return int(v)
         raise DomainError(f"cannot coerce {v!r} into Q")
 
+    def coerce_all(self, values) -> list:
+        """[coerce(v) for v in values], with no call for an ``int``, which is in Q."""
+        return [v if type(v) is int else self.coerce(v) for v in values]
+
     def div(self, a, b) -> Union[int, Fraction]:
         """Exact quotient a / b, an ``int`` when it is integral."""
         if type(a) is int and type(b) is int and b and not a % b:
@@ -223,6 +230,12 @@ class PrimeField:
                 raise DomainError("denominator divisible by the modulus")
             return v.numerator * pow(v.denominator, -1, self.p) % self.p
         raise DomainError(f"cannot coerce {v!r} into GF({self.p})")
+
+    def coerce_all(self, values) -> list:
+        """[coerce(v) for v in values], with no call for an ``int`` already in
+        0 .. p - 1 (a bool, a Fraction or an int out of range is coerced)."""
+        p = self.p
+        return [v if type(v) is int and 0 <= v < p else self.coerce(v) for v in values]
 
     def div(self, a, b) -> int:
         """Quotient a / b of residues."""
@@ -754,7 +767,7 @@ class Poly:
     def directional_derivative(self, coords: Sequence) -> "Poly":
         """sum_i coords[i] * dF/dx_i in one pass over the terms and one dict."""
         ring = self.ring
-        coords = [ring.field.coerce(a) for a in coords]
+        coords = ring.field.coerce_all(coords)
         if len(coords) != len(ring.variables):
             raise DomainError("wrong number of coordinates")
         fields = list(zip(ring._shifts, ring._var_keys, coords))
@@ -777,7 +790,7 @@ class Poly:
         """Value at a scalar tuple (one entry per ring variable)."""
         ring = self.ring
         field, p = ring.field, ring._modulus
-        coords = [field.coerce(c) for c in coords]
+        coords = field.coerce_all(coords)
         if len(coords) != len(ring.variables):
             raise DomainError("wrong number of coordinates")
         fields = list(zip(ring._shifts, coords))
@@ -801,8 +814,7 @@ class Poly:
         """
         ring = self.ring
         field, p = ring.field, ring._modulus
-        a = [field.coerce(x) for x in a]
-        b = [field.coerce(x) for x in b]
+        a, b = field.coerce_all(a), field.coerce_all(b)
         if len(a) != len(ring.variables) or len(b) != len(a):
             raise DomainError("wrong number of coordinates")
         fields = list(enumerate(ring._shifts))
@@ -846,7 +858,7 @@ class Poly:
         """
         ring = self.ring
         field, p = ring.field, ring._modulus
-        a, scale = [field.coerce(x) for x in a], field.coerce(math.factorial(k))
+        a, scale = field.coerce_all(a), field.coerce(math.factorial(k))
         if len(a) != len(ring.variables):
             raise DomainError("wrong number of coordinates")
         fields = list(zip(range(len(a)), ring._shifts, ring._var_keys))
@@ -1145,40 +1157,195 @@ def _parse(text: str, ring: PolyRing) -> "Poly":
 # ---------------------------------------------------------------------------
 
 
+# The flat route of ``_det_cofactor`` (see ``_flat_layout``): it runs only
+# where its pair estimate reaches _FLAT_MIN_PAIRS and pays for the slots
+# it scans, and no list it sums into is longer than _FLAT_SLOTS.
+_FLAT_MIN_PAIRS = 1500
+_SLOTS_PER_PAIR = 2
+_FLAT_SLOTS = 1 << 20
+
+
+def _flat_layout(ring, rows):
+    """The entries of a matrix of term dicts at local offsets, for ``_det_flat``,
+    or None where the expansion stays on packed keys.
+
+    Field i of a product's packed key is the sum of its factors' fields,
+    one factor per row, so it lies in lo_i .. lo_i + r_i - 1 with lo_i the
+    sum over the rows of the row's least field i and r_i = 1 + the sum of
+    the rows' field ranges.  A term's offset is the mixed-radix number
+    sum_i (field_i - row's least field_i) * stride_i, stride_0 = 1 and
+    stride_(i+1) = stride_i r_i: offsets add under multiplication with no
+    carry, and ascend with the keys.  A field no row moves (the degree of
+    homogeneous rows, the field of an unused leading variable) has radix 1.
+
+    The route is worked out from the entries.  The pairs that the
+    expansion forms are estimated from the rows' term counts, a minor of k
+    rows taken to hold the product of its rows' term counts over n, but no
+    more than its level's slots.  The expansion stays on packed keys when a
+    bound on that estimate from the matrix's term count alone is under
+    _FLAT_MIN_PAIRS (no field is read), when a row is zero, when a product
+    could pass ``MAX_DEGREE`` (so that the same inputs raise DomainError),
+    when the final list would pass _FLAT_SLOTS (sparse entries of high
+    degree), and when the estimate is under _FLAT_MIN_PAIRS or the lists
+    would scan more than _SLOTS_PER_PAIR slots per pair: there the
+    conversion would cost more than the flat sums save.
+    """
+    n = len(rows)
+    # The estimate below is n times a binomial sum, over k >= 2, of products
+    # of k rows' mean entry sizes (term count over n).  Those means sum to at
+    # most A, the matrix's term count over n, so by AM-GM each product is at
+    # most (A / k)^k <= h^k, h = A / 2, and the bounds sum to
+    # n h ((1 + h)^(n - 1) - 1).
+    h = sum([len(e.terms) for row in rows for e in row]) / (2 * n)
+    if n * h * ((1 + h) ** (n - 1) - 1) < _FLAT_MIN_PAIRS:
+        return None
+    terms = [[e.terms for e in row] for row in rows]
+    totals = [sum(map(len, row)) for row in reversed(terms)]
+    if not all(totals):
+        return None
+    # The fields of each distinct monomial are read once: the entries of
+    # a row (of a Hessian, of a Sylvester matrix) share most monomials.
+    shifts = ring._shifts
+    distinct = list(set().union(*(t for row in terms for t in row)))
+    columns = [[k >> s & _FIELD_MASK for k in distinct] for s in shifts]
+    fields = dict(zip(distinct, zip(*columns)))
+    lows, widths = [], []
+    for row in terms:
+        values = list(zip(*map(fields.__getitem__, set().union(*row))))
+        low = [min(v) for v in values]
+        lows.append(low)
+        widths.append([max(v) - m for v, m in zip(values, low)])
+    if sum(low[-1] + width[-1] for low, width in zip(lows, widths)) > MAX_DEGREE:
+        return None
+    radices = [1 + sum(column) for column in zip(*widths)]
+    strides = [1]
+    for r in radices[:-1]:
+        strides.append(strides[-1] * r)
+    # spans[k]: the slots of a minor on the bottom k + 1 rows
+    spans, reach = [], [0] * len(shifts)
+    for width in reversed(widths):
+        reach = [a + b for a, b in zip(reach, width)]
+        spans.append(1 + sum(a * s for a, s in zip(reach, strides)))
+    if spans[-1] > _FLAT_SLOTS:
+        return None
+    pairs, minor, slots = 0, 1, 0
+    for k, (total, span) in enumerate(zip(totals, spans)):
+        if k:
+            pairs += math.comb(n - 1, k) * total * minor
+            slots += math.comb(n, k + 1) * span
+        minor = min(minor * total // n, span)
+    if pairs < _FLAT_MIN_PAIRS or slots > _SLOTS_PER_PAIR * pairs:
+        return None
+    moved = [(column, stride) for column, stride, r in zip(columns, strides, radices) if r > 1]
+    offsets = [0] * len(distinct)
+    for column, stride in moved:
+        offsets = [o + x * stride for o, x in zip(offsets, column)]
+    offsets = dict(zip(distinct, offsets))
+    laid = []
+    for row, low in zip(terms, lows):
+        base = sum(m * stride for m, stride, r in zip(low, strides, radices) if r > 1)
+        entries = []
+        for j, t in enumerate(row):
+            if t:
+                plus = [(offsets[k] - base, c) for k, c in t.items()]
+                entries.append((1 << j, plus, [(o, -c) for o, c in plus]))
+        laid.append(entries)
+    lo = [sum(column) for column in zip(*lows)]
+    return laid, spans, lo, radices
+
+
+def _det_flat(ring, layout):
+    """The shared-minor expansion of ``_det_cofactor`` at local offsets.
+
+    Each minor is a list of (offset, coefficient) pairs, reduced over GF(p);
+    the products of one new minor are summed into one flat list by
+    t[ia + ib] += ca * cb, and only its nonzero slots are kept.  Only one
+    list is alive at a time.  The determinant's offsets are turned back into
+    packed keys, in ascending order, and the clean dict is adopted.
+    """
+    laid, spans, lo, radices = layout
+    p = ring._modulus
+    minors = {bit: plus for bit, plus, _ in laid[-1]}
+    for entries, span in zip(reversed(laid[:-1]), spans[1:]):
+        sums: dict = {}
+        for target in {mask | bit for mask in minors for bit, _, _ in entries if not mask & bit}:
+            t = [0] * span
+            for bit, plus, minus in entries:
+                minor = minors.get(target ^ bit) if target & bit else None
+                if minor is not None:
+                    for ia, ca in minus if (target & (bit - 1)).bit_count() & 1 else plus:
+                        for ib, cb in minor:
+                            t[ia + ib] += ca * cb
+            slots = compress(range(span), t)
+            if p is None:
+                pairs = [(i, t[i]) for i in slots]
+            else:
+                pairs = [(i, c) for i in slots if (c := t[i] % p)]
+            if pairs:
+                sums[target] = pairs
+        minors = sums
+    # An offset splits into its low digits, o % width, and its high ones,
+    # o // width; the packed keys of each part come from a table about the
+    # square root of the final list long.
+    low, high = [sum(m << s for m, s in zip(lo, ring._shifts))], [0]
+    for s, r in zip(ring._shifts, radices):
+        if r == 1:
+            continue
+        if len(low) ** 2 < spans[-1]:
+            low = [k + (d << s) for d in range(r) for k in low]
+        else:
+            high = [k + (d << s) for d in range(r) for k in high]
+    width = len(low)
+    final = minors.get((1 << len(laid)) - 1, ())
+    return _adopt(ring, {high[o // width] + low[o % width]: c for o, c in final})
+
+
 def _det_cofactor(rows):
     """Laplace expansion along the top row with every minor computed once.
 
     The minors of the last k rows are keyed by the bitmask of their
     columns and built upward one row at a time: the minor on S + {j} gains
     (-1)^c a_ij times the minor on S, where c counts all columns of S left
-    of j.  Zero entries and zero minors are skipped, the products of one
-    minor are summed in place into one term dict, and each nonzero minor
-    becomes one Poly, so a dense n x n matrix takes n 2^(n-1) - n products,
-    no division and no ``Poly`` arithmetic.
+    of j.  Zero entries and zero minors are skipped, so a dense n x n
+    matrix takes n 2^(n-1) - n products, no division and no ``Poly``
+    arithmetic.  Two routes sum the products of one minor.  Where
+    ``_flat_layout`` finds that it pays, the flat route (``_det_flat``)
+    turns each entry's keys once into small local offsets and sums into
+    one flat list indexed by offset.  Otherwise, always for sparse entries
+    of high degree, whose list would be vast, the products are summed in
+    place into one term dict keyed by the packed monomial; each nonzero
+    minor is kept as its cleaned dict, and the determinant's is adopted.
     """
     ring = rows[0][0].ring
-    shift = ring._degree_shift
-    minors = {1 << j: entry for j, entry in enumerate(rows[-1]) if entry.terms}
+    layout = _flat_layout(ring, rows)
+    if layout is not None:
+        return _det_flat(ring, layout)
+    shift, p = ring._degree_shift, ring._modulus
+    minors = {1 << j: e.terms for j, e in enumerate(rows[-1]) if e.terms}
     for row in reversed(rows[:-1]):
+        # No column lies left of column 0, so its entry is never negated.
         entries = [
-            (1 << j, e.terms, {k: -c for k, c in e.terms.items()}, max(e.terms) >> shift)
+            (1 << j, t, {k: -c for k, c in t.items()} if j else t, max(t) >> shift)
             for j, e in enumerate(row)
-            if e.terms
+            if (t := e.terms)
         ]
         sums: dict = {}
         for mask, minor in minors.items():
-            terms = minor.terms
-            degree = max(terms) >> shift
+            degree = max(minor) >> shift
             for bit, plus, minus, entry_degree in entries:
                 if mask & bit:
                     continue
-                _check_product_degree(entry_degree + degree)
+                if entry_degree + degree > MAX_DEGREE:  # the check raises
+                    _check_product_degree(entry_degree + degree)
                 target = sums.get(mask | bit)
                 if target is None:
                     target = sums[mask | bit] = {}
-                _product(minus if (mask & (bit - 1)).bit_count() & 1 else plus, terms, target)
-        minors = {mask: m for mask, out in sums.items() if (m := Poly(ring, out)).terms}
-    return minors.get((1 << len(rows)) - 1, ring.zero())
+                _product(minus if (mask & (bit - 1)).bit_count() & 1 else plus, minor, target)
+        minors = {mask: m for mask, out in sums.items() if (m := _cleaned(out, p))}
+    det = minors.get((1 << len(rows)) - 1)
+    if det is None:
+        return ring.zero()
+    return _adopt(ring, det) if len(rows) > 1 else rows[0][0]  # a 1 x 1 is its entry
 
 
 def exact_div(f: Poly, g: Poly) -> Poly:
@@ -1258,10 +1425,18 @@ def _det_bareiss(rows):
 def determinant(rows: Sequence[Sequence[Poly]]) -> Poly:
     """Exact determinant of a square matrix of polynomials.
 
-    Size <= 4 takes a Laplace expansion that shares its minors: the minors
-    of the bottom rows, keyed by their column bitmask, are built upward one
-    row at a time and summed in place, with no division (a dense 4 x 4 is
-    28 products).  Larger matrices take fraction-free Bareiss elimination
+    Size <= 4 takes a Laplace expansion that shares its minors
+    (``_det_cofactor``): the minors of the bottom rows, keyed by their
+    column bitmask, are built upward one row at a time with no division (a
+    dense 4 x 4 is 28 products).  Each minor's products are summed into one
+    flat list indexed by a local offset, the entries' packed monomials read
+    as mixed-radix numbers whose field i has radix 1 + the sum over the rows
+    of the row's range in that field, where the entries show that this pays:
+    the pairs estimated from their term counts reach ``_FLAT_MIN_PAIRS``,
+    the lists scan at most ``_SLOTS_PER_PAIR`` slots per pair and the
+    longest holds at most ``_FLAT_SLOTS``.  Otherwise, as for sparse entries
+    of high degree, they are summed into one term dict keyed by the packed
+    monomial.  Larger matrices take fraction-free Bareiss elimination
     (valid over an integral domain), one ``exact_div`` per entry per step.
     """
     n = len(rows)
@@ -1273,7 +1448,7 @@ def determinant(rows: Sequence[Sequence[Poly]]) -> Poly:
             if entry.ring is not ring and entry.ring != ring:
                 raise DomainError("matrix entries in mismatched rings")
     if n <= 4:
-        return _det_cofactor([list(row) for row in rows])
+        return _det_cofactor(rows)
     return _det_bareiss(rows)
 
 

@@ -8,6 +8,7 @@ sympy through its printed form, evaluated in sympy's sparse polynomial
 ring, so every comparison also checks printing.
 """
 
+import itertools
 import math
 import random
 import re
@@ -15,6 +16,7 @@ from fractions import Fraction
 
 import pytest
 
+from polarcalc import polyring
 from polarcalc.curvature import SurfacePointKind, classify_surface_point, hessian_determinant
 from polarcalc.flecnodal import ContactOrder, max_contact_order
 from polarcalc.localmodels import tacnode_discriminant
@@ -49,7 +51,11 @@ def evaluate_printed(f, images, domain):
 
 
 def oracle_det(rows, oracle=QQ_ORACLE):
-    return DomainMatrix(rows, (len(rows), len(rows)), oracle.to_domain()).det()
+    """(-1)^n times the constant term of the characteristic polynomial, by
+    sympy's division-free Berkowitz algorithm (its Bareiss ``det`` divides
+    polynomials and takes seconds on a dense 4 x 4 Hessian)."""
+    n = len(rows)
+    return (-1) ** n * DomainMatrix(rows, (n, n), oracle.to_domain()).charpoly_berk()[-1]
 
 
 def random_terms(rng, nterms, max_exp=3, nvars=4):
@@ -169,19 +175,40 @@ def test_resultant():
         assert to_oracle(resultant(f, g, "x")) == expected
 
 
-def test_hessian_determinant():
+def test_hessian_determinant(monkeypatch):
+    # Forms of at most 5 random terms; then, over Q and GF(p), the fully dense
+    # forms of degree 3-6 that the benchmark's Hessians take, whose
+    # determinants sum into flat lists, and a sparse form of high degree,
+    # whose determinant stays on term dicts.
     rng = random.Random(15)
+    flat_runs, flat = [], polyring._det_flat
+    monkeypatch.setattr(polyring, "_det_flat", lambda ring, layout: flat_runs.append(1) or flat(ring, layout))
+    cases = []
     for degree in (2, 3, 3, 4):
         F = R.zero()
         for _ in range(5):
             exps = [rng.randint(0, degree) for _ in range(3)]
             if sum(exps) <= degree:
                 F = F + R.monomial(exps + [degree - sum(exps)], rng.randint(-5, 5))
-        if F.is_zero:
-            continue
-        first = [to_oracle(F).diff(g) for g in QQ_ORACLE.gens]
-        expected = oracle_det([[d.diff(g) for g in QQ_ORACLE.gens] for d in first])
-        assert to_oracle(hessian_determinant(F)) == expected
+        if not F.is_zero:
+            cases.append((F, QQ_ORACLE))
+    for field, oracle in ((QQ, QQ_ORACLE), (PrimeField(P), GF_ORACLE)):
+        ring = PolyRing(NAMES, field)
+        for degree in range(3, 7):
+            F = ring.from_terms(
+                (exps, rng.choice((-1, 1)) * rng.randint(1, 9))
+                for exps in itertools.product(range(degree + 1), repeat=4) if sum(exps) == degree
+            )
+            cases.append((F, oracle))
+    sparse = R.parse("x^40*y^3 - 3*y^30*z^2*w^11 + z^25*w^18 + 2*x*y*z*w^40 - 5*x^43")
+    cases.append((sparse, QQ_ORACLE))
+    for F, oracle in cases:
+        before = len(flat_runs)
+        first = [to_oracle(F, oracle).diff(g) for g in oracle.gens]
+        expected = oracle_det([[d.diff(g) for g in oracle.gens] for d in first], oracle)
+        assert to_oracle(hessian_determinant(F), oracle) == expected
+        dense = len(F.terms) == math.comb(F.total_degree() + 3, 3)
+        assert len(flat_runs) - before == dense
 
 
 def test_homogeneous_components():

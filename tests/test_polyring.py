@@ -457,6 +457,51 @@ class TestCalculus:
             R.parse("x*y").directional_derivative([1, 2, 3])
 
     @staticmethod
+    def _spy_coerce(field, monkeypatch):
+        """The values ``field.coerce`` is called with, recorded as it runs."""
+        seen, coerce = [], field.coerce
+
+        def spy(v):
+            seen.append(v)
+            return coerce(v)
+
+        monkeypatch.setattr(field, "coerce", spy)
+        return seen
+
+    @pytest.mark.parametrize("field", [QQ, GF], ids=repr)
+    def test_coordinates_already_in_the_field_are_taken_as_they_are(self, field, monkeypatch):
+        ring = PolyRing(("x", "y", "z", "w"), field)
+        F = ring.parse("3*x^2*y - y*z*w + 7*w^3 + 2")
+        coords = [2, 0, GF.p - 1, 5]
+        seen = self._spy_coerce(field, monkeypatch)
+        F.directional_derivative(coords)
+        assert seen == []
+        F.evaluate(coords)
+        assert len(seen) == 1  # the value
+        F.polar_part(coords, 2)
+        assert len(seen) == 2  # and k!
+        F.line_coefficients(coords, coords)
+        assert len(seen) == 6  # and the four coefficients
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [(GF, Fraction(1, 3)), (GF, GF.p + 4), (GF, -3), (GF, True),
+         (QQ, Fraction(1, 3)), (QQ, Fraction(6, 3)), (QQ, True)],
+        ids=["GF-Fraction", "GF-int-past-p", "GF-negative-int", "GF-bool",
+             "QQ-Fraction", "QQ-integral-Fraction", "QQ-bool"],
+    )
+    def test_other_coordinates_are_coerced(self, field, value, monkeypatch):
+        ring = PolyRing(("x", "y", "z", "w"), field)
+        F = ring.parse("3*x^2*y - y*z*w + 7*w^3 + 2")
+        coerced = field.coerce(value)
+        plain = [2, coerced, 1, 5]
+        expected = (F.evaluate(plain), F.directional_derivative(plain))
+        seen = self._spy_coerce(field, monkeypatch)
+        got = (F.evaluate([2, value, 1, 5]), F.directional_derivative([2, value, 1, 5]))
+        assert got == expected
+        assert [v for v in seen if v is value] == [value, value]
+
+    @staticmethod
     def _random_case(ring, rng, case):
         """A seeded polynomial, not homogeneous, and two points with some zero coordinates."""
         field = ring.field
@@ -673,6 +718,112 @@ class TestDeterminant:
                 assert _det_cofactor(m) == expected
                 assert _det_bareiss(m) == expected
                 assert determinant(m) == expected
+
+    @staticmethod
+    @contextlib.contextmanager
+    def _flat_wherever_it_can(monkeypatch):
+        """The flat route made to run on any matrix it can lay out; yields
+        the list that each of its runs appends to."""
+        ran, flat = [], polyring._det_flat
+        with monkeypatch.context() as patch:
+            patch.setattr(polyring, "_FLAT_MIN_PAIRS", 0)
+            patch.setattr(polyring, "_SLOTS_PER_PAIR", math.inf)
+            patch.setattr(polyring, "_det_flat", lambda ring, layout: ran.append(1) or flat(ring, layout))
+            yield ran
+
+    @classmethod
+    def _both_routes(cls, m, monkeypatch):
+        """(flat, whether it ran, keyed): ``_det_cofactor`` with the flat route
+        made to run wherever it can, then with it declined."""
+        with cls._flat_wherever_it_can(monkeypatch) as ran:
+            got_flat = _det_cofactor(m)
+        with monkeypatch.context() as patch:
+            patch.setattr(polyring, "_flat_layout", lambda ring, rows: None)
+            got_keyed = _det_cofactor(m)
+        return got_flat, bool(ran), got_keyed
+
+    @pytest.mark.parametrize("field", [QQ, GF, PrimeField(7)], ids=repr)
+    def test_flat_and_keyed_routes_match_leibniz(self, field, monkeypatch):
+        # Random rows of mixed degree, with Fraction coefficients over QQ,
+        # that never use y (its prefix field repeats x's); a 2 x 2 minor that
+        # is -7*x*y, zero only mod 7; two proportional rows, so that a whole
+        # level of minors vanishes; and a zero row.
+        rng = random.Random(29)
+        ring = PolyRing(("x", "y", "z", "w"), field)
+        x, y, z, w = ring.gens()
+
+        def entry(low, high):
+            coeff = Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3])) if field is QQ else rng.randint(-9, 9)
+            return ring.from_terms(
+                ((a, 0, b, c), coeff) for _ in range(rng.randint(0, 4))
+                if low <= (a := rng.randint(0, high)) + (b := rng.randint(0, 2)) + (c := rng.randint(0, 1))
+            )
+
+        cases = []
+        for size in range(1, 6):
+            for _ in range(2):
+                cases.append([[entry(i % 3, i + 1) for _ in range(size)] for i in range(size)])
+        top = [entry(0, 2) for _ in range(3)]
+        cancels = [[x, 2 * y], [4 * x, y]]
+        vanishes = [top, [x + y, z, w ** 2], [3 * x + 3 * y, 3 * z, 3 * w ** 2]]
+        cases += [cancels, [top, cancels[0] + [z], cancels[1] + [w]], vanishes]
+        cases.append([top, [ring.zero()] * 3, [x, y, z]])
+        for m in cases:
+            expected = self._leibniz(m)
+            flat, ran, keyed = self._both_routes(m, monkeypatch)
+            assert flat == keyed == expected
+            # A zero row is left to the dict route, which returns 0 at once.
+            assert ran is all(any(e.terms for e in row) for row in m)
+        assert self._both_routes(cancels, monkeypatch)[0].is_zero is (field.p == 7)
+        assert self._both_routes(vanishes, monkeypatch)[0].is_zero
+        assert not cases[-1][1][0].terms
+
+    def test_sparse_high_degree_entries_stay_on_term_dicts(self, monkeypatch):
+        # Four terms an entry form enough pairs for the flat route, but a flat
+        # list over these exponents would need about 10^18 slots.
+        rng = random.Random(31)
+        x, y, z, w = R.gens()
+        m = [
+            [x ** rng.randint(90000, 100000) + y ** 3 - z ** rng.randint(1, 50000) * w + 2 * w ** rng.randint(1, 9)
+             for _ in range(4)]
+            for _ in range(4)
+        ]
+
+        def refuse(ring, layout):
+            raise AssertionError("the flat route ran")
+
+        monkeypatch.setattr(polyring, "_det_flat", refuse)
+        start = time.perf_counter()
+        det = determinant(m)
+        assert time.perf_counter() - start < 1.0
+        assert det == self._leibniz(m)
+
+    def test_the_flat_route_declines_lists_that_would_not_pay(self):
+        # Five terms an entry of degree 12: the lists would fit, but would
+        # scan about forty slots for each pair formed.
+        rng = random.Random(37)
+        m = [[R.from_terms(((a, b, c, 12 - a - b - c), rng.randint(1, 9))
+                           for _ in range(5)
+                           if (a := rng.randint(0, 4)) + (b := rng.randint(0, 4)) + (c := rng.randint(0, 4)) <= 12)
+              for _ in range(4)] for _ in range(4)]
+        assert polyring._flat_layout(R, m) is None
+        # Every monomial of degree 26: the pairs would pay for the slots, but
+        # the final list, 105^3 slots, would pass the cap.
+        F = R.from_terms((e, 1) for e in itertools.product(range(27), repeat=4) if sum(e) == 26)
+        assert 105 ** 3 > polyring._FLAT_SLOTS
+        assert polyring._flat_layout(R, [[F] * 4] * 4) is None
+
+    def test_a_product_past_the_degree_limit_raises_on_either_route(self, monkeypatch):
+        # Every field but the degree is constant, so the flat list would be
+        # one slot long: only the degree bound keeps the key from carrying.
+        big = R.var("w") ** 2 ** 31
+        m = [[big, big], [big, 2 * big]]
+        with pytest.raises(DomainError, match="exceeds the limit"):
+            determinant(m)
+        with self._flat_wherever_it_can(monkeypatch) as ran, pytest.raises(DomainError, match="exceeds the limit"):
+            _det_cofactor(m)
+        assert not ran
+        assert determinant([[big, R.zero()], [R.zero(), R.one()]]) == big
 
     def test_bareiss_with_zero_pivot(self):
         ring = PolyRing(("x",))
@@ -903,6 +1054,17 @@ class TestAdoption:
             results += f.homogeneous_components().values()
             results += [c for v in ring.variables for c in coefficients_in(f, v).values()]
         results += [ring.var(v) for v in ring.variables]
+        # The determinants, on term dicts and then, made to run on these small
+        # matrices, flat: sums pass p over GF(1048583) and the 2 x 2 minor
+        # -7*x*y cancels over GF(7).
+        matrices = [
+            [[F, G], [G, F]], [[F, G, x], [G, x, F], [y, F, G]],
+            [[F, x, y], [G, x, 2 * y], [ring.one(), 4 * x, y]], [[G]],
+        ]
+        results += [determinant(m) for m in matrices]
+        monkeypatch.setattr(polyring, "_FLAT_MIN_PAIRS", 0)
+        monkeypatch.setattr(polyring, "_SLOTS_PER_PAIR", math.inf)
+        results += [determinant(m) for m in matrices]
         assert callers == self._adopting_sites()
         assert [dict(f.terms) for f, _ in operands] == [terms for _, terms in operands]
         for f in results:  # normalizing an adopted dict changes nothing
