@@ -52,6 +52,15 @@ without, read them from ``_CutPowers``, which splits each value into its
 least-degree term h and the rest R and expands (h + R)^e by one binomial
 row over the powers of R, h^(e - j) being one term.
 
+A product of two polynomials takes one of two routes, worked out from its
+factors.  Where it forms at least ``_FLAT_MIN_PAIRS`` term pairs and its
+list would pay (at most ``_SLOTS_PER_PAIR`` slots a pair and
+``_FLAT_SLOTS`` in all), each factor's packed keys are read once as small
+local offsets (``_Offsets``, the layout the flat determinant uses too) and
+the pairs are summed into one flat list indexed by offset.  Otherwise, as
+for small products and sparse factors of high degree, they are summed
+into one term dict keyed by the packed monomial.
+
 A monomial x_1^e_1 ... x_n^e_n is packed into one int of n 32-bit fields
 that hold, from the bottom, the prefix sums e_1, e_1 + e_2, ...,
 e_1 + ... + e_n; the top field is the total degree.  Keys add under
@@ -79,11 +88,13 @@ The kernel provides, besides the ring operations:
   Laplace expansion whose minors are shared (the minors of the bottom k
   rows are keyed by their column bitmask and built upward one row at a
   time, so no ``Poly`` product, sum or negation runs; each minor is summed
-  into one flat list indexed by small local offsets where the entries'
-  term counts and exponent ranges show that it pays, and otherwise into
-  one term dict), fraction-free Bareiss elimination above that,
-  each update m_ij m_kk - m_ik m_kj summed in place into one term dict the
-  same way, with an ``exact_div`` that updates one remainder dict in place,
+  into one flat list indexed by small local offsets, laid out as for the
+  flat product, where the entries' term counts and exponent ranges show
+  that it pays, and otherwise into one term dict), fraction-free Bareiss
+  elimination above that, each update m_ij m_kk - m_ik m_kj summed in
+  place into one term dict the same way, with an ``exact_div`` that
+  updates one remainder dict in place and takes each leading term off a
+  max-heap of its keys,
 * Sylvester resultants of polynomials taken univariately in one chosen
   variable, with the remaining variables as coefficient parameters,
 * valuations of univariate polynomials (order of vanishing at 0), with
@@ -102,7 +113,9 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import compress
+from operator import ge, neg
 from typing import Mapping, Sequence, Union
 
 INFINITY = math.inf
@@ -702,6 +715,14 @@ class Poly:
         return _adopt(self.ring, _sum_into(dict(terms), self.terms, True, self.ring._modulus))
 
     def __mul__(self, other):
+        """The product with a scalar (one pass over the terms) or a Poly.
+
+        Two nonzero polynomials past the degree limit raise DomainError
+        before any pair is formed.  A product of at least _FLAT_MIN_PAIRS
+        term pairs whose flat list pays (``_product_layout``) is summed at
+        local offsets (``_product_flat``); any other is summed into one term
+        dict by ``_product``.
+        """
         if isinstance(other, (int, Fraction)):
             ring = self.ring
             c, p = ring.field.coerce(other), ring._modulus
@@ -716,6 +737,10 @@ class Poly:
         if self.terms and terms:
             shift = self.ring._degree_shift
             _check_product_degree((max(self.terms) >> shift) + (max(terms) >> shift))
+            if len(self.terms) * len(terms) >= _FLAT_MIN_PAIRS:
+                local = _product_layout(self.ring, self.terms, terms)
+                if local is not None:
+                    return _product_flat(self.ring, local)
         # Terms that cancelled to zero are dropped by the constructor.
         return Poly(self.ring, _product(self.terms, terms))
 
@@ -1153,30 +1178,131 @@ def _parse(text: str, ring: PolyRing) -> "Poly":
 
 
 # ---------------------------------------------------------------------------
-# determinants, resultants, valuations
+# flat sums at local offsets; determinants, resultants, valuations
 # ---------------------------------------------------------------------------
 
 
-# The flat route of ``_det_cofactor`` (see ``_flat_layout``): it runs only
-# where its pair estimate reaches _FLAT_MIN_PAIRS and pays for the slots
-# it scans, and no list it sums into is longer than _FLAT_SLOTS.
+# The flat routes of ``Poly.__mul__`` and ``_det_cofactor`` run only where
+# the pairs they form reach _FLAT_MIN_PAIRS and pay for the slots they
+# scan, and no list they sum into is longer than _FLAT_SLOTS.
 _FLAT_MIN_PAIRS = 1500
 _SLOTS_PER_PAIR = 2
 _FLAT_SLOTS = 1 << 20
 
 
-def _flat_layout(ring, rows):
-    """The entries of a matrix of term dicts at local offsets, for ``_det_flat``,
-    or None where the expansion stays on packed keys.
+class _Offsets:
+    """Packed monomials read as small local offsets: the one layout of the
+    flat routes, the product's (``_product_layout``) and the determinant's
+    (``_flat_layout``).
 
-    Field i of a product's packed key is the sum of its factors' fields,
-    one factor per row, so it lies in lo_i .. lo_i + r_i - 1 with lo_i the
-    sum over the rows of the row's least field i and r_i = 1 + the sum of
-    the rows' field ranges.  A term's offset is the mixed-radix number
-    sum_i (field_i - row's least field_i) * stride_i, stride_0 = 1 and
+    The term dicts come in groups, and each product that is summed takes
+    one factor from each group: the two factors of ``*``, or the rows of a
+    matrix.  Field i of such a product's packed key is the sum of its
+    factors' fields, so it lies in lo_i .. lo_i + r_i - 1, with lo_i the sum
+    over the groups of the group's least field i and r_i = 1 + the sum of
+    the groups' field ranges.  A term's offset is the mixed-radix number
+    sum_i (field_i - its group's least field_i) * stride_i, stride_0 = 1 and
     stride_(i+1) = stride_i r_i: offsets add under multiplication with no
-    carry, and ascend with the keys.  A field no row moves (the degree of
-    homogeneous rows, the field of an unused leading variable) has radix 1.
+    carry, ascend with the keys, and a whole product lies in ``span`` =
+    prod_i r_i slots.  A field no group moves (the degree of homogeneous
+    factors, the field of an unused leading variable) has radix 1.
+    """
+
+    def __init__(self, ring, groups):
+        # Each group's distinct monomials are read once, field by field (the
+        # entries of a row of a Hessian or a Sylvester matrix share most of
+        # theirs); a group of one dict keeps the dict's own order.
+        self.ring, self.groups = ring, groups
+        self.keys, self.columns, self.lows, self.widths = [], [], [], []
+        for group in groups:
+            keys = list(set().union(*group)) if len(group) > 1 else list(group[0])
+            columns = [[k >> s & _FIELD_MASK for k in keys] for s in ring._shifts]
+            low = [min(column) for column in columns]
+            self.keys.append(keys)
+            self.columns.append(columns)
+            self.lows.append(low)
+            self.widths.append([max(column) - m for column, m in zip(columns, low)])
+        self.radices = [1 + sum(column) for column in zip(*self.widths)]
+        self.strides = [1]
+        for r in self.radices[:-1]:
+            self.strides.append(self.strides[-1] * r)
+        self.span = math.prod(self.radices)
+
+    def laid(self) -> list:
+        """Each group's term dicts as lists of (offset, coefficient) pairs."""
+        moved = [(i, stride) for i, (stride, r) in enumerate(zip(self.strides, self.radices)) if r > 1]
+        laid = []
+        for group, keys, columns, low in zip(self.groups, self.keys, self.columns, self.lows):
+            offsets = [-sum([low[i] * stride for i, stride in moved])] * len(keys)
+            for i, stride in moved:
+                offsets = [o + x * stride for o, x in zip(offsets, columns[i])]
+            if len(group) == 1:  # the keys in the dict's own order
+                laid.append([list(zip(offsets, group[0].values()))])
+            else:
+                offsets = dict(zip(keys, offsets))
+                laid.append([[(offsets[k], c) for k, c in t.items()] for t in group])
+        return laid
+
+    def decode(self, pairs) -> dict:
+        """{packed key: coefficient} for (offset, coefficient) pairs of
+        products, in their order.
+
+        An offset splits into its low digits, o % width, and its high ones,
+        o // width; the packed keys of each part come from a table about the
+        square root of ``span`` long.
+        """
+        shifts = self.ring._shifts
+        lo = [sum(column) for column in zip(*self.lows)]
+        low, high = [sum(m << s for m, s in zip(lo, shifts))], [0]
+        for s, r in zip(shifts, self.radices):
+            if r == 1:
+                continue
+            if len(low) ** 2 < self.span:
+                low = [k + (d << s) for d in range(r) for k in low]
+            else:
+                high = [k + (d << s) for d in range(r) for k in high]
+        width = len(low)
+        return {high[o // width] + low[o % width]: c for o, c in pairs}
+
+
+def _nonzero(t: list, p) -> list:
+    """The (offset, value) pairs of a flat list's nonzero slots, in
+    ascending order, each value reduced over GF(p) (p not None)."""
+    slots = compress(range(len(t)), t)
+    if p is None:
+        return [(i, t[i]) for i in slots]
+    return [(i, c) for i in slots if (c := t[i] % p)]
+
+
+def _product_layout(ring, left: dict, right: dict):
+    """The two factors of a product at local offsets (``_Offsets``), for
+    ``_product_flat``, or None where the product stays on packed keys: where
+    its list would pass _FLAT_SLOTS (sparse factors of high degree) or scan
+    more than _SLOTS_PER_PAIR slots per pair.  ``Poly.__mul__`` asks only
+    for a product of two nonzero factors that forms _FLAT_MIN_PAIRS pairs
+    or more and is under the degree limit."""
+    local = _Offsets(ring, [[left], [right]])
+    if local.span > min(_FLAT_SLOTS, _SLOTS_PER_PAIR * len(left) * len(right)):
+        return None
+    return local
+
+
+def _product_flat(ring, local) -> "Poly":
+    """The product laid out by ``_product_layout``, summed into one flat list
+    by t[ia + ib] += ca * cb; its nonzero slots, reduced over GF(p), become
+    the clean dict that is adopted."""
+    (left,), (right,) = local.laid()
+    t = [0] * local.span
+    for ia, ca in left:
+        for ib, cb in right:
+            t[ia + ib] += ca * cb
+    return _adopt(ring, local.decode(_nonzero(t, ring._modulus)))
+
+
+def _flat_layout(ring, rows):
+    """The entries of a matrix of term dicts at local offsets (``_Offsets``,
+    one group a row), for ``_det_flat``, or None where the expansion stays
+    on packed keys.
 
     The route is worked out from the entries.  The pairs that the
     expansion forms are estimated from the rows' term counts, a minor of k
@@ -1203,31 +1329,16 @@ def _flat_layout(ring, rows):
     totals = [sum(map(len, row)) for row in reversed(terms)]
     if not all(totals):
         return None
-    # The fields of each distinct monomial are read once: the entries of
-    # a row (of a Hessian, of a Sylvester matrix) share most monomials.
-    shifts = ring._shifts
-    distinct = list(set().union(*(t for row in terms for t in row)))
-    columns = [[k >> s & _FIELD_MASK for k in distinct] for s in shifts]
-    fields = dict(zip(distinct, zip(*columns)))
-    lows, widths = [], []
-    for row in terms:
-        values = list(zip(*map(fields.__getitem__, set().union(*row))))
-        low = [min(v) for v in values]
-        lows.append(low)
-        widths.append([max(v) - m for v, m in zip(values, low)])
-    if sum(low[-1] + width[-1] for low, width in zip(lows, widths)) > MAX_DEGREE:
+    local = _Offsets(ring, terms)
+    if sum(low[-1] + width[-1] for low, width in zip(local.lows, local.widths)) > MAX_DEGREE:
         return None
-    radices = [1 + sum(column) for column in zip(*widths)]
-    strides = [1]
-    for r in radices[:-1]:
-        strides.append(strides[-1] * r)
+    if local.span > _FLAT_SLOTS:
+        return None
     # spans[k]: the slots of a minor on the bottom k + 1 rows
-    spans, reach = [], [0] * len(shifts)
-    for width in reversed(widths):
+    spans, reach = [], [0] * len(ring._shifts)
+    for width in reversed(local.widths):
         reach = [a + b for a, b in zip(reach, width)]
-        spans.append(1 + sum(a * s for a, s in zip(reach, strides)))
-    if spans[-1] > _FLAT_SLOTS:
-        return None
+        spans.append(1 + sum(a * s for a, s in zip(reach, local.strides)))
     pairs, minor, slots = 0, 1, 0
     for k, (total, span) in enumerate(zip(totals, spans)):
         if k:
@@ -1236,22 +1347,11 @@ def _flat_layout(ring, rows):
         minor = min(minor * total // n, span)
     if pairs < _FLAT_MIN_PAIRS or slots > _SLOTS_PER_PAIR * pairs:
         return None
-    moved = [(column, stride) for column, stride, r in zip(columns, strides, radices) if r > 1]
-    offsets = [0] * len(distinct)
-    for column, stride in moved:
-        offsets = [o + x * stride for o, x in zip(offsets, column)]
-    offsets = dict(zip(distinct, offsets))
-    laid = []
-    for row, low in zip(terms, lows):
-        base = sum(m * stride for m, stride, r in zip(low, strides, radices) if r > 1)
-        entries = []
-        for j, t in enumerate(row):
-            if t:
-                plus = [(offsets[k] - base, c) for k, c in t.items()]
-                entries.append((1 << j, plus, [(o, -c) for o, c in plus]))
-        laid.append(entries)
-    lo = [sum(column) for column in zip(*lows)]
-    return laid, spans, lo, radices
+    laid = [
+        [(1 << j, plus, [(o, -c) for o, c in plus]) for j, plus in enumerate(row) if plus]
+        for row in local.laid()
+    ]
+    return local, laid, spans
 
 
 def _det_flat(ring, layout):
@@ -1263,7 +1363,7 @@ def _det_flat(ring, layout):
     list is alive at a time.  The determinant's offsets are turned back into
     packed keys, in ascending order, and the clean dict is adopted.
     """
-    laid, spans, lo, radices = layout
+    local, laid, spans = layout
     p = ring._modulus
     minors = {bit: plus for bit, plus, _ in laid[-1]}
     for entries, span in zip(reversed(laid[:-1]), spans[1:]):
@@ -1276,28 +1376,11 @@ def _det_flat(ring, layout):
                     for ia, ca in minus if (target & (bit - 1)).bit_count() & 1 else plus:
                         for ib, cb in minor:
                             t[ia + ib] += ca * cb
-            slots = compress(range(span), t)
-            if p is None:
-                pairs = [(i, t[i]) for i in slots]
-            else:
-                pairs = [(i, c) for i in slots if (c := t[i] % p)]
+            pairs = _nonzero(t, p)
             if pairs:
                 sums[target] = pairs
         minors = sums
-    # An offset splits into its low digits, o % width, and its high ones,
-    # o // width; the packed keys of each part come from a table about the
-    # square root of the final list long.
-    low, high = [sum(m << s for m, s in zip(lo, ring._shifts))], [0]
-    for s, r in zip(ring._shifts, radices):
-        if r == 1:
-            continue
-        if len(low) ** 2 < spans[-1]:
-            low = [k + (d << s) for d in range(r) for k in low]
-        else:
-            high = [k + (d << s) for d in range(r) for k in high]
-    width = len(low)
-    final = minors.get((1 << len(laid)) - 1, ())
-    return _adopt(ring, {high[o // width] + low[o % width]: c for o, c in final})
+    return _adopt(ring, local.decode(minors.get((1 << len(laid)) - 1, ())))
 
 
 def _det_cofactor(rows):
@@ -1352,8 +1435,12 @@ def exact_div(f: Poly, g: Poly) -> Poly:
     """Exact quotient f/g in the polynomial ring; raises if not divisible.
 
     One remainder dict is updated in place: each step pops its leading
-    term and subtracts that quotient term times the rest of g.  The
-    quotient is gathered in one dict and made one Poly at the end.
+    term and subtracts that quotient term times the rest of g.  The leading
+    term comes off a max-heap of the remainder's keys, each pushed when it
+    enters the dict; a popped key that has left it since is skipped.  Every
+    key a step adds is below the one it popped, so the steps run in the
+    order of taking the largest key each time.  The quotient is gathered in
+    one dict and adopted at the end.
     """
     if g.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
@@ -1362,19 +1449,28 @@ def exact_div(f: Poly, g: Poly) -> Poly:
         raise DomainError("mismatched rings in exact_div")
     div, p = ring.field.div, ring._modulus
     gk = max(g.terms)
-    gc, ge = g.terms[gk], ring._unpack(gk)
+    gc, gexps = g.terms[gk], ring._unpack(gk)
     rest = [(k, c) for k, c in g.terms.items() if k != gk]
     r = dict(f.terms)
+    heap = list(map(neg, r))  # negated: heapq keeps the least on top
+    heapify(heap)
     q: dict = {}
     while r:
-        rk = max(r)
-        if any(a < b for a, b in zip(ring._unpack(rk), ge)):
+        rk = -heappop(heap)
+        lead = r.pop(rk, None)
+        if lead is None:  # cancelled after it was pushed
+            continue
+        if not all(map(ge, ring._unpack(rk), gexps)):
             raise DomainError("inexact polynomial division")
-        qk, t = rk - gk, div(r.pop(rk), gc)
+        qk, t = rk - gk, div(lead, gc)
         q[qk] = t
         for k, c in rest:
             k += qk
-            s = r.get(k, 0) - t * c
+            s = r.get(k)
+            if s is None:
+                heappush(heap, -k)
+                s = 0
+            s -= t * c
             if p is not None:
                 s %= p
             if s:
@@ -1431,7 +1527,8 @@ def determinant(rows: Sequence[Sequence[Poly]]) -> Poly:
     dense 4 x 4 is 28 products).  Each minor's products are summed into one
     flat list indexed by a local offset, the entries' packed monomials read
     as mixed-radix numbers whose field i has radix 1 + the sum over the rows
-    of the row's range in that field, where the entries show that this pays:
+    of the row's range in that field (``_Offsets``, the layout of the flat
+    product too), where the entries show that this pays:
     the pairs estimated from their term counts reach ``_FLAT_MIN_PAIRS``,
     the lists scan at most ``_SLOTS_PER_PAIR`` slots per pair and the
     longest holds at most ``_FLAT_SLOTS``.  Otherwise, as for sparse entries

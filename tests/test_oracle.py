@@ -129,6 +129,30 @@ def test_product_over_a_prime_field():
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(P)], ids=repr)
+def test_products_of_dense_forms(field, monkeypatch):
+    # Every monomial of each degree 3 .. 8, seeded coefficients in +-1 .. 9;
+    # every product of two of them, against sympy's, and the flat route
+    # counted: it must run for each product of at least 1,500 term pairs.
+    rng = random.Random(17)
+    gf = PolyRing(NAMES, field)
+    oracle = QQ_ORACLE if field is QQ else GF_ORACLE
+    forms = [
+        gf.from_terms(
+            (e, rng.choice([-1, 1]) * rng.randint(1, 9))
+            for e in itertools.product(range(d + 1), repeat=4) if sum(e) == d
+        )
+        for d in range(3, 9)
+    ]
+    flat, ran = polyring._product_flat, []
+    monkeypatch.setattr(polyring, "_product_flat", lambda ring, local: ran.append(1) or flat(ring, local))
+    large = 0
+    for f, g in itertools.combinations_with_replacement(forms, 2):
+        large += len(f.terms) * len(g.terms) >= 1500
+        assert to_oracle(f * g, oracle) == to_oracle(f, oracle) * to_oracle(g, oracle)
+    assert large == len(ran) == 17
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(P)], ids=repr)
 @pytest.mark.parametrize("size", [2, 3, 4, 5, 6])
 def test_determinant_cofactor_and_bareiss(size, field):
     # Sizes up to 4 take the shared-minor expansion, 5 and 6 the Bareiss

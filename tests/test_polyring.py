@@ -896,12 +896,213 @@ class TestDeterminant:
             with pytest.raises(DomainError, match="inexact"):
                 exact_div(inexact, g)
 
+    @staticmethod
+    def _exact_div_by_max(f, g):
+        """The quotient's terms by the loop that scans the whole remainder
+        for its largest key at each step, in the order they are found."""
+        ring = f.ring
+        div, p = ring.field.div, ring.field.p
+        gk = max(g.terms)
+        gc, ge = g.terms[gk], ring._unpack(gk)
+        rest = [(k, c) for k, c in g.terms.items() if k != gk]
+        r, q = dict(f.terms), {}
+        while r:
+            rk = max(r)
+            if any(a < b for a, b in zip(ring._unpack(rk), ge)):
+                raise DomainError("inexact polynomial division")
+            qk, t = rk - gk, div(r.pop(rk), gc)
+            q[qk] = t
+            for k, c in rest:
+                k += qk
+                s = r.get(k, 0) - t * c
+                if p is not None:
+                    s %= p
+                if s:
+                    r[k] = s
+                else:
+                    r.pop(k, None)
+        return q
+
+    @pytest.mark.parametrize("field", [QQ, GF, PrimeField(7)], ids=repr)
+    def test_exact_div_matches_the_loop_by_max(self, field):
+        # g * q divided by g gives q, term for term and in the same order as
+        # the loop that takes max() over the remainder; over GF(7) many of
+        # the pairs cancel.  A dense cubic times a dense form of degree 8
+        # makes a remainder of hundreds of terms.
+        rng = random.Random(53)
+        ring = PolyRing(("x", "y", "z", "w"), field)
+
+        def coeff():
+            return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.choice([1, 2, 3])) if field is QQ \
+                else rng.randint(1, 9)
+
+        def poly(nterms, top):
+            return ring.from_terms(([rng.randint(0, top) for _ in range(4)], coeff()) for _ in range(nterms))
+
+        def dense(d):
+            return ring.from_terms((e, coeff()) for e in itertools.product(range(d + 1), repeat=4) if sum(e) == d)
+
+        cases = [(poly(rng.randint(1, 6), 3), poly(rng.randint(1, 8), 4)) for _ in range(30)]
+        cases.append((dense(3), dense(8)))
+        for g, q in cases:
+            if g.is_zero:
+                continue
+            f = g * q
+            got = exact_div(f, g)
+            assert got == q
+            assert list(got.terms.items()) == list(self._exact_div_by_max(f, g).items())
+            if not q.is_zero and len(g.terms) > 1:
+                # g is not a unit, so it does not divide f + 1: the remainder
+                # is inexact only once the steps reach its constant term.
+                with pytest.raises(DomainError, match="inexact"):
+                    exact_div(f + 1, g)
+                with pytest.raises(DomainError, match="inexact"):
+                    self._exact_div_by_max(f + 1, g)
+
     def test_exact_div(self):
         x, y, z, w = R.gens()
         f = (x + y) * (x ** 2 - y * z + w ** 2)
         assert exact_div(f, x + y) == x ** 2 - y * z + w ** 2
         with pytest.raises(DomainError):
             exact_div(x ** 2 + y, x + y)
+
+
+class TestProduct:
+    """``Poly.__mul__`` on its flat route (``_product_layout`` and
+    ``_product_flat``) and on its term-dict route, against a double loop
+    over exponent tuples."""
+
+    @staticmethod
+    def _double_loop(f, g):
+        out: dict = {}
+        for ea, ca in f.sorted_terms():
+            for eb, cb in g.sorted_terms():
+                e = tuple(a + b for a, b in zip(ea, eb))
+                out[e] = out.get(e, 0) + ca * cb
+        return f.ring.from_terms(out.items())
+
+    @staticmethod
+    @contextlib.contextmanager
+    def _flat_wherever_it_can(monkeypatch):
+        """The flat route made to run on any product it can lay out; yields
+        the list that each of its runs appends to."""
+        ran, flat = [], polyring._product_flat
+        with monkeypatch.context() as patch:
+            patch.setattr(polyring, "_FLAT_MIN_PAIRS", 0)
+            patch.setattr(polyring, "_SLOTS_PER_PAIR", math.inf)
+            patch.setattr(polyring, "_product_flat", lambda ring, local: ran.append(1) or flat(ring, local))
+            yield ran
+
+    @classmethod
+    def _both_routes(cls, f, g, monkeypatch):
+        """(flat, whether it ran, keyed): f * g with the flat route made to
+        run wherever it can, then with it declined."""
+        with cls._flat_wherever_it_can(monkeypatch) as ran:
+            got_flat = f * g
+        with monkeypatch.context() as patch:
+            patch.setattr(polyring, "_product_layout", lambda ring, left, right: None)
+            got_keyed = f * g
+        return got_flat, bool(ran), got_keyed
+
+    @pytest.mark.parametrize("field", [QQ, GF, PrimeField(7)], ids=repr)
+    def test_flat_and_keyed_routes_match_the_double_loop(self, field, monkeypatch):
+        # Non-homogeneous factors with Fraction coefficients over QQ; factors
+        # that never use x, so that its field has radix 1; a constant
+        # factor; a product whose x*y coefficient is 7, zero only mod 7; and
+        # a zero factor, which is never laid out.
+        rng = random.Random(41)
+        ring = PolyRing(("x", "y", "z", "w"), field)
+        x, y = ring.var("x"), ring.var("y")
+
+        def factor(uses_x):
+            coeff = Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3])) if field is QQ else rng.randint(-9, 9)
+            return ring.from_terms(
+                ((rng.randint(0, 3) if uses_x else 0, rng.randint(0, 2), rng.randint(0, 4), rng.randint(0, 1)),
+                 coeff) for _ in range(rng.randint(1, 9))
+            )
+
+        cases = [(factor(True), factor(True)) for _ in range(8)]
+        cases += [(factor(False), factor(False)) for _ in range(4)]
+        cases += [(factor(True), factor(False)), (ring.const(3), factor(True)), (x + y, 3 * x + 4 * y)]
+        for f, g in cases:
+            flat, ran, keyed = self._both_routes(f, g, monkeypatch)
+            assert flat == keyed == self._double_loop(f, g)
+            assert ran is (not f.is_zero and not g.is_zero)
+        product = self._both_routes(x + y, 3 * x + 4 * y, monkeypatch)[0]
+        assert (product.coefficient((1, 1, 0, 0)) == 0) is (field.p == 7)
+        zero = ring.zero()
+        for f, g in ((zero, x + y), (x + y, zero), (zero, zero)):
+            flat, ran, keyed = self._both_routes(f, g, monkeypatch)
+            assert flat.is_zero and keyed.is_zero and not ran
+
+    def test_the_flat_route_runs_from_the_threshold(self, monkeypatch):
+        # 50 x 30 term pairs in a small box take the flat route; 50 x 29 do not.
+        ring = PolyRing(("x", "y"))
+        f = ring.from_terms(((i, j), i + j + 1) for i in range(10) for j in range(5))
+        g = ring.from_terms(((i, j), i - j - 7) for i in range(6) for j in range(5))
+        h = g - ring.monomial((5, 4), g.coefficient((5, 4)))
+        flat, ran = polyring._product_flat, []
+        monkeypatch.setattr(polyring, "_product_flat", lambda ring, local: ran.append(1) or flat(ring, local))
+        assert len(f.terms) * len(g.terms) == polyring._FLAT_MIN_PAIRS
+        assert f * g == self._double_loop(f, g) and ran == [1]
+        assert h * f == self._double_loop(h, f) and ran == [1]
+
+    def test_sparse_high_degree_factors_stay_on_term_dicts(self, monkeypatch):
+        # 40 x 40 terms form enough pairs for the flat route, but a flat list
+        # over these exponents would need about 2.6 * 10^21 slots.
+        rng = random.Random(43)
+
+        def factor():
+            return R.from_terms(
+                ((rng.randint(0, 100000), rng.randint(0, 50000), rng.randint(0, 9), rng.randint(0, 3)),
+                 rng.randint(1, 9)) for _ in range(40)
+            )
+
+        f, g = factor(), factor()
+        assert len(f.terms) * len(g.terms) >= polyring._FLAT_MIN_PAIRS
+
+        def refuse(ring, local):
+            raise AssertionError("the flat route ran")
+
+        monkeypatch.setattr(polyring, "_product_flat", refuse)
+        start = time.perf_counter()
+        product = f * g
+        assert time.perf_counter() - start < 1.0
+        assert product == self._double_loop(f, g)
+
+    def test_the_flat_route_declines_lists_that_would_not_pay(self, monkeypatch):
+        # 32 and 34 terms of degree 12: the list, 9 * 15 * 20 slots, would
+        # fit, but would scan about 2.5 slots for each pair formed.
+        rng = random.Random(47)
+
+        def factor():
+            return R.from_terms(((a, b, c, 12 - a - b - c), rng.randint(1, 9))
+                                for _ in range(40)
+                                if (a := rng.randint(0, 4)) + (b := rng.randint(0, 4)) + (c := rng.randint(0, 4)) <= 12)
+
+        f, g = factor(), factor()
+        assert polyring._product_layout(R, f.terms, g.terms) is None
+        # Three terms a factor: even at any number of slots a pair, the
+        # final list, 105^3 slots, would pass the cap.
+        x, y, w = R.var("x"), R.var("y"), R.var("w")
+        f = x ** 52 + y ** 52 + w ** 52
+        monkeypatch.setattr(polyring, "_SLOTS_PER_PAIR", math.inf)
+        assert 105 ** 3 > polyring._FLAT_SLOTS
+        assert polyring._product_layout(R, f.terms, (2 * f).terms) is None
+
+    def test_a_product_past_the_degree_limit_raises_on_either_route(self, monkeypatch):
+        # Every field but the degree is constant, so the flat list would be
+        # one slot long: only the degree check keeps the key from carrying.
+        big = R.var("w") ** 2 ** 31
+        with pytest.raises(DomainError, match="exceeds the limit"):
+            big * big
+        with self._flat_wherever_it_can(monkeypatch) as ran, pytest.raises(DomainError, match="exceeds the limit"):
+            big * (2 * big)
+        assert not ran
+        with monkeypatch.context() as patch, pytest.raises(DomainError, match="exceeds the limit"):
+            patch.setattr(polyring, "_product_layout", lambda ring, left, right: None)
+            big * big
+        assert big * R.one() == big
 
 
 class TestResultant:
@@ -1065,6 +1266,9 @@ class TestAdoption:
         monkeypatch.setattr(polyring, "_FLAT_MIN_PAIRS", 0)
         monkeypatch.setattr(polyring, "_SLOTS_PER_PAIR", math.inf)
         results += [determinant(m) for m in matrices]
+        # The products, made to run flat: sums pass p over GF(1048583), and
+        # the x*y coefficient of the last, 7, cancels over GF(7).
+        results += [F * G, G * F, F * F, (x + y) * (3 * x + 4 * y)]
         assert callers == self._adopting_sites()
         assert [dict(f.terms) for f, _ in operands] == [terms for _, terms in operands]
         for f in results:  # normalizing an adopted dict changes nothing
