@@ -8,14 +8,15 @@ at a swaps the roles of point and variables: it is the degree-k form
 (polar symmetry), and the proportionality is cross-checked in the test
 suite rather than assumed: the two constructions here are independent.
 A polar is k steps of ``Poly.directional_derivative``, each one pass over
-the terms.  The polar k-ic is k! times the degree-k part of F(a + x),
+the terms, after one check of the point.  The polar k-ic is k! times the degree-k part of F(a + x),
 read off the terms of F in one pass (``Poly.polar_part``, with the k!
 folded in) with no derivative, no division and no ``Poly`` product.
 
 Contact of lines is decided both by the valuation of the restriction
 F(a + T b) and by polar memberships, which must agree.  The restriction
 is one pass over the terms of F (``Poly.line_coefficients``), expanding
-each factor (a_i + b_i T)^e binomially; the membership ladder polar(F, b,
+each factor (a_i + b_i T)^e binomially, and lands in one ring of T per
+field, shared by every restriction; the membership ladder polar(F, b,
 1), ..., polar(F, b, d - 1) is walked once, each rung one step from the
 one below.  Neither the restriction nor the polar k-ic goes through the
 polar ladder or the directional derivative.
@@ -37,6 +38,7 @@ shares with ``tangent_hyperplane``, and expands only at a singular point.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Tuple
@@ -81,9 +83,10 @@ def polar(F: Poly, a: ProjPoint, k: int) -> Poly:
     d = _check_surface(F)
     if k < 0 or k > d:
         raise DomainError(f"polar order {k} outside [0, {d}]")
+    _check_point(F, a)
     out = F
     for _ in range(k):
-        out = directional_derivative(out, a)
+        out = out.directional_derivative(a.coords)
     return out
 
 
@@ -153,12 +156,18 @@ class LineContactReport:
     restriction: Poly
 
 
+@functools.lru_cache(maxsize=8)
+def _line_ring(field) -> PolyRing:
+    """The ring of T over a field: one per field, shared by every restriction."""
+    return PolyRing(("T",), field)
+
+
 def restrict_to_line(F: Poly, a: ProjPoint, b: ProjPoint) -> Poly:
     """F(a + T b) as a univariate polynomial in T."""
     _check_point(F, a)
     _check_point(F, b)
     coefficients = F.line_coefficients(a.coords, b.coords)
-    return PolyRing(("T",), F.ring.field).from_terms(((j,), c) for j, c in enumerate(coefficients))
+    return _line_ring(F.ring.field).from_terms(((j,), c) for j, c in enumerate(coefficients))
 
 
 def line_multiplicity(F: Poly, a: ProjPoint, b: ProjPoint) -> LineContactReport:

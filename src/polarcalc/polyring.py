@@ -70,9 +70,21 @@ is at most the total degree, so a monomial's total degree is capped at
 ``MAX_DEGREE`` = 2^32 - 1: building a monomial or a product past it raises
 DomainError.  Exponent tuples are packed and unpacked only at the kernel's
 edges: ``monomial``, ``from_terms`` and ``coefficient`` in (each tuple
-checked as it is packed, in one loop), ``sorted_terms`` and ``substitute``
-out.  Printing builds no tuple: it reads each exponent off the packed key
-as the difference of two prefix sums, in the one pass that writes the term.
+checked as it is packed, in one loop) and ``sorted_terms`` out.  Printing
+builds no tuple: it reads each exponent off the packed key as the
+difference of two prefix sums, in the one pass that writes the term.
+Each ring keeps two small memos of at most ``_MEMO_SIZE`` entries each:
+``from_terms`` packs each distinct exponent tuple once per ring (a tuple
+is kept only once ``_pack`` has accepted it, so a bad one raises on every
+call), and the one-pass kernels (``evaluate``, ``directional_derivative``,
+``line_coefficients``, ``polar_part``, ``substitute``, ``divide_variables``)
+read the nonzero exponents of each distinct packed key once per ring
+(``_support``).
+
+The fields draw the seeded instances' values with ``randrange``:
+``Rationals.random`` is ``randrange(19) - 9`` and ``PrimeField.random`` is
+``randrange(p)``, the values ``randint(-9, 9)`` and ``randint(0, p - 1)``
+give from the same state, so every seeded instance stream stays the same.
 
 The kernel provides, besides the ring operations:
 
@@ -209,7 +221,9 @@ class Rationals:
         return self.div(math.isqrt(v.numerator), math.isqrt(v.denominator))
 
     def random(self, rng) -> int:
-        return rng.randint(-9, 9)
+        """rng.randint(-9, 9), drawn as randrange(19) - 9: the same value from
+        the same state, with one call fewer."""
+        return rng.randrange(19) - 9
 
     def __eq__(self, other):
         return isinstance(other, Rationals)
@@ -292,7 +306,9 @@ class PrimeField:
         return r
 
     def random(self, rng) -> int:
-        return rng.randint(0, self.p - 1)
+        """rng.randint(0, p - 1), drawn as randrange(p): the same value from
+        the same state, with one call fewer."""
+        return rng.randrange(self.p)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -317,6 +333,10 @@ Scalar = Union[int, Fraction]
 _FIELD_BITS = 32
 _FIELD_MASK = (1 << _FIELD_BITS) - 1
 MAX_DEGREE = _FIELD_MASK
+# The most entries each of a ring's two monomial memos keeps: the forms of
+# degree <= 5 in four variables have 126 monomials, and a memo stays small
+# however many distinct monomials pass through it.
+_MEMO_SIZE = 256
 
 
 def _check_product_degree(degree: int):
@@ -501,8 +521,14 @@ class PolyRing:
         # Bit offset of each prefix-sum field; the top one is the total degree.
         self._shifts = tuple(range(0, _FIELD_BITS * len(variables), _FIELD_BITS))
         self._degree_shift = self._shifts[-1] if variables else 0
+        self._fields = tuple(enumerate(self._shifts))  # (variable index, bit offset)
         # The packed key of each variable: one added to its field and every field above.
         self._var_keys = tuple(sum(1 << s for s in self._shifts[i:]) for i in range(len(variables)))
+        # from_terms' memo: exponent tuple -> packed key, each stored only
+        # once _pack has accepted it; and _support's: packed key -> support.
+        # Each holds at most _MEMO_SIZE entries.
+        self._packed: dict = {}
+        self._supports: dict = {}
 
     # -- the packed monomial layout ----------------------------------------
 
@@ -522,6 +548,13 @@ class PolyRing:
             )
         return key
 
+    def _variable(self, name: str) -> int:
+        """The index of a variable of the ring; DomainError for any other name."""
+        i = self._index.get(name)
+        if i is None:
+            raise DomainError(f"unknown variable {name!r}")
+        return i
+
     def _unpack(self, key: int) -> Exponents:
         exps, below = [], 0
         for shift in self._shifts:
@@ -529,6 +562,24 @@ class PolyRing:
             exps.append(total - below)
             below = total
         return tuple(exps)
+
+    def _support(self, key: int) -> list:
+        """[(i, e_i), ...] over the variables i with a nonzero exponent in a
+        packed monomial, ascending in i, kept in the ring's memo (up to
+        _MEMO_SIZE keys).  Callers read the memo first, as
+        ``supports.get(key) or support(key)``, so each distinct key is
+        decoded once."""
+        out, below, degree = [], 0, key >> self._degree_shift
+        for i, shift in self._fields:
+            total = key >> shift & _FIELD_MASK
+            if total != below:
+                out.append((i, total - below))
+                if total == degree:  # the other exponents are zero
+                    break
+                below = total
+        if len(self._supports) < _MEMO_SIZE:
+            self._supports[key] = out
+        return out
 
     def _exponent(self, key: int, i: int) -> int:
         """The exponent of variable i in a packed monomial."""
@@ -548,9 +599,7 @@ class PolyRing:
         return _adopt(self, {0: c} if c else {})
 
     def var(self, name: str) -> "Poly":
-        if name not in self._index:
-            raise DomainError(f"unknown variable {name!r}")
-        return _adopt(self, {self._var_keys[self._index[name]]: self.field.coerce(1)})
+        return _adopt(self, {self._var_keys[self._variable(name)]: self.field.coerce(1)})
 
     def gens(self) -> tuple:
         return tuple(self.var(v) for v in self.variables)
@@ -565,11 +614,20 @@ class PolyRing:
 
         Like terms combine and a sum that cancels leaves the dict, so the
         result equals, term order included, adding the ``monomial``s in turn.
+        Each distinct exponent tuple is packed once per ring: its key is kept
+        in the ring's memo (up to _MEMO_SIZE tuples) once ``_pack`` has
+        accepted it, so a bad tuple raises on every call.
         """
-        pack, coerce, p = self._pack, self.field.coerce, self._modulus
+        packed, coerce, p = self._packed, self.field.coerce, self._modulus
         out: dict = {}
         for exps, c in pairs:
-            key, c = pack(exps), coerce(c)
+            exps = tuple(exps)
+            key = packed.get(exps)
+            if key is None:
+                key = self._pack(exps)
+                if len(packed) < _MEMO_SIZE:
+                    packed[exps] = key
+            c = coerce(c)
             s = out.get(key)
             if s is not None:  # reduced over GF(p), so that a sum that cancels reads 0
                 c = s + c if p is None else (s + c) % p
@@ -648,19 +706,16 @@ class Poly:
         return {d: _adopt(self.ring, parts[d]) for d in sorted(parts)}
 
     def degree_in(self, var: str) -> int:
-        i = self.ring._index[var]
+        i = self.ring._variable(var)
         if self.is_zero:
             raise DomainError("degree of the zero polynomial is undefined")
         exponent = self.ring._exponent
         return max(exponent(k, i) for k in self.terms)
 
     def variables_used(self) -> tuple:
-        used = [False] * len(self.ring.variables)
-        for k in self.terms:
-            for i, e in enumerate(self.ring._unpack(k)):
-                if e:
-                    used[i] = True
-        return tuple(v for v, u in zip(self.ring.variables, used) if u)
+        supports, support = self.ring._supports, self.ring._support
+        used = {i for k in self.terms for i, _ in supports.get(k) or support(k)}
+        return tuple(v for i, v in enumerate(self.ring.variables) if i in used)
 
     def coefficient(self, exps: Sequence[int]):
         return self.terms.get(self.ring._pack(exps), self.ring.field.zero)
@@ -781,7 +836,7 @@ class Poly:
 
     def partial(self, var: str) -> "Poly":
         ring = self.ring
-        i, p, exponent = ring._index[var], ring._modulus, ring._exponent
+        i, p, exponent = ring._variable(var), ring._modulus, ring._exponent
         step = ring._var_keys[i]
         if p is None:
             out = {k - step: c * e for k, c in self.terms.items() if (e := exponent(k, i))}
@@ -795,17 +850,14 @@ class Poly:
         coords = ring.field.coerce_all(coords)
         if len(coords) != len(ring.variables):
             raise DomainError("wrong number of coordinates")
-        fields = list(zip(ring._shifts, ring._var_keys, coords))
+        steps, supports, support = ring._var_keys, ring._supports, ring._support
         out: dict = {}
         get = out.get
         for k, c in self.terms.items():
-            below = 0
-            for shift, step, a in fields:
-                total = k >> shift & _FIELD_MASK
-                e = total - below
-                below = total
-                if e and a:
-                    key = k - step
+            for i, e in supports.get(k) or support(k):
+                a = coords[i]
+                if a:
+                    key = k - steps[i]
                     s = get(key)
                     out[key] = c * e * a if s is None else s + c * e * a
         # Reduced once here over GF(p); cancelled terms are dropped.
@@ -818,15 +870,11 @@ class Poly:
         coords = field.coerce_all(coords)
         if len(coords) != len(ring.variables):
             raise DomainError("wrong number of coordinates")
-        fields = list(zip(ring._shifts, coords))
+        supports, support = ring._supports, ring._support
         total = 0
         for k, c in self.terms.items():
-            below = 0
-            for shift, x in fields:
-                e = (k >> shift & _FIELD_MASK) - below
-                if e:
-                    below += e
-                    c = c * pow(x, e, p)  # x ** e over Q, reduced over GF(p)
+            for i, e in supports.get(k) or support(k):
+                c = c * pow(coords[i], e, p)  # x ** e over Q, reduced over GF(p)
             total = total + c
         return field.coerce(total)
 
@@ -842,32 +890,30 @@ class Poly:
         a, b = field.coerce_all(a), field.coerce_all(b)
         if len(a) != len(ring.variables) or len(b) != len(a):
             raise DomainError("wrong number of coordinates")
-        fields = list(enumerate(ring._shifts))
+        supports, support = ring._supports, ring._support
         rows: dict = {}
         out = [0] * ((max(self.terms) >> ring._degree_shift) + 1 if self.terms else 0)
         for k, c in self.terms.items():
-            series, low, below = [c], 0, 0  # series[j] is the coefficient of T^(low + j)
-            for i, shift in fields:
-                e = (k >> shift & _FIELD_MASK) - below
-                if e:
-                    below += e
-                    row = rows.get((i, e))
-                    if row is None:
-                        # (lowest power, coefficients): a zero b_i leaves only
-                        # the constant coefficient and a zero a_i only the top one.
-                        if not b[i]:
-                            row = 0, [pow(a[i], e, p)]
-                        elif not a[i]:
-                            row = e, [pow(b[i], e, p)]
-                        else:
-                            row = 0, _binomial_row(a[i], b[i], e, p, e + 1)
-                        rows[i, e] = row
-                    low += row[0]
-                    longer = [0] * (len(series) + len(row[1]) - 1)
-                    for s, u in enumerate(series):
-                        for j, v in enumerate(row[1], s):
-                            longer[j] += u * v
-                    series = longer
+            series, low = [c], 0  # series[j] is the coefficient of T^(low + j)
+            for ie in supports.get(k) or support(k):
+                row = rows.get(ie)
+                if row is None:
+                    # (lowest power, coefficients): a zero b_i leaves only
+                    # the constant coefficient and a zero a_i only the top one.
+                    i, e = ie
+                    if not b[i]:
+                        row = 0, [pow(a[i], e, p)]
+                    elif not a[i]:
+                        row = e, [pow(b[i], e, p)]
+                    else:
+                        row = 0, _binomial_row(a[i], b[i], e, p, e + 1)
+                    rows[ie] = row
+                low += row[0]
+                longer = [0] * (len(series) + len(row[1]) - 1)
+                for s, u in enumerate(series):
+                    for j, v in enumerate(row[1], s):
+                        longer[j] += u * v
+                series = longer
             for j, v in enumerate(series, low):
                 out[j] += v
         return [field.coerce(v) for v in out]
@@ -886,29 +932,29 @@ class Poly:
         a, scale = field.coerce_all(a), field.coerce(math.factorial(k))
         if len(a) != len(ring.variables):
             raise DomainError("wrong number of coordinates")
-        fields = list(zip(range(len(a)), ring._shifts, ring._var_keys))
+        shift, steps = ring._degree_shift, ring._var_keys
+        supports, support = ring._supports, ring._support
         rows: dict = {}
         out: dict = {}
         get = out.get
         for key, c in self.terms.items():
-            room = key >> ring._degree_shift  # the exponents not yet walked
+            room = key >> shift  # the exponents not yet walked
             if room < k:
                 continue
             # (packed alpha so far, value, degree left to place)
-            partial, below = [(0, c * scale, k)], 0
-            for i, shift, step in fields:
-                e = (key >> shift & _FIELD_MASK) - below
-                if e:
-                    below += e
-                    room -= e
-                    row = rows.get((i, e))
-                    if row is None:
-                        row = rows[i, e] = _binomial_row(a[i], 1, e, p, min(e, k) + 1)
-                    partial = [
-                        (m + j * step, v * row[j], r - j)
-                        for m, v, r in partial
-                        for j in range(max(0, r - room), min(e, r) + 1)
-                    ]
+            partial = [(0, c * scale, k)]
+            for ie in supports.get(key) or support(key):
+                i, e = ie
+                room -= e
+                row = rows.get(ie)
+                if row is None:
+                    row = rows[ie] = _binomial_row(a[i], 1, e, p, min(e, k) + 1)
+                step = steps[i]
+                partial = [
+                    (m + j * step, v * row[j], r - j)
+                    for m, v, r in partial
+                    for j in range(max(0, r - room), min(e, r) + 1)
+                ]
             for m, v, _ in partial:
                 s = get(m)
                 out[m] = v if s is None else s + v
@@ -923,15 +969,12 @@ class Poly:
         div = ring.field.div
         if len(scales) != len(ring.variables):
             raise DomainError("wrong number of scales")
-        fields = list(zip(ring._shifts, scales))
+        supports, support = ring._supports, ring._support
         out: dict = {}
         for k, c in self.terms.items():
-            below, scale = 0, 1
-            for shift, s in fields:
-                total = k >> shift & _FIELD_MASK
-                if total != below:
-                    scale *= s ** (total - below)
-                    below = total
+            scale = 1
+            for i, e in supports.get(k) or support(k):
+                scale *= scales[i] ** e
             out[k] = div(c, scale)
         return Poly(ring, out)
 
@@ -970,9 +1013,9 @@ class Poly:
             if name not in assignment:
                 raise DomainError(f"variable {name!r} is not assigned")
         for name in assignment:
-            if name not in self.ring._index:
-                raise DomainError(f"unknown variable {name!r}")
-        shift, coerce, unpack = target._degree_shift, target.field.coerce, self.ring._unpack
+            self.ring._variable(name)
+        shift, coerce = target._degree_shift, target.field.coerce
+        supports, support = self.ring._supports, self.ring._support
         top = MAX_DEGREE if order is None else min(order, MAX_DEGREE)
         # Every scalar is coerced, also one for a variable that does not occur.
         values = {n: v if isinstance(v, Poly) else target.const(v) for n, v in assignment.items()}
@@ -982,7 +1025,7 @@ class Poly:
         out: dict = {}
         get = out.get
         for mono, c in self.terms.items():
-            factors = [(power, e) for power, e in zip(powers, unpack(mono)) if e]
+            factors = [(powers[i], e) for i, e in supports.get(mono) or support(mono)]
             if order is None:
                 _check_product_degree(sum([power.high * e for power, e in factors]))
             # The least degree of each power (past top for a zero value): the
@@ -1060,7 +1103,7 @@ class ProjPoint:
     __slots__ = ("coords", "field")
 
     def __init__(self, coords: Sequence, field=QQ):
-        coords = tuple(field.coerce(c) for c in coords)
+        coords = tuple(field.coerce_all(coords))
         if not any(coords):
             raise DomainError("projective point needs a nonzero coordinate")
         self.coords = coords
@@ -1209,19 +1252,28 @@ class _Offsets:
     """
 
     def __init__(self, ring, groups):
-        # Each group's distinct monomials are read once, field by field (the
-        # entries of a row of a Hessian or a Sylvester matrix share most of
-        # theirs); a group of one dict keeps the dict's own order.
         self.ring, self.groups = ring, groups
-        self.keys, self.columns, self.lows, self.widths = [], [], [], []
-        for group in groups:
-            keys = list(set().union(*group)) if len(group) > 1 else list(group[0])
-            columns = [[k >> s & _FIELD_MASK for k in keys] for s in ring._shifts]
-            low = [min(column) for column in columns]
-            self.keys.append(keys)
-            self.columns.append(columns)
-            self.lows.append(low)
-            self.widths.append([max(column) - m for column, m in zip(columns, low)])
+        shifts = ring._shifts
+        self.shared = any(len(group) > 1 for group in groups)
+        if not self.shared:
+            # The factors of a product: each dict's keys, in its own order.
+            self.keys = [list(group[0]) for group in groups]
+            self.columns = [[[k >> s & _FIELD_MASK for k in keys] for s in shifts] for keys in self.keys]
+            ranges = self.columns
+        else:
+            # The rows of a matrix (a Hessian's, a Sylvester matrix's) share
+            # most of their monomials: the fields of each distinct monomial
+            # of the whole matrix are read once.
+            keys = list(set().union(*(t for group in groups for t in group)))
+            self.keys = [keys]
+            self.columns = [[[k >> s & _FIELD_MASK for k in keys] for s in shifts]]
+            fields = dict(zip(keys, zip(*self.columns[0])))
+            ranges = [list(zip(*map(fields.__getitem__, set().union(*group)))) for group in groups]
+        self.lows = [[min(column) for column in columns] for columns in ranges]
+        self.widths = [
+            [max(column) - m for column, m in zip(columns, low)]
+            for columns, low in zip(ranges, self.lows)
+        ]
         self.radices = [1 + sum(column) for column in zip(*self.widths)]
         self.strides = [1]
         for r in self.radices[:-1]:
@@ -1231,17 +1283,24 @@ class _Offsets:
     def laid(self) -> list:
         """Each group's term dicts as lists of (offset, coefficient) pairs."""
         moved = [(i, stride) for i, (stride, r) in enumerate(zip(self.strides, self.radices)) if r > 1]
-        laid = []
-        for group, keys, columns, low in zip(self.groups, self.keys, self.columns, self.lows):
-            offsets = [-sum([low[i] * stride for i, stride in moved])] * len(keys)
+        bases = [sum([low[i] * stride for i, stride in moved]) for low in self.lows]
+
+        def offsets(keys, columns, base):
+            out = [-base] * len(keys)
             for i, stride in moved:
-                offsets = [o + x * stride for o, x in zip(offsets, columns[i])]
-            if len(group) == 1:  # the keys in the dict's own order
-                laid.append([list(zip(offsets, group[0].values()))])
-            else:
-                offsets = dict(zip(keys, offsets))
-                laid.append([[(offsets[k], c) for k, c in t.items()] for t in group])
-        return laid
+                out = [o + x * stride for o, x in zip(out, columns[i])]
+            return out
+
+        if not self.shared:
+            return [
+                [list(zip(offsets(keys, columns, base), group[0].values()))]
+                for group, keys, columns, base in zip(self.groups, self.keys, self.columns, bases)
+            ]
+        at = dict(zip(self.keys[0], offsets(self.keys[0], self.columns[0], 0)))
+        return [
+            [[(at[k] - base, c) for k, c in t.items()] for t in group]
+            for group, base in zip(self.groups, bases)
+        ]
 
     def decode(self, pairs) -> dict:
         """{packed key: coefficient} for (offset, coefficient) pairs of
@@ -1556,7 +1615,7 @@ def coefficients_in(f: Poly, var: str) -> dict:
     the zero polynomial gives {}.
     """
     ring = f.ring
-    i = ring._index[var]
+    i = ring._variable(var)
     step = ring._var_keys[i]
     buckets: dict = {}
     for k, c in f.terms.items():
@@ -1604,11 +1663,13 @@ def resultant(f: Poly, g: Poly, var: str) -> Poly:
 def valuation(f: Poly, var: str):
     """Least exponent of var with a nonzero coefficient; INFINITY for 0.
 
-    f must be univariate in var.
+    f must be univariate in var: a ring with var as its only variable needs
+    no scan of the terms to show it.
     """
+    ring = f.ring
+    i = ring._variable(var)
     if f.is_zero:
         return INFINITY
-    if any(u != var for u in f.variables_used()):
+    if len(ring.variables) > 1 and any(u != var for u in f.variables_used()):
         raise DomainError(f"polynomial involves more than {var!r}")
-    i = f.ring._index[var]
-    return min(f.ring._exponent(k, i) for k in f.terms)
+    return min(ring._exponent(k, i) for k in f.terms)

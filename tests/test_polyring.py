@@ -620,6 +620,63 @@ class TestFromTerms:
             ]
 
 
+
+class TestPackingMemo:
+    """``from_terms`` packs each distinct exponent tuple once per ring, and
+    the one-pass kernels decode each distinct key once (``_support``).  Each
+    memo keeps only what ``_pack`` accepted, and at most _MEMO_SIZE entries."""
+
+    @pytest.mark.parametrize("exps, message", [
+        ((1, -1, 0, 0), "bad exponent tuple"),
+        ((1, 0, 0), "bad exponent tuple"),
+        ((2 ** 32, 0, 0, 0), "monomial of total degree 4294967296 exceeds the limit 2^32 - 1"),
+    ], ids=["negative", "wrong-length", "past-MAX_DEGREE"])
+    def test_a_bad_tuple_raises_on_every_call(self, exps, message):
+        ring = PolyRing(("x", "y", "z", "w"), GF)
+        for bad in (exps, list(exps), exps):
+            with pytest.raises(DomainError) as info:
+                ring.from_terms([((1, 0, 0, 0), 1), (bad, 1)])
+            assert str(info.value) == message
+            assert ring.from_terms([((1, 0, 0, 0), 2)]) == 2 * ring.var("x")
+
+    def test_a_list_of_exponents_is_accepted(self):
+        ring = PolyRing(("x", "y", "z", "w"), QQ)
+        exps = [1, 0, 0, 0]
+        assert ring.from_terms([(exps, 3)]) == ring.monomial((1, 0, 0, 0), 3)
+        exps[0], exps[1] = 0, 2  # the same list, now another monomial
+        assert ring.from_terms([(exps, 3)]) == ring.monomial((0, 2, 0, 0), 3)
+        assert ring.from_terms([([0, 2, 0, 0], 1), ((0, 2, 0, 0), -1)]).is_zero
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(7), GF], ids=repr)
+    def test_equals_the_monomial_sum_past_the_memo(self, field):
+        # 625 exponent tuples, more than the memo keeps, each one built afresh.
+        ring = PolyRing(("x", "y", "z", "w"), field)
+        rng = random.Random(31)
+        for _ in range(150):
+            pairs = [
+                (tuple(rng.randrange(5) for _ in range(4)), rng.randint(-3, 3))
+                for _ in range(rng.randint(0, 20))
+            ]
+            summed = ring.zero()
+            for exps, c in pairs:
+                summed = summed + ring.monomial(exps, c)
+            built = ring.from_terms(pairs)
+            assert [(k, c, type(c)) for k, c in built.terms.items()] == [
+                (k, c, type(c)) for k, c in summed.terms.items()
+            ]
+        assert len(ring._packed) == polyring._MEMO_SIZE
+
+    def test_supports_are_the_nonzero_exponents(self):
+        ring = PolyRing(("x", "y", "z", "w"), GF)
+        rng = random.Random(5)
+        for _ in range(2000):
+            exps = tuple(rng.choice((0, 1, 2, 3, 2 ** 20)) for _ in range(4))
+            expected = [(i, e) for i, e in enumerate(exps) if e]
+            key = ring._pack(exps)
+            assert ring._support(key) == expected
+            assert ring._supports.get(key, expected) == expected
+        assert len(ring._supports) == polyring._MEMO_SIZE
+
 def test_term_layout_stays_inside_the_kernel():
     """Only polyring.py reads the term dict, the variable index, the packed
     monomial layout or the cofactor helper."""
@@ -1185,6 +1242,18 @@ class TestValuation:
         with pytest.raises(DomainError):
             valuation(x + y, "x")
 
+
+
+@pytest.mark.parametrize("call", [
+    lambda: R.parse("x*y").partial("q"),
+    lambda: R.parse("x*y").degree_in("q"),
+    lambda: coefficients_in(R.parse("x*y"), "q"),
+    lambda: resultant(R.parse("x + y"), R.parse("x - y"), "q"),
+    lambda: valuation(R.const(5), "q"),
+], ids=["partial", "degree_in", "coefficients_in", "resultant", "valuation"])
+def test_an_unknown_variable_is_a_domain_error(call):
+    with pytest.raises(DomainError, match=r"^unknown variable 'q'$"):
+        call()
 
 class TestProjPoint:
     def test_equality_up_to_scale(self):
